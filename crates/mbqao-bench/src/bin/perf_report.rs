@@ -11,10 +11,13 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p mbqao-bench --bin perf_report            # full run → BENCH_10.json
+//! cargo run --release -p mbqao-bench --bin perf_report            # full run → target/perf_report.json
 //! cargo run --release -p mbqao-bench --bin perf_report -- --smoke # tiny run (CI)
-//! cargo run --release -p mbqao-bench --bin perf_report -- --out /tmp/bench.json
+//! cargo run --release -p mbqao-bench --bin perf_report -- --only mbqc # workloads whose name contains "mbqc"
+//! cargo run --release -p mbqao-bench --bin perf_report -- --out BENCH_<pr>.json # commit a trajectory point
 //! ```
+//!
+//! Unknown arguments are rejected with a usage line and exit code 2.
 
 use mbqao_bench::serve::{
     run_job, run_job_with, serve, spawn_pool, JobSpec, ServeConfig, SubmitRequest,
@@ -28,6 +31,44 @@ use std::time::Instant;
 
 /// Which perf-trajectory point this binary produces.
 const PR: u32 = 10;
+
+const USAGE: &str = "usage: perf_report [--smoke] [--only <filter>] [--out <path>]";
+
+/// Where the report goes unless `--out` says otherwise: under the build
+/// directory, so an exploratory run never overwrites a committed
+/// `BENCH_<pr>.json` trajectory point.
+const DEFAULT_OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/perf_report.json");
+
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    smoke: bool,
+    only: Option<String>,
+    out: String,
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        smoke: false,
+        only: None,
+        out: DEFAULT_OUT.to_string(),
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--only" => parsed.only = Some(value()?),
+            "--out" => parsed.out = value()?,
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(parsed)
+}
 
 /// One measured workload: `reps` timed repetitions of `iters` inner
 /// iterations each (after `warmup` untimed repetitions).
@@ -44,7 +85,24 @@ struct Measurement {
 }
 
 impl Measurement {
+    /// [`Measurement::time`], then one stderr line with the result.
     fn run(
+        name: &'static str,
+        detail: String,
+        unit: &'static str,
+        iters: usize,
+        warmup: usize,
+        reps: usize,
+        f: impl FnMut(),
+    ) -> Self {
+        let m = Self::time(name, detail, unit, iters, warmup, reps, f);
+        m.log();
+        m
+    }
+
+    /// Times `reps` repetitions of `iters` calls to `f`, after `warmup`
+    /// untimed repetitions.
+    fn time(
         name: &'static str,
         detail: String,
         unit: &'static str,
@@ -64,7 +122,7 @@ impl Measurement {
             }
             secs_per_iter.push(t0.elapsed().as_secs_f64() / iters as f64);
         }
-        let m = Measurement {
+        Measurement {
             name,
             detail,
             unit,
@@ -72,16 +130,18 @@ impl Measurement {
             warmup,
             reps,
             secs_per_iter,
-        };
+        }
+    }
+
+    fn log(&self) {
         eprintln!(
             "  {:<28} {:>12.3} µs/{} (min over {} reps × {} iters)",
-            m.name,
-            m.min() * 1e6,
-            m.unit,
-            m.reps,
-            m.iters
+            self.name,
+            self.min() * 1e6,
+            self.unit,
+            self.reps,
+            self.iters
         );
-        m
     }
 
     fn min(&self) -> f64 {
@@ -125,16 +185,18 @@ impl Measurement {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let only = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1).cloned());
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| format!("{}/../../BENCH_{PR}.json", env!("CARGO_MANIFEST_DIR")));
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return;
+    }
+    let Args {
+        smoke,
+        only,
+        out: out_path,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("perf_report: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     // Scale knobs: --smoke keeps CI fast, the full run is what gets
     // committed. Inner-iteration counts keep each rep ≳ a few ms so
@@ -213,7 +275,7 @@ fn main() {
     if enabled("mbqc_shot") {
         let exec = Executor::new(PatternBackend::new(&petersen, 1));
         exec.backend().sample(&p1_params, 1, 0); // compile outside the timer
-        let m = Measurement::run(
+        let m = Measurement::time(
             "mbqc_shot",
             format!("petersen p=1, Executor::sample, {shots} shots/iter"),
             "shot",
@@ -229,6 +291,7 @@ fn main() {
             secs_per_iter: m.secs_per_iter.iter().map(|s| s / shots as f64).collect(),
             ..m
         };
+        m.log();
         eprintln!(
             "  {:<28} {:>12.0} shots/s",
             "mbqc_shot_throughput",
@@ -618,6 +681,43 @@ fn main() {
         unix_time,
         body.join(",\n")
     );
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
+    }
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     eprintln!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_write_under_target_not_over_a_trajectory_point() {
+        let args = parse(&[]).expect("no arguments is a full run");
+        assert!(!args.smoke && args.only.is_none());
+        assert!(
+            args.out.ends_with("/target/perf_report.json"),
+            "{}",
+            args.out
+        );
+    }
+
+    #[test]
+    fn known_flags_parse_and_unknown_ones_are_rejected() {
+        assert_eq!(
+            parse(&["--smoke", "--only", "mbqc", "--out", "BENCH_x.json"]),
+            Ok(Args {
+                smoke: true,
+                only: Some("mbqc".into()),
+                out: "BENCH_x.json".into(),
+            })
+        );
+        assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
+        assert!(parse(&["--out"]).unwrap_err().contains("needs a value"));
+    }
 }

@@ -136,13 +136,9 @@ pub fn find_gflow(g: &OpenGraph) -> Option<GFlow> {
         let mut layer: Vec<usize> = Vec::new();
         let snapshot = done.clone();
         for u in 0..n {
-            if snapshot.get(u) || done.get(u) && u < n && snapshot.get(u) {
-                continue;
-            }
+            // `done` only grows after the layer loop, so within a layer it
+            // equals `snapshot`.
             if snapshot.get(u) {
-                continue;
-            }
-            if done.get(u) {
                 continue;
             }
             let Some(plane) = g.plane(u) else {

@@ -18,16 +18,16 @@
 //!   renormalize — postselection, not feed-forward.
 //! * [`GraphPatternSpec::to_deterministic_pattern`] finds a **gflow** of
 //!   the spec's open graph ([`crate::gflow::find_gflow`]) and
-//!   re-synthesizes the corrections it certifies: measurements run in
-//!   gflow order with signal-shifted `s`/`t` domains, outputs receive
-//!   explicit `X`/`Z` corrections, and the resulting pattern is
-//!   **strongly deterministic** — every outcome branch yields the same
-//!   output state, so it is per-shot samplable with no `2^{−k}`
+//!   re-synthesizes the corrections it certifies: measurements run in a
+//!   width-aware gflow order with signal-shifted `s`/`t` domains,
+//!   outputs receive explicit `X`/`Z` corrections, and the resulting
+//!   pattern is **strongly deterministic** — every outcome branch yields
+//!   the same output state, so it is per-shot samplable with no `2^{−k}`
 //!   postselection overhead (Browne–Kashefi–Mhalla–Perdrix, refs.
 //!   \[32,33\] of the paper).
 
 use crate::command::{Angle, Pauli};
-use crate::gflow::{find_gflow, verify_gflow};
+use crate::gflow::{find_gflow, verify_gflow, GFlow};
 use crate::opengraph::OpenGraph;
 use crate::pattern::Pattern;
 use crate::plane::Plane;
@@ -124,12 +124,15 @@ impl GraphPatternSpec {
     /// postselection).
     ///
     /// Construction (the Browne–Kashefi–Mhalla–Perdrix recipe):
-    /// measurements run in gflow order (earliest layer first); measuring
-    /// `u` with outcome `m_u` owes byproducts `X^{m_u}` to every `w ∈
-    /// g(u)∖{u}` and `Z^{m_u}` to every `w ∈ Odd(g(u))∖{u}`. Byproducts
-    /// owed to a later-measured qubit are folded into its `s`/`t`
-    /// domains through the plane's folding rules
-    /// ([`Plane::fold_x`]/[`Plane::fold_z`] — signal shifting);
+    /// measuring `u` with outcome `m_u` owes byproducts `X^{m_u}` to
+    /// every `w ∈ g(u)∖{u}` and `Z^{m_u}` to every `w ∈ Odd(g(u))∖{u}`,
+    /// so `u` is measured before every such `w`. Within that order, the
+    /// next measurement is always the ready vertex that newly prepares
+    /// the fewest qubits (lowest index on ties), which keeps the
+    /// just-in-time-scheduled register at the direct pattern's `|V| + 1`
+    /// on QAOA extractions. Byproducts owed to a later-measured qubit
+    /// are folded into its `s`/`t` domains through the plane's folding
+    /// rules ([`Plane::fold_x`]/[`Plane::fold_z`] — signal shifting);
     /// byproducts owed to outputs become explicit `C` commands. On the
     /// all-zero branch every signal vanishes, so the pattern reproduces
     /// the reference branch exactly — and the gflow conditions make every
@@ -160,7 +163,7 @@ impl GraphPatternSpec {
         // Pending byproducts per vertex, accumulated in GF(2).
         let mut sx: Vec<Signal> = vec![Signal::zero(); self.nodes];
         let mut sz: Vec<Signal> = vec![Signal::zero(); self.nodes];
-        for u in flow.measurement_order() {
+        for u in width_aware_order(&og, &flow) {
             let m = meas.get(&u)?; // measured node without a measurement: bail
             let (x_flips, x_adds_pi) = m.plane.fold_x();
             let (z_flips, z_adds_pi) = m.plane.fold_z();
@@ -201,6 +204,71 @@ impl GraphPatternSpec {
             .expect("gflow-synthesized pattern must validate");
         Some((p, flow.depth()))
     }
+}
+
+/// A measurement order for `flow` that keeps the live register narrow.
+///
+/// Measuring `u` owes byproducts to `(g(u) ∪ Odd(g(u)))∖{u}`, so every
+/// measured vertex there must come after `u`; any linear extension of
+/// that relation carries the same corrections. Among the vertices whose
+/// predecessors are all measured, each step measures the one that newly
+/// prepares the fewest qubits: itself if not yet live, plus its
+/// unmeasured neighbours that are not yet live (the entanglers its
+/// measurement forces, in the order [`crate::schedule::just_in_time`]
+/// emits them). Ties go to the lowest vertex index, so the order depends
+/// on nothing but the open graph and the flow.
+///
+/// The gflow's layer order ([`GFlow::measurement_order`]) measures a
+/// whole layer before the next, which keeps the next layer's entire
+/// neighbourhood alive at once.
+pub(crate) fn width_aware_order(og: &OpenGraph, flow: &GFlow) -> Vec<usize> {
+    let n = og.n();
+    let measured = |w: usize| !og.outputs().get(w);
+    let nbrs: Vec<Vec<usize>> = (0..n)
+        .map(|u| og.neighbors(u).iter_ones().collect())
+        .collect();
+    // succ[u]: measured vertices that must follow u; preds[w]: how many
+    // unmeasured vertices must still precede w.
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut preds = vec![0usize; n];
+    for u in (0..n).filter(|&u| measured(u)) {
+        let k = &flow.g[&u];
+        let mut owed = og.odd_neighborhood(k);
+        for c in k.iter_ones() {
+            owed.set(c, true);
+        }
+        for w in owed.iter_ones().filter(|&w| w != u && measured(w)) {
+            succ[u].push(w);
+            preds[w] += 1;
+        }
+    }
+
+    let mut live = vec![false; n];
+    let mut done = vec![false; n];
+    let mut ready: Vec<usize> = (0..n).filter(|&u| measured(u) && preds[u] == 0).collect();
+    let mut order = Vec::with_capacity(flow.g.len());
+    while !ready.is_empty() {
+        let new_preps = |u: usize| {
+            usize::from(!live[u]) + nbrs[u].iter().filter(|&&v| !live[v] && !done[v]).count()
+        };
+        let i = (0..ready.len())
+            .min_by_key(|&i| (new_preps(ready[i]), ready[i]))
+            .expect("ready is non-empty");
+        let u = ready.swap_remove(i);
+        done[u] = true;
+        for &v in &nbrs[u] {
+            live[v] = !done[v];
+        }
+        for &w in &succ[u] {
+            preds[w] -= 1;
+            if preds[w] == 0 {
+                ready.push(w);
+            }
+        }
+        order.push(u);
+    }
+    debug_assert_eq!(order.len(), flow.g.len(), "the gflow relation is acyclic");
+    order
 }
 
 #[cfg(test)]

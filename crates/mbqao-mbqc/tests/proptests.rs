@@ -1,15 +1,19 @@
 //! Property tests for the measurement calculus: standard J-chains are
-//! deterministic for arbitrary angles, and schedules never change
-//! semantics.
+//! deterministic for arbitrary angles, schedules never change
+//! semantics, and gflow-synthesized patterns measure in a valid,
+//! reproducible gflow order.
 
 use mbqao_mbqc::determinism::check_determinism;
+use mbqao_mbqc::gflow::find_gflow;
+use mbqao_mbqc::reimport::{GraphMeasurement, GraphPatternSpec};
 use mbqao_mbqc::schedule::{just_in_time, resource_state_first};
 use mbqao_mbqc::simulate::{run_with_input, Branch};
-use mbqao_mbqc::{Angle, Pattern, Pauli, Plane, Signal};
+use mbqao_mbqc::{Angle, Command, Pattern, Pauli, Plane, Signal};
 use mbqao_sim::{QubitId, State};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 fn q(i: u64) -> QubitId {
     QubitId::new(i)
@@ -40,6 +44,113 @@ fn j_chain(angles: &[f64]) -> Pattern {
     p.set_outputs(vec![q(len as u64)]);
     p.validate().expect("chain is well-formed");
     p
+}
+
+/// Most vertices of a random spec; specs with more than
+/// [`MAX_MEASURED`] measured vertices are rejected.
+const MAX_NODES: usize = 10;
+/// Measured-vertex cap: `check_determinism` enumerates `2^k` branches.
+const MAX_MEASURED: usize = 8;
+
+/// Builds a spec on the first `n` vertices: role 0 is an output, roles
+/// 1–3 measure in XY / YZ / XZ; pair `(a, b)` is an edge when its bit is
+/// set.
+fn random_spec(n: usize, roles: &[(u8, f64)], edge_bits: &[bool]) -> GraphPatternSpec {
+    let mut edges = Vec::new();
+    let mut bit = edge_bits.iter();
+    for a in 0..MAX_NODES {
+        for b in a + 1..MAX_NODES {
+            if *bit.next().expect("one bit per pair") && b < n {
+                edges.push((a, b));
+            }
+        }
+    }
+    let mut measures = Vec::new();
+    let mut outputs = Vec::new();
+    for (node, &(role, angle)) in roles[..n].iter().enumerate() {
+        let plane = match role {
+            0 => {
+                outputs.push(node);
+                continue;
+            }
+            1 => Plane::XY,
+            2 => Plane::YZ,
+            _ => Plane::XZ,
+        };
+        measures.push(GraphMeasurement {
+            node,
+            plane,
+            angle: Angle::constant(angle),
+        });
+    }
+    GraphPatternSpec {
+        nodes: n,
+        edges,
+        measures,
+        outputs,
+        n_params: 0,
+    }
+}
+
+/// Random small specs that admit a gflow.
+fn flowing_spec() -> impl Strategy<Value = GraphPatternSpec> {
+    (
+        2usize..MAX_NODES + 1,
+        proptest::collection::vec((0u8..4, -3.1f64..3.1), MAX_NODES..MAX_NODES + 1),
+        proptest::collection::vec(
+            proptest::bool::ANY,
+            MAX_NODES * (MAX_NODES - 1) / 2..MAX_NODES * (MAX_NODES - 1) / 2 + 1,
+        ),
+    )
+        .prop_map(|(n, roles, edge_bits)| random_spec(n, &roles, &edge_bits))
+        .prop_filter("a gflow over at most 8 measured vertices", |spec| {
+            !spec.outputs.is_empty()
+                && spec.measures.len() <= MAX_MEASURED
+                && find_gflow(&spec.open_graph()).is_some()
+        })
+}
+
+proptest! {
+    /// A gflow-synthesized pattern measures in a linear extension of the
+    /// gflow relation (`u` before every measured `w ∈ (g(u) ∪
+    /// Odd(g(u)))∖{u}`), is strongly deterministic, and comes out
+    /// byte-identical on every call.
+    #[test]
+    fn prop_deterministic_pattern_measures_in_a_gflow_order(spec in flowing_spec()) {
+        let og = spec.open_graph();
+        let flow = find_gflow(&og).expect("filtered for gflow");
+        let (p, _) = spec.to_deterministic_pattern().expect("filtered for gflow");
+
+        let position: HashMap<u64, usize> = p
+            .commands()
+            .iter()
+            .filter_map(|c| match c {
+                Command::Measure { q, .. } => Some(q.0),
+                _ => None,
+            })
+            .enumerate()
+            .map(|(i, q)| (q, i))
+            .collect();
+        prop_assert_eq!(position.len(), spec.measures.len());
+        for (&u, k) in &flow.g {
+            let mut owed = og.odd_neighborhood(k);
+            for c in k.iter_ones() {
+                owed.set(c, true);
+            }
+            for w in owed.iter_ones().filter(|&w| w != u && !og.outputs().get(w)) {
+                prop_assert!(
+                    position[&(u as u64)] < position[&(w as u64)],
+                    "{u} must be measured before {w}: {spec:?}"
+                );
+            }
+        }
+
+        let report = check_determinism(&p, &State::new(), &[], 1e-8);
+        prop_assert!(report.deterministic, "{report:?} for {spec:?}");
+
+        let (again, _) = spec.to_deterministic_pattern().expect("filtered for gflow");
+        prop_assert_eq!(format!("{p:?}"), format!("{again:?}"));
+    }
 }
 
 proptest! {

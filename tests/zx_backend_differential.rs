@@ -236,6 +236,27 @@ fn dense_instances_save_qubits_and_stay_correct() {
 }
 
 #[test]
+fn zx_register_is_no_wider_than_the_direct_pattern() {
+    // The extraction measures in a width-aware gflow order, so the
+    // JIT-scheduled ZX register never outgrows the directly compiled
+    // pattern's |V| + 1 (11 on Petersen).
+    for fam in mbqao_bench::standard_families(7) {
+        for p in [1usize, 2] {
+            let r = *ZxBackend::new(&fam.cost, p).report();
+            assert!(
+                r.zx.max_live <= r.pattern.max_live,
+                "{} p={p}: ZX max_live {} > pattern max_live {}",
+                fam.name,
+                r.zx.max_live,
+                r.pattern.max_live
+            );
+        }
+    }
+    let petersen = maxcut::maxcut_zpoly(&generators::petersen());
+    assert_eq!(ZxBackend::new(&petersen, 2).report().zx.max_live, 11);
+}
+
+#[test]
 fn zx_expectation_batch_is_bit_identical_to_pointwise() {
     let cost = maxcut::maxcut_zpoly(&generators::square());
     let exec = Executor::new(ZxBackend::new(&cost, 1));
