@@ -14,8 +14,24 @@
 //! * XZ: `u ∈ K`, `u ∈ Odd(K)`
 //! * YZ: `u ∈ K`, `u ∉ Odd(K)`
 //!
-//! processed backwards from the outputs, one layer at a time. Complexity
-//! is polynomial (a GF(2) solve per candidate per layer).
+//! processed backwards from the outputs, one layer at a time.
+//!
+//! Every candidate of one layer shares the same linear system. With `U`
+//! the unmeasured vertices and `C = done \ I`, let `M` be the `U × C`
+//! adjacency matrix; `u`'s conditions read `M·x = b_u`, where `b_u`
+//! holds `e_u` for XY/XZ plus `N(u)` restricted to `U` when `u ∈ K`
+//! (YZ/XZ). So each layer runs **one** Gauss–Jordan elimination of
+//! `[M | I]` with leftmost pivots, giving the reduced row echelon form
+//! `R = T·M`, and reads every candidate's correction set off `T·b_u`:
+//! the system is consistent when `T·b_u` vanishes on the zero rows of
+//! `R`, and the solution with every free variable zero puts `(T·b_u)_i`
+//! on the pivot column of row `i`. The reduced row echelon form of a
+//! matrix is unique, so its pivot columns — and with them the solution
+//! whose free variables are zero — do not depend on the order of the
+//! rows. A separate solve per candidate, over the same columns with
+//! `x_u = 1` as an extra equation, therefore finds the same `K`.
+//! Complexity is one `O(|U|²·|C|)` elimination per layer plus
+//! `O(|U|·deg u)` per candidate.
 
 use crate::opengraph::{BitVec, OpenGraph};
 use crate::plane::Plane;
@@ -48,57 +64,73 @@ impl GFlow {
     }
 }
 
-/// GF(2) linear solver: finds any `x` with `A x = b`, where row `i` of `A`
-/// is `rows[i]` restricted to `ncols` columns. Returns `None` when
-/// inconsistent.
-fn solve_gf2(mut rows: Vec<BitVec>, mut rhs: Vec<bool>, ncols: usize) -> Option<BitVec> {
-    let nrows = rows.len();
-    let mut pivot_of_col: Vec<Option<usize>> = vec![None; ncols];
-    let mut r = 0usize;
-    #[allow(clippy::needless_range_loop)]
-    for c in 0..ncols {
-        // Find a pivot for column c at or below row r.
-        let Some(p) = (r..nrows).find(|&i| rows[i].get(c)) else {
-            continue;
-        };
-        rows.swap(r, p);
-        rhs.swap(r, p);
-        // Eliminate everywhere else.
-        for i in 0..nrows {
-            if i != r && rows[i].get(c) {
-                let (head, tail) = if i < r {
-                    let (a, b) = rows.split_at_mut(r);
-                    (&mut a[i], &b[0])
-                } else {
-                    let (a, b) = rows.split_at_mut(i);
-                    (&mut b[0], &a[r])
-                };
-                head.xor_assign(tail);
-                let v = rhs[r];
-                rhs[i] ^= v;
+/// One Gauss–Jordan elimination over GF(2) that serves many right-hand
+/// sides: `A` (rows over `ncols` columns, leftmost pivots) reduced
+/// alongside the identity, `[A | I] → [R | T]` with `R = T·A` in reduced
+/// row echelon form.
+struct Elimination {
+    /// `T`: row `i` is the combination of `A`'s rows that gives `R`'s row `i`.
+    transform: Vec<BitVec>,
+    /// Pivot column of `R`'s row `i`; rows from `pivots.len()` on are zero.
+    pivots: Vec<usize>,
+    ncols: usize,
+}
+
+impl Elimination {
+    fn new(mut rows: Vec<BitVec>, ncols: usize) -> Self {
+        let nrows = rows.len();
+        let mut transform: Vec<BitVec> = (0..nrows)
+            .map(|i| {
+                let mut t = BitVec::zeros(nrows);
+                t.set(i, true);
+                t
+            })
+            .collect();
+        let mut pivots: Vec<usize> = Vec::new();
+        for c in 0..ncols {
+            let r = pivots.len();
+            if r == nrows {
+                break;
             }
+            // Find a pivot for column c at or below row r.
+            let Some(p) = (r..nrows).find(|&i| rows[i].get(c)) else {
+                continue;
+            };
+            rows.swap(r, p);
+            transform.swap(r, p);
+            // Eliminate everywhere else.
+            let (pivot_row, pivot_t) = (rows[r].clone(), transform[r].clone());
+            for i in 0..nrows {
+                if i != r && rows[i].get(c) {
+                    rows[i].xor_assign(&pivot_row);
+                    transform[i].xor_assign(&pivot_t);
+                }
+            }
+            pivots.push(c);
         }
-        pivot_of_col[c] = Some(r);
-        r += 1;
-        if r == nrows {
-            break;
+        Elimination {
+            transform,
+            pivots,
+            ncols,
         }
     }
-    // Consistency: any zero row with rhs = 1?
-    for i in 0..nrows {
-        if rhs[i] && rows[i].is_zero() {
+
+    /// The solution of `A·x = b` whose free variables are all zero, or
+    /// `None` when the system is inconsistent. `b` is given by its
+    /// support, the rows whose right-hand side is 1 (a row listed twice
+    /// cancels).
+    fn solve(&self, b: &[usize]) -> Option<BitVec> {
+        // (T·b)_i = parity of T's row i over the support of b.
+        let tb = |i: usize| b.iter().filter(|&&j| self.transform[i].get(j)).count() % 2 == 1;
+        if (self.pivots.len()..self.transform.len()).any(tb) {
             return None;
         }
-    }
-    // Back-substitute with free variables = 0.
-    let mut x = BitVec::zeros(ncols);
-    #[allow(clippy::needless_range_loop)]
-    for c in 0..ncols {
-        if let Some(p) = pivot_of_col[c] {
-            x.set(c, rhs[p]);
+        let mut x = BitVec::zeros(self.ncols);
+        for (i, &c) in self.pivots.iter().enumerate() {
+            x.set(c, tb(i));
         }
+        Some(x)
     }
-    Some(x)
 }
 
 /// Attempts to find a gflow for the open graph. Returns `None` when the
@@ -125,83 +157,67 @@ fn solve_gf2(mut rows: Vec<BitVec>, mut rhs: Vec<bool>, ncols: usize) -> Option<
 /// ```
 pub fn find_gflow(g: &OpenGraph) -> Option<GFlow> {
     let n = g.n();
+    // A measured node without a plane has no correction condition.
+    if (0..n).any(|u| !g.outputs().get(u) && g.plane(u).is_none()) {
+        return None;
+    }
     let mut done = g.outputs().clone();
     let mut gmap: HashMap<usize, BitVec> = HashMap::new();
     let mut layers: Vec<Vec<usize>> = Vec::new();
-
-    let total_to_measure = (0..n).filter(|&i| !g.outputs().get(i)).count();
-    let mut measured = 0usize;
-
-    while measured < total_to_measure {
+    let nbrs: Vec<Vec<usize>> = (0..n)
+        .map(|v| g.neighbors(v).iter_ones().collect())
+        .collect();
+    loop {
+        let unmeasured: Vec<usize> = (0..n).filter(|&w| !done.get(w)).collect();
+        if unmeasured.is_empty() {
+            break;
+        }
+        // Rows: for every unmeasured w, the parity of N(w) ∩ K. Columns:
+        // the candidates for K \ {u}, c ∈ done \ I.
+        let mut row_of: Vec<Option<usize>> = vec![None; n];
+        for (wi, &w) in unmeasured.iter().enumerate() {
+            row_of[w] = Some(wi);
+        }
+        let mut col_of: Vec<Option<usize>> = vec![None; n];
+        let cols: Vec<usize> = (0..n)
+            .filter(|&c| done.get(c) && !g.inputs().get(c))
+            .collect();
+        for (ci, &c) in cols.iter().enumerate() {
+            col_of[c] = Some(ci);
+        }
+        let rows: Vec<BitVec> = unmeasured
+            .iter()
+            .map(|&w| {
+                let mut row = BitVec::zeros(cols.len());
+                for ci in nbrs[w].iter().filter_map(|&c| col_of[c]) {
+                    row.set(ci, true);
+                }
+                row
+            })
+            .collect();
+        let elimination = Elimination::new(rows, cols.len());
         let mut layer: Vec<usize> = Vec::new();
-        let snapshot = done.clone();
-        for u in 0..n {
-            // `done` only grows after the layer loop, so within a layer it
-            // equals `snapshot`.
-            if snapshot.get(u) {
-                continue;
-            }
-            let Some(plane) = g.plane(u) else {
-                // Measured node without a plane: treat as XY with angle 0
-                // is not safe — reject.
-                return None;
-            };
-            // Candidate columns: c ∈ (snapshot ∪ {u}) \ I, where `u` is
-            // only a candidate for XZ/YZ planes.
-            let mut cols: Vec<usize> = (0..n)
-                .filter(|&c| snapshot.get(c) && !g.inputs().get(c))
-                .collect();
-            let u_col = if matches!(plane, Plane::XZ | Plane::YZ) && !g.inputs().get(u) {
-                cols.push(u);
-                Some(cols.len() - 1)
-            } else {
-                None
-            };
-            if matches!(plane, Plane::XZ | Plane::YZ) && u_col.is_none() {
+        for (ui, &u) in unmeasured.iter().enumerate() {
+            let plane = g.plane(u).expect("checked above");
+            let u_in_k = matches!(plane, Plane::XZ | Plane::YZ);
+            if u_in_k && g.inputs().get(u) {
                 continue; // u ∈ g(u) required but u is an input — impossible.
             }
-            let ncols = cols.len();
-            // Rows: for every w ∉ snapshot ∪ {u}: parity of N(w)∩K = 0;
-            // for u: parity = 1 (XY, XZ) or 0 (YZ);
-            // for u_col (if any): x_u = 1.
-            let mut rows: Vec<BitVec> = Vec::new();
-            let mut rhs: Vec<bool> = Vec::new();
-            for w in 0..n {
-                if w == u || snapshot.get(w) {
-                    continue;
-                }
-                let mut row = BitVec::zeros(ncols);
-                for (ci, &c) in cols.iter().enumerate() {
-                    if g.neighbors(w).get(c) {
-                        row.set(ci, true);
-                    }
-                }
-                rows.push(row);
-                rhs.push(false);
+            // b_u: u's own parity is 1 for XY/XZ; u ∈ K moves N(u) to
+            // the right-hand side.
+            let mut b: Vec<usize> = Vec::new();
+            if matches!(plane, Plane::XY | Plane::XZ) {
+                b.push(ui);
             }
-            {
-                let mut row = BitVec::zeros(ncols);
-                for (ci, &c) in cols.iter().enumerate() {
-                    if g.neighbors(u).get(c) {
-                        row.set(ci, true);
-                    }
-                }
-                rows.push(row);
-                rhs.push(matches!(plane, Plane::XY | Plane::XZ));
+            if u_in_k {
+                b.extend(nbrs[u].iter().filter_map(|&w| row_of[w]));
             }
-            if let Some(uc) = u_col {
-                let mut row = BitVec::zeros(ncols);
-                row.set(uc, true);
-                rows.push(row);
-                rhs.push(true);
-            }
-            if let Some(x) = solve_gf2(rows, rhs, ncols) {
+            if let Some(x) = elimination.solve(&b) {
                 let mut k = BitVec::zeros(n);
-                for (ci, &c) in cols.iter().enumerate() {
-                    if x.get(ci) {
-                        k.set(c, true);
-                    }
+                for ci in x.iter_ones() {
+                    k.set(cols[ci], true);
                 }
+                k.set(u, u_in_k);
                 gmap.insert(u, k);
                 layer.push(u);
             }
@@ -212,7 +228,6 @@ pub fn find_gflow(g: &OpenGraph) -> Option<GFlow> {
         for &u in &layer {
             done.set(u, true);
         }
-        measured += layer.len();
         layers.push(layer);
     }
     Some(GFlow { g: gmap, layers })
@@ -266,6 +281,157 @@ pub fn verify_gflow(g: &OpenGraph, flow: &GFlow) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// GF(2) linear solver: finds any `x` with `A x = b`, where row `i` of `A`
+    /// is `rows[i]` restricted to `ncols` columns. Returns `None` when
+    /// inconsistent.
+    fn solve_gf2(mut rows: Vec<BitVec>, mut rhs: Vec<bool>, ncols: usize) -> Option<BitVec> {
+        let nrows = rows.len();
+        let mut pivot_of_col: Vec<Option<usize>> = vec![None; ncols];
+        let mut r = 0usize;
+        #[allow(clippy::needless_range_loop)]
+        for c in 0..ncols {
+            // Find a pivot for column c at or below row r.
+            let Some(p) = (r..nrows).find(|&i| rows[i].get(c)) else {
+                continue;
+            };
+            rows.swap(r, p);
+            rhs.swap(r, p);
+            // Eliminate everywhere else.
+            for i in 0..nrows {
+                if i != r && rows[i].get(c) {
+                    let (head, tail) = if i < r {
+                        let (a, b) = rows.split_at_mut(r);
+                        (&mut a[i], &b[0])
+                    } else {
+                        let (a, b) = rows.split_at_mut(i);
+                        (&mut b[0], &a[r])
+                    };
+                    head.xor_assign(tail);
+                    let v = rhs[r];
+                    rhs[i] ^= v;
+                }
+            }
+            pivot_of_col[c] = Some(r);
+            r += 1;
+            if r == nrows {
+                break;
+            }
+        }
+        // Consistency: any zero row with rhs = 1?
+        for i in 0..nrows {
+            if rhs[i] && rows[i].is_zero() {
+                return None;
+            }
+        }
+        // Back-substitute with free variables = 0.
+        let mut x = BitVec::zeros(ncols);
+        #[allow(clippy::needless_range_loop)]
+        for c in 0..ncols {
+            if let Some(p) = pivot_of_col[c] {
+                x.set(c, rhs[p]);
+            }
+        }
+        Some(x)
+    }
+
+    /// The per-candidate reference [`find_gflow`] must reproduce: a
+    /// fresh GF(2) solve for every candidate of every layer.
+    fn find_gflow_per_candidate(g: &OpenGraph) -> Option<GFlow> {
+        let n = g.n();
+        let mut done = g.outputs().clone();
+        let mut gmap: HashMap<usize, BitVec> = HashMap::new();
+        let mut layers: Vec<Vec<usize>> = Vec::new();
+
+        let total_to_measure = (0..n).filter(|&i| !g.outputs().get(i)).count();
+        let mut measured = 0usize;
+
+        while measured < total_to_measure {
+            let mut layer: Vec<usize> = Vec::new();
+            let snapshot = done.clone();
+            for u in 0..n {
+                // `done` only grows after the layer loop, so within a layer it
+                // equals `snapshot`.
+                if snapshot.get(u) {
+                    continue;
+                }
+                let Some(plane) = g.plane(u) else {
+                    // Measured node without a plane: treat as XY with angle 0
+                    // is not safe — reject.
+                    return None;
+                };
+                // Candidate columns: c ∈ (snapshot ∪ {u}) \ I, where `u` is
+                // only a candidate for XZ/YZ planes.
+                let mut cols: Vec<usize> = (0..n)
+                    .filter(|&c| snapshot.get(c) && !g.inputs().get(c))
+                    .collect();
+                let u_col = if matches!(plane, Plane::XZ | Plane::YZ) && !g.inputs().get(u) {
+                    cols.push(u);
+                    Some(cols.len() - 1)
+                } else {
+                    None
+                };
+                if matches!(plane, Plane::XZ | Plane::YZ) && u_col.is_none() {
+                    continue; // u ∈ g(u) required but u is an input — impossible.
+                }
+                let ncols = cols.len();
+                // Rows: for every w ∉ snapshot ∪ {u}: parity of N(w)∩K = 0;
+                // for u: parity = 1 (XY, XZ) or 0 (YZ);
+                // for u_col (if any): x_u = 1.
+                let mut rows: Vec<BitVec> = Vec::new();
+                let mut rhs: Vec<bool> = Vec::new();
+                for w in 0..n {
+                    if w == u || snapshot.get(w) {
+                        continue;
+                    }
+                    let mut row = BitVec::zeros(ncols);
+                    for (ci, &c) in cols.iter().enumerate() {
+                        if g.neighbors(w).get(c) {
+                            row.set(ci, true);
+                        }
+                    }
+                    rows.push(row);
+                    rhs.push(false);
+                }
+                {
+                    let mut row = BitVec::zeros(ncols);
+                    for (ci, &c) in cols.iter().enumerate() {
+                        if g.neighbors(u).get(c) {
+                            row.set(ci, true);
+                        }
+                    }
+                    rows.push(row);
+                    rhs.push(matches!(plane, Plane::XY | Plane::XZ));
+                }
+                if let Some(uc) = u_col {
+                    let mut row = BitVec::zeros(ncols);
+                    row.set(uc, true);
+                    rows.push(row);
+                    rhs.push(true);
+                }
+                if let Some(x) = solve_gf2(rows, rhs, ncols) {
+                    let mut k = BitVec::zeros(n);
+                    for (ci, &c) in cols.iter().enumerate() {
+                        if x.get(ci) {
+                            k.set(c, true);
+                        }
+                    }
+                    gmap.insert(u, k);
+                    layer.push(u);
+                }
+            }
+            if layer.is_empty() {
+                return None;
+            }
+            for &u in &layer {
+                done.set(u, true);
+            }
+            measured += layer.len();
+            layers.push(layer);
+        }
+        Some(GFlow { g: gmap, layers })
+    }
 
     #[test]
     fn line_graph_has_flow() {
@@ -337,7 +503,9 @@ mod tests {
         r0.set(1, true);
         let mut r1 = BitVec::zeros(2);
         r1.set(1, true);
-        let x = solve_gf2(vec![r0, r1], vec![true, true], 2).expect("solvable");
+        let x = Elimination::new(vec![r0, r1], 2)
+            .solve(&[0, 1])
+            .expect("solvable");
         assert!(!x.get(0));
         assert!(x.get(1));
     }
@@ -346,6 +514,109 @@ mod tests {
     fn solve_gf2_inconsistent() {
         // 0 = 1
         let r0 = BitVec::zeros(1);
-        assert!(solve_gf2(vec![r0], vec![true], 1).is_none());
+        assert!(Elimination::new(vec![r0], 1).solve(&[0]).is_none());
+    }
+
+    /// Most vertices of a random open graph.
+    const MAX_NODES: usize = 12;
+
+    /// An open graph on the first `n` vertices: role `(input, output,
+    /// plane)` per vertex (outputs get no plane), pair `(a, b)` an edge
+    /// when its draw is below `density` (out of 4).
+    fn random_open_graph(
+        n: usize,
+        roles: &[(bool, bool, u8)],
+        pairs: &[u8],
+        density: u8,
+    ) -> OpenGraph {
+        let mut edges = Vec::new();
+        let mut draw = pairs.iter();
+        for a in 0..MAX_NODES {
+            for b in a + 1..MAX_NODES {
+                if *draw.next().expect("one draw per pair") < density && b < n {
+                    edges.push((a, b));
+                }
+            }
+        }
+        let (mut inputs, mut outputs, mut planes) = (Vec::new(), Vec::new(), Vec::new());
+        for (v, &(input, output, plane)) in roles[..n].iter().enumerate() {
+            if input {
+                inputs.push(v);
+            }
+            if output {
+                outputs.push(v);
+            } else {
+                planes.push((v, [Plane::XY, Plane::YZ, Plane::XZ][plane as usize]));
+            }
+        }
+        OpenGraph::new(n, &edges, &inputs, &outputs, &planes)
+    }
+
+    /// `find_gflow` and the per-candidate reference agree on `g`:
+    /// identical correction sets and layers, or no gflow for both.
+    /// Returns whether a gflow exists.
+    fn assert_matches_reference(g: &OpenGraph) -> bool {
+        let (fast, reference) = (find_gflow(g), find_gflow_per_candidate(g));
+        match (fast, reference) {
+            (None, None) => false,
+            (Some(fast), Some(reference)) => {
+                assert_eq!(fast.layers, reference.layers);
+                assert_eq!(fast.g, reference.g);
+                assert!(verify_gflow(g, &fast), "solver output fails the definition");
+                true
+            }
+            (fast, reference) => panic!(
+                "find_gflow found {:?}, the reference {:?}",
+                fast.is_some(),
+                reference.is_some()
+            ),
+        }
+    }
+
+    fn open_graph_strategy() -> impl Strategy<Value = OpenGraph> {
+        (
+            1usize..MAX_NODES + 1,
+            proptest::collection::vec(
+                (proptest::bool::ANY, proptest::bool::ANY, 0u8..3),
+                MAX_NODES..MAX_NODES + 1,
+            ),
+            proptest::collection::vec(
+                0u8..4,
+                MAX_NODES * (MAX_NODES - 1) / 2..MAX_NODES * (MAX_NODES - 1) / 2 + 1,
+            ),
+            1u8..4,
+        )
+            .prop_map(|(n, roles, pairs, density)| random_open_graph(n, &roles, &pairs, density))
+    }
+
+    proptest! {
+        /// The per-layer elimination finds exactly the per-candidate
+        /// solver's gflow on random open graphs over all three planes,
+        /// with or without a gflow.
+        #[test]
+        fn per_layer_elimination_matches_per_candidate_solves(g in open_graph_strategy()) {
+            assert_matches_reference(&g);
+        }
+    }
+
+    /// The random open graphs above cover both outcomes, so the property
+    /// is not vacuous on either side.
+    #[test]
+    fn random_open_graphs_cover_gflow_and_no_gflow() {
+        let mut runner = TestRunner::deterministic("gflow-coverage");
+        let strategy = open_graph_strategy();
+        let (mut with, mut without) = (0, 0);
+        for _ in 0..256 {
+            let g = strategy.sample(&mut runner);
+            if assert_matches_reference(&g) {
+                with += 1;
+            } else {
+                without += 1;
+            }
+        }
+        assert!(
+            with >= 16 && without >= 16,
+            "{with} with a gflow, {without} without"
+        );
     }
 }

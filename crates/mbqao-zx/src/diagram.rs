@@ -7,6 +7,14 @@
 //! H symbol); phases are symbolic [`PhaseExpr`]s so parameterized circuits
 //! (γ, β) stay parameterized through rewriting. Rewrites that produce
 //! scalar factors track them exactly in `scalar` / `scalar_phase`.
+//!
+//! Node and edge slots are never reused, so ids stay stable across
+//! removals. Each node slot also keeps the indices of its live incident
+//! edges in **ascending order** — the order a scan over the edge slots
+//! would visit them — so [`Diagram::incident_edges`],
+//! [`Diagram::neighbors`] and [`Diagram::degree`] cost O(deg) rather than
+//! a pass over every edge slot ever allocated, while every rewrite that
+//! walks a node's legs still visits them, and fires, in slot order.
 
 use mbqao_math::{PhaseExpr, C64};
 
@@ -52,6 +60,9 @@ pub struct Diagram {
     nodes: Vec<Option<Node>>,
     /// Multi-edges allowed; slots are `None` after removal.
     edges: Vec<Option<(NodeId, NodeId, EdgeType)>>,
+    /// Per node slot: the live edge indices touching it, ascending; a
+    /// self-loop is listed once.
+    incident: Vec<Vec<usize>>,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
     /// Non-phase part of the tracked global scalar.
@@ -73,6 +84,7 @@ impl Diagram {
         Diagram {
             nodes: Vec::new(),
             edges: Vec::new(),
+            incident: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
             scalar: C64::ONE,
@@ -128,6 +140,7 @@ impl Diagram {
 
     fn add_node(&mut self, n: Node) -> NodeId {
         self.nodes.push(Some(n));
+        self.incident.push(Vec::new());
         self.nodes.len() - 1
     }
 
@@ -139,7 +152,31 @@ impl Diagram {
             "edge endpoint missing"
         );
         self.edges.push(Some((a, b, ty)));
-        self.edges.len() - 1
+        let idx = self.edges.len() - 1;
+        for v in ends(a, b) {
+            self.link(v, idx);
+        }
+        idx
+    }
+
+    /// Files edge `idx` in `v`'s list, keeping it ascending.
+    fn link(&mut self, v: NodeId, idx: usize) {
+        let list = &mut self.incident[v];
+        let at = list.binary_search(&idx).expect_err("edge already linked");
+        list.insert(at, idx);
+    }
+
+    /// Drops edge `idx` from `v`'s list.
+    fn unlink(&mut self, v: NodeId, idx: usize) {
+        let list = &mut self.incident[v];
+        let at = list.binary_search(&idx).expect("edge linked");
+        list.remove(at);
+    }
+
+    /// The live incident edge indices of `id`, ascending (empty for a
+    /// dead or unknown slot).
+    fn incident_slice(&self, id: NodeId) -> &[usize] {
+        self.incident.get(id).map_or(&[], Vec::as_slice)
     }
 
     /// The node at `id`, if alive.
@@ -158,7 +195,7 @@ impl Diagram {
     /// Panics when edges still reference the node or it is a boundary.
     pub fn remove_node(&mut self, id: NodeId) {
         assert!(
-            self.incident_edges(id).is_empty(),
+            self.incident_slice(id).is_empty(),
             "removing node {id} with live edges"
         );
         if let Some(n) = self.node(id) {
@@ -172,7 +209,11 @@ impl Diagram {
 
     /// Removes an edge slot.
     pub fn remove_edge(&mut self, edge_idx: usize) {
-        self.edges[edge_idx] = None;
+        if let Some((a, b, _)) = self.edges[edge_idx].take() {
+            for v in ends(a, b) {
+                self.unlink(v, edge_idx);
+            }
+        }
     }
 
     /// The edge at `idx`, if alive.
@@ -180,39 +221,46 @@ impl Diagram {
         self.edges.get(idx).and_then(|e| *e)
     }
 
-    /// Replaces an edge's data in place.
+    /// Replaces an edge's data in place; a moved edge keeps its index and
+    /// is filed under its new endpoints in ascending position.
     pub fn set_edge(&mut self, idx: usize, a: NodeId, b: NodeId, ty: EdgeType) {
-        assert!(self.edges[idx].is_some(), "set_edge on a dead slot");
+        let (old_a, old_b, _) = self.edges[idx].expect("set_edge on a dead slot");
+        assert!(
+            self.node(a).is_some() && self.node(b).is_some(),
+            "edge endpoint missing"
+        );
+        for v in ends(old_a, old_b).filter(|&v| v != a && v != b) {
+            self.unlink(v, idx);
+        }
+        for v in ends(a, b).filter(|&v| v != old_a && v != old_b) {
+            self.link(v, idx);
+        }
         self.edges[idx] = Some((a, b, ty));
     }
 
-    /// Live edge indices incident to `id` (self-loops appear once).
+    /// Live edge indices incident to `id`, ascending (self-loops appear
+    /// once).
     pub fn incident_edges(&self, id: NodeId) -> Vec<usize> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e {
-                Some((a, b, _)) if *a == id || *b == id => Some(i),
-                _ => None,
-            })
-            .collect()
+        self.incident_slice(id).to_vec()
     }
 
     /// Degree counting self-loops twice.
     pub fn degree(&self, id: NodeId) -> usize {
-        self.edges
+        self.incident_slice(id)
             .iter()
-            .flatten()
-            .map(|&(a, b, _)| (a == id) as usize + (b == id) as usize)
+            .map(|&i| {
+                let (a, b, _) = self.edge(i).expect("live edge");
+                (a == id) as usize + (b == id) as usize
+            })
             .sum()
     }
 
-    /// Neighbors of `id` as `(edge_idx, other_end, type)`; self-loops
-    /// yield the node itself.
+    /// Neighbors of `id` as `(edge_idx, other_end, type)`, ascending by
+    /// edge index; self-loops yield the node itself.
     pub fn neighbors(&self, id: NodeId) -> Vec<(usize, NodeId, EdgeType)> {
-        self.incident_edges(id)
-            .into_iter()
-            .map(|i| {
+        self.incident_slice(id)
+            .iter()
+            .map(|&i| {
                 let (a, b, ty) = self.edge(i).expect("live edge");
                 (i, if a == id { b } else { a }, ty)
             })
@@ -272,6 +320,11 @@ impl Diagram {
     }
 }
 
+/// The distinct endpoints of edge `(a, b)`: one for a self-loop.
+fn ends(a: NodeId, b: NodeId) -> impl Iterator<Item = NodeId> {
+    std::iter::once(a).chain((b != a).then_some(b))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,6 +363,26 @@ mod tests {
         d.remove_node(b);
         assert_eq!(d.node_ids(), vec![a]);
         assert!(d.edge_ids().is_empty());
+    }
+
+    #[test]
+    fn set_edge_refiles_the_edge_in_ascending_order() {
+        let mut d = Diagram::new();
+        let a = d.add_z(PhaseExpr::zero());
+        let b = d.add_z(PhaseExpr::zero());
+        let c = d.add_x(PhaseExpr::zero());
+        let ab = d.add_edge(a, b, EdgeType::Plain);
+        let bc = d.add_edge(b, c, EdgeType::Plain);
+        let cc = d.add_edge(c, c, EdgeType::Hadamard);
+        // Move the oldest edge onto `c`: it must sort before `c`'s others.
+        d.set_edge(ab, a, c, EdgeType::Hadamard);
+        assert_eq!(d.incident_edges(c), vec![ab, bc, cc]);
+        assert_eq!(d.incident_edges(b), vec![bc]);
+        assert_eq!(d.degree(c), 4);
+        d.remove_edge(cc);
+        d.remove_edge(cc);
+        assert_eq!(d.incident_edges(c), vec![ab, bc]);
+        assert_eq!(d.neighbors(a), vec![(ab, c, EdgeType::Hadamard)]);
     }
 
     #[test]

@@ -235,9 +235,12 @@ fn try_boundary_pivot(d: &mut Diagram, u: NodeId, v: NodeId) -> bool {
     let e2 = d.add_edge(t_new, boundary, ty2);
     // `v` is now interior Pauli. The pivot can still refuse (a toggle
     // pair that is not H-simple); *revert the insertion* in that case so
-    // a failed attempt leaves the diagram bit-identical — otherwise the
-    // leftover identity can seed a fire-forever cycle (a later boundary
-    // pivot consuming it nets zero nodes and never converges).
+    // a failed attempt restores the live graph and its semantics —
+    // otherwise the leftover identity can seed a fire-forever cycle (a
+    // later boundary pivot consuming it nets zero nodes and never
+    // converges). Indices are not restored: the boundary leg comes back
+    // under a fresh edge index, and each failure leaves one dead node
+    // slot and three dead edge slots behind.
     if rules::try_pivot(d, u, v) {
         true
     } else {

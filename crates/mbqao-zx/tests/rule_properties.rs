@@ -1,6 +1,8 @@
 //! Property tests: every rewrite rule in `rules.rs` preserves the
 //! diagram's tensor semantics on random small diagrams, and `simplify` /
 //! `to_graph_like` reach a fixpoint (idempotent on their own output).
+//! After each of them the diagram's incidence index must still agree
+//! with a scan of its edge slots.
 //!
 //! Random diagrams use constant phases on the π/4 grid plus one bound
 //! symbol, so [`mbqao_zx::tensor::evaluate`] — the ground truth — can
@@ -102,6 +104,39 @@ fn assert_preserved(before: &Diagram, after: &Diagram, what: &str) {
     );
 }
 
+/// Asserts the diagram's incidence index agrees with a scan of its edge
+/// slots on every node slot, dead ones included: `incident_edges` (and
+/// the edge order of `neighbors`) is the ascending list of live edges
+/// touching the slot, and `degree` the scan's count with self-loops
+/// counted twice.
+fn assert_index_matches_scan(d: &Diagram) {
+    // Node slots are handed out in order, so the next id is the count.
+    let slots = d.clone().add_z(PhaseExpr::zero());
+    let edges: Vec<(usize, NodeId, NodeId)> = d
+        .edge_ids()
+        .into_iter()
+        .map(|e| {
+            let (a, b, _) = d.edge(e).expect("live");
+            (e, a, b)
+        })
+        .collect();
+    for v in 0..slots {
+        let scan: Vec<usize> = edges
+            .iter()
+            .filter(|&&(_, a, b)| a == v || b == v)
+            .map(|&(e, _, _)| e)
+            .collect();
+        assert_eq!(d.incident_edges(v), scan, "incident edges of slot {v}");
+        let via_neighbors: Vec<usize> = d.neighbors(v).into_iter().map(|(e, _, _)| e).collect();
+        assert_eq!(via_neighbors, scan, "neighbour edges of slot {v}");
+        let degree: usize = edges
+            .iter()
+            .map(|&(_, a, b)| (a == v) as usize + (b == v) as usize)
+            .sum();
+        assert_eq!(d.degree(v), degree, "degree of slot {v}");
+    }
+}
+
 proptest! {
     /// Spider fusion at every matching edge.
     #[test]
@@ -112,6 +147,7 @@ proptest! {
         for e in d.edge_ids() {
             fired |= rules::try_fuse(&mut d, e);
         }
+        assert_index_matches_scan(&d);
         if fired {
             assert_preserved(&before, &d, "fusion");
         }
@@ -130,7 +166,9 @@ proptest! {
             let mut dd = d.clone();
             assert!(rules::color_change(&mut dd, roundtrip_target));
             assert_preserved(&before, &dd, "double colour change");
+            assert_index_matches_scan(&dd);
         }
+        assert_index_matches_scan(&d);
     }
 
     /// Identity removal at every matching node.
@@ -142,6 +180,7 @@ proptest! {
         for n in d.node_ids() {
             fired |= rules::try_remove_identity(&mut d, n);
         }
+        assert_index_matches_scan(&d);
         if fired {
             assert_preserved(&before, &d, "identity removal");
         }
@@ -156,6 +195,7 @@ proptest! {
         for e in d.edge_ids() {
             fired |= rules::try_cancel_self_loop(&mut d, e);
         }
+        assert_index_matches_scan(&d);
         if fired {
             assert_preserved(&before, &d, "self-loop cancellation");
         }
@@ -181,6 +221,7 @@ proptest! {
                 fired |= rules::try_parallel_h_cancel(&mut d, a, b);
             }
         }
+        assert_index_matches_scan(&d);
         if fired {
             assert_preserved(&before, &d, "Hopf laws");
         }
@@ -219,6 +260,7 @@ proptest! {
         }
         let mut after = before.clone();
         prop_assert!(rules::try_pi_commute(&mut after, pi_node));
+        assert_index_matches_scan(&after);
         assert_preserved(&before, &after, "π-commutation");
     }
 
@@ -250,6 +292,7 @@ proptest! {
         }
         let mut after = before.clone();
         prop_assert!(rules::try_copy(&mut after, state));
+        assert_index_matches_scan(&after);
         assert_preserved(&before, &after, "state copy");
     }
 
@@ -272,6 +315,7 @@ proptest! {
         }
         let mut after = before.clone();
         prop_assert!(rules::try_bialgebra(&mut after, z, x));
+        assert_index_matches_scan(&after);
         assert_preserved(&before, &after, "bialgebra");
     }
 
@@ -317,6 +361,7 @@ proptest! {
         }
         let mut after = before.clone();
         prop_assert!(rules::try_local_complement(&mut after, u));
+        assert_index_matches_scan(&after);
         prop_assert!(after.node(u).is_none());
         assert_preserved(&before, &after, "local complementation");
     }
@@ -379,6 +424,7 @@ proptest! {
         }
         let mut after = before.clone();
         prop_assert!(rules::try_pivot(&mut after, u, v));
+        assert_index_matches_scan(&after);
         prop_assert!(after.node(u).is_none() && after.node(v).is_none());
         assert_preserved(&before, &after, "pivot");
     }
@@ -390,6 +436,7 @@ proptest! {
         let before = build(&recipe);
         let mut d = before.clone();
         clifford_simp(&mut d);
+        assert_index_matches_scan(&d);
         assert_preserved(&before, &d, "clifford_simp");
         prop_assert!(is_graph_like(&d));
         let again = clifford_simp(&mut d);
@@ -404,6 +451,7 @@ proptest! {
         let before = build(&recipe);
         let mut d = before.clone();
         simplify(&mut d);
+        assert_index_matches_scan(&d);
         assert_preserved(&before, &d, "simplify");
         let again = simplify(&mut d);
         prop_assert_eq!(again.total(), 0);
@@ -416,6 +464,7 @@ proptest! {
         let before = build(&recipe);
         let mut d = before.clone();
         let first = to_graph_like(&mut d);
+        assert_index_matches_scan(&d);
         assert_preserved(&before, &d, "to_graph_like");
         prop_assert!(is_graph_like(&d));
         let again = to_graph_like(&mut d);
