@@ -16,12 +16,14 @@
 //! ```text
 //! mbqao-serve [--cap N] [--max-jobs N] [--retries N] [--backoff-ms MS]
 //!             [--straggler-ms MS] [--queue N] [--quiet]
-//!             [--no-pool] [--quarantine K] [--allow-partial]
-//!             [--journal DIR]
+//!             [--quarantine K] [--allow-partial] [--journal DIR]
 //! mbqao-serve --resume PATH [--check] [--quiet] [...]
 //!                          # replay a job-<id>.wal and finish the job
-//! mbqao-serve --worker     # internal: worker, JSON over stdio
+//! mbqao-serve --worker     # internal: pool worker, JSON frames over stdio
 //! ```
+//!
+//! Unknown arguments and malformed values are rejected with a usage
+//! line and exit code 2.
 //!
 //! Example session (one 2-shard landscape job, then shutdown):
 //! ```text
@@ -31,11 +33,68 @@
 //! ```
 
 use mbqao_bench::serve::{resume_job, serve, spawn_pool, Event, ServeConfig};
-use mbqao_bench::sweep::{monolithic, worker_entry};
+use mbqao_bench::sweep::{flag_value, monolithic, worker_entry};
 use mbqao_core::engine::shard::RetryPolicy;
 use mbqao_core::engine::wire::write_frame;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+
+const USAGE: &str = "usage: mbqao-serve [--cap N] [--max-jobs N] [--retries N] [--backoff-ms MS] \
+[--straggler-ms MS] [--queue N] [--quarantine K] [--allow-partial] [--journal DIR] [--quiet]
+       mbqao-serve --resume PATH [--check] [options]";
+
+/// The parsed command line.
+#[derive(Debug)]
+struct Args {
+    config: ServeConfig,
+    /// `--resume PATH`: finish the journaled job instead of serving.
+    resume: Option<PathBuf>,
+    /// `--check` (resume only): verify bit-identity against a
+    /// monolithic run.
+    check: bool,
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut config = ServeConfig {
+        log: true,
+        ..ServeConfig::default()
+    };
+    let (mut retries, mut backoff_ms) = (
+        config.retry.max_attempts,
+        config.retry.base.as_millis() as u64,
+    );
+    let (mut resume, mut check) = (None, false);
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--cap" => config.cap = flag_value(flag, it.next())?,
+            "--max-jobs" => config.max_jobs = flag_value(flag, it.next())?,
+            "--retries" => retries = flag_value(flag, it.next())?,
+            "--backoff-ms" => backoff_ms = flag_value(flag, it.next())?,
+            "--straggler-ms" => {
+                config.straggler_deadline =
+                    Some(Duration::from_millis(flag_value(flag, it.next())?));
+            }
+            "--queue" => config.max_queue = flag_value(flag, it.next())?,
+            "--quarantine" => config.quarantine_after = flag_value(flag, it.next())?,
+            "--journal" => config.journal_dir = Some(flag_value(flag, it.next())?),
+            "--resume" => resume = Some(flag_value::<PathBuf>(flag, it.next())?),
+            "--allow-partial" => config.allow_partial = true,
+            "--quiet" => config.log = false,
+            "--check" => check = true,
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    if check && resume.is_none() {
+        return Err("--check needs --resume (a submit asks for its own check)".into());
+    }
+    config.retry = RetryPolicy::new(retries, Duration::from_millis(backoff_ms));
+    Ok(Args {
+        config,
+        resume,
+        check,
+    })
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,58 +102,27 @@ fn main() {
         worker_entry(&args);
         return;
     }
-    let mut config = ServeConfig {
-        log: !args.iter().any(|a| a == "--quiet"),
-        pool: !args.iter().any(|a| a == "--no-pool"),
-        allow_partial: args.iter().any(|a| a == "--allow-partial"),
-        ..ServeConfig::default()
-    };
-    if let Some(cap) = flag(&args, "--cap") {
-        config.cap = cap.parse().expect("--cap N");
-    }
-    let retries = flag(&args, "--retries").map_or(config.retry.max_attempts, |v| {
-        v.parse().expect("--retries N")
+    let Args {
+        config,
+        resume: resume_path,
+        check,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("mbqao-serve: {e}\n{USAGE}");
+        std::process::exit(2);
     });
-    let backoff = flag(&args, "--backoff-ms").map_or(config.retry.base, |v| {
-        Duration::from_millis(v.parse().expect("--backoff-ms MS"))
-    });
-    config.retry = RetryPolicy::new(retries, backoff);
-    if let Some(ms) = flag(&args, "--straggler-ms") {
-        config.straggler_deadline = Some(Duration::from_millis(
-            ms.parse().expect("--straggler-ms MS"),
-        ));
-    }
-    if let Some(q) = flag(&args, "--queue") {
-        config.max_queue = q.parse().expect("--queue N");
-    }
-    if let Some(n) = flag(&args, "--max-jobs") {
-        config.max_jobs = n.parse().expect("--max-jobs N");
-    }
-    if let Some(k) = flag(&args, "--quarantine") {
-        config.quarantine_after = k.parse().expect("--quarantine K");
-    }
-    if let Some(dir) = flag(&args, "--journal") {
-        config.journal_dir = Some(PathBuf::from(dir));
-    }
     let exe = std::env::current_exe().expect("current_exe");
-    if let Some(path) = flag(&args, "--resume") {
-        let check = args.iter().any(|a| a == "--check");
-        resume(&exe, Path::new(path), check, &config);
+    if let Some(path) = resume_path {
+        resume(&exe, &path, check, &config);
         return;
     }
     if config.log {
         eprintln!(
-            "serve: listening on stdin (cap {}, max jobs {}, {} attempts, base backoff {:?}, queue {}, {})",
+            "serve: listening on stdin (cap {}, max jobs {}, {} attempts, base backoff {:?}, queue {})",
             config.cap,
             config.max_jobs,
             config.retry.max_attempts,
             config.retry.base,
             config.max_queue,
-            if config.pool {
-                "persistent worker pool"
-            } else {
-                "one-shot workers"
-            }
         );
     }
     let stats = serve(
@@ -121,11 +149,9 @@ fn resume(exe: &Path, path: &Path, check: bool, config: &ServeConfig) {
         }
         let _ = write_frame(&mut out, &event.to_wire());
     };
-    let pool = config.pool.then(|| spawn_pool(exe, config));
-    let outcome = resume_job(exe, pool.as_ref(), path, config, &mut emit);
-    if let Some(pool) = pool {
-        pool.shutdown();
-    }
+    let pool = spawn_pool(exe, config);
+    let outcome = resume_job(&pool, path, config, &mut emit);
+    pool.shutdown();
     match outcome {
         Ok((id, workload, output, stats)) => {
             let bit_identical = check.then(|| output.bit_identical(&monolithic(&workload)));
@@ -146,9 +172,52 @@ fn resume(exe: &Path, path: &Path, check: bool, config: &ServeConfig) {
     }
 }
 
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn known_flags_set_the_config() {
+        let args = parse(
+            "--cap 3 --max-jobs 2 --retries 6 --backoff-ms 10 --straggler-ms 1500 --queue 5 \
+             --quarantine 4 --allow-partial --journal wal --quiet",
+        )
+        .expect("every flag is known");
+        let c = &args.config;
+        assert_eq!(
+            (c.cap, c.max_jobs, c.max_queue, c.quarantine_after),
+            (3, 2, 5, 4)
+        );
+        assert_eq!(c.retry, RetryPolicy::new(6, Duration::from_millis(10)));
+        assert_eq!(c.straggler_deadline, Some(Duration::from_millis(1500)));
+        assert_eq!(c.journal_dir.as_deref(), Some(Path::new("wal")));
+        assert!(c.allow_partial && !c.log);
+        assert!(args.resume.is_none() && !args.check);
+    }
+
+    #[test]
+    fn defaults_log_and_serve() {
+        let args = parse("").expect("no arguments serves with defaults");
+        assert!(args.config.log, "the event log is on unless --quiet");
+        assert_eq!(args.config.retry, ServeConfig::default().retry);
+        let args = parse("--resume job-1.wal --check").expect("resume flags");
+        assert_eq!(args.resume.as_deref(), Some(Path::new("job-1.wal")));
+        assert!(args.check);
+    }
+
+    #[test]
+    fn unknown_flags_and_malformed_values_are_rejected() {
+        let e = parse("--straggler-msx 500").unwrap_err();
+        assert!(e.contains("--straggler-msx"), "{e}");
+        let e = parse("--cap two").unwrap_err();
+        assert!(e.contains("--cap") && e.contains("two"), "{e}");
+        assert!(parse("--retries -1").is_err());
+        assert!(parse("--journal").unwrap_err().contains("needs a value"));
+        assert!(parse("--check").unwrap_err().contains("--resume"));
+    }
 }

@@ -219,6 +219,17 @@ fn main() {
     let p1_params = [0.7, 0.4];
 
     let enabled = |name: &str| only.as_ref().is_none_or(|f| name.contains(f.as_str()));
+    // The orchestration points drive the sibling `mbqao-serve` binary
+    // and are skipped when it is absent (e.g. `--only` builds).
+    let serve_exe = std::env::current_exe()
+        .ok()
+        .and_then(|p| {
+            Some(
+                p.parent()?
+                    .join(format!("mbqao-serve{}", std::env::consts::EXE_SUFFIX)),
+            )
+        })
+        .filter(|p| p.is_file());
 
     let mut results: Vec<Measurement> = Vec::new();
 
@@ -371,26 +382,15 @@ fn main() {
         }
     }
 
-    // Orchestrator dispatch overhead, per-attempt lane: one tiny
-    // 2-shard job through the one-shot fleet path (partition → bounded
-    // fleet → subprocess spawn → wire round trip → streaming merge).
-    // The sweep itself is trivial (2×2 gate landscape), so the time is
-    // almost entirely the orchestration cost a job pays before any
-    // real work. `pool: false` keeps this point comparable across the
-    // trajectory — the pool lane is measured by `worker_pool_dispatch`
-    // below. Skipped when the sibling `mbqao-serve` binary is absent
-    // (e.g. `--only` builds).
+    // Orchestrator dispatch overhead, cold: one tiny 2-shard job
+    // through `run_job`, which brings up a private worker pool per job
+    // (partition → pool spawn → wire round trip → streaming merge →
+    // pool shutdown). The sweep itself is trivial (2×2 gate
+    // landscape), so the time is almost entirely the orchestration
+    // cost a job pays before any real work; the warm-pool cost is
+    // `worker_pool_dispatch` below.
     if enabled("serve_dispatch") {
-        let serve_exe = std::env::current_exe()
-            .ok()
-            .and_then(|p| {
-                Some(
-                    p.parent()?
-                        .join(format!("mbqao-serve{}", std::env::consts::EXE_SUFFIX)),
-                )
-            })
-            .filter(|p| p.is_file());
-        match serve_exe {
+        match &serve_exe {
             None => eprintln!(
                 "  {:<28} skipped (mbqao-serve binary not built)",
                 "serve_dispatch"
@@ -409,21 +409,20 @@ fn main() {
                 let config = ServeConfig {
                     cap: 2,
                     log: false,
-                    pool: false,
                     ..ServeConfig::default()
                 };
                 results.push(Measurement::run(
                     "serve_dispatch",
-                    "2x2 gate landscape as a 2-shard mbqao-serve job (orchestration overhead)"
+                    "2x2 gate landscape as a 2-shard mbqao-serve job on a private pool \
+                     (orchestration overhead incl. pool bring-up)"
                         .into(),
                     "job",
                     1,
                     warmup,
                     reps,
                     || {
-                        let (out, stats) =
-                            run_job(&exe, 0, &workload, 2, &[], &config, &mut |_| {})
-                                .expect("dispatch job");
+                        let (out, stats) = run_job(exe, 0, &workload, 2, &[], &config, &mut |_| {})
+                            .expect("dispatch job");
                         assert!(stats.max_live <= 2);
                         std::hint::black_box(out);
                     },
@@ -432,27 +431,14 @@ fn main() {
         }
     }
 
-    // Worker-pool dispatch, interleaved A/B against the per-attempt
-    // lane: the SAME tiny 2-shard pattern-backend job alternates
-    // between the persistent pool (frame write to a warm process,
-    // affinity-routed) and a one-shot subprocess per attempt (spawn +
-    // cold compile every time), so OS noise hits both lanes alike
-    // within each rep. Pattern backend so the per-process compiled-
-    // pattern cache matters: the pool lane's hit rate climbs across
-    // reps (the workers that compiled the pattern keep getting its
-    // shards), while the per-attempt lane is 0% by construction —
-    // every attempt is a fresh process.
+    // Worker-pool dispatch: the same tiny 2-shard pattern-backend job,
+    // repeated on one persistent pool (a frame write to a warm,
+    // affinity-routed process). Pattern backend so the per-process
+    // compiled-pattern cache matters: the hit rate climbs across reps
+    // because the workers that compiled the pattern keep getting its
+    // shards.
     if enabled("worker_pool_dispatch") {
-        let serve_exe = std::env::current_exe()
-            .ok()
-            .and_then(|p| {
-                Some(
-                    p.parent()?
-                        .join(format!("mbqao-serve{}", std::env::consts::EXE_SUFFIX)),
-                )
-            })
-            .filter(|p| p.is_file());
-        match serve_exe {
+        match &serve_exe {
             None => eprintln!(
                 "  {:<28} skipped (mbqao-serve binary not built)",
                 "worker_pool_dispatch"
@@ -468,84 +454,45 @@ fn main() {
                     gamma: (0.0, 1.0),
                     beta: (0.0, 1.0),
                 };
-                let pool_config = ServeConfig {
+                let config = ServeConfig {
                     cap: 2,
                     log: false,
                     ..ServeConfig::default()
                 };
-                let solo_config = ServeConfig {
-                    pool: false,
-                    ..pool_config.clone()
-                };
-                let pool = spawn_pool(&exe, &pool_config);
-                let run = |id: u64, pooled: bool| {
-                    let spec = JobSpec {
-                        id,
-                        workload: &workload,
-                        shards: 2,
-                        faults: &[],
-                    };
-                    let (pool, config) = if pooled {
-                        (Some(&pool), &pool_config)
-                    } else {
-                        (None, &solo_config)
-                    };
-                    let t0 = Instant::now();
-                    let (out, stats) = run_job_with(&exe, pool, &spec, config, None, &mut |_| {})
-                        .expect("dispatch job");
-                    assert!(stats.max_live <= 2);
-                    std::hint::black_box(out);
-                    (t0.elapsed().as_secs_f64(), stats)
-                };
-                // Warm both lanes (and the pool's pattern caches) once.
-                let mut id = 0;
-                for _ in 0..warmup.max(1) {
-                    run(id, true);
-                    run(id + 1, false);
-                    id += 2;
-                }
-                let mut secs = (Vec::with_capacity(reps), Vec::with_capacity(reps));
-                let (mut hits, mut misses) = ((0usize, 0usize), (0usize, 0usize));
-                for _ in 0..reps {
-                    let (t, s) = run(id, true);
-                    secs.0.push(t);
-                    hits.0 += s.cache_hits;
-                    misses.0 += s.cache_misses;
-                    let (t, s) = run(id + 1, false);
-                    secs.1.push(t);
-                    hits.1 += s.cache_hits;
-                    misses.1 += s.cache_misses;
-                    id += 2;
-                }
+                let pool = spawn_pool(exe, &config);
+                let (mut hits, mut misses, mut id) = (0usize, 0usize, 0u64);
+                // At least one untimed job warms the pool's pattern caches.
+                let mut m = Measurement::time(
+                    "worker_pool_dispatch",
+                    String::new(),
+                    "job",
+                    1,
+                    warmup.max(1),
+                    reps,
+                    || {
+                        let spec = JobSpec {
+                            id,
+                            workload: &workload,
+                            shards: 2,
+                            faults: &[],
+                        };
+                        let (out, stats) = run_job_with(&pool, &spec, &config, None, &mut |_| {})
+                            .expect("dispatch job");
+                        assert!(stats.max_live <= 2);
+                        std::hint::black_box(out);
+                        hits += stats.cache_hits;
+                        misses += stats.cache_misses;
+                        id += 1;
+                    },
+                );
                 pool.shutdown();
-                let rate = |h: usize, m: usize| 100.0 * h as f64 / (h + m).max(1) as f64;
-                for (name, s, hit, miss) in [
-                    ("worker_pool_dispatch", secs.0, hits.0, misses.0),
-                    ("worker_pool_dispatch_oneshot", secs.1, hits.1, misses.1),
-                ] {
-                    let m = Measurement {
-                        name,
-                        detail: format!(
-                            "2x2 pattern landscape, 2-shard job, interleaved A/B; \
-                             cache-hit rate {:.0}% ({hit} hits / {miss} misses)",
-                            rate(hit, miss)
-                        ),
-                        unit: "job",
-                        iters: 1,
-                        warmup,
-                        reps,
-                        secs_per_iter: s,
-                    };
-                    eprintln!(
-                        "  {:<28} {:>12.3} µs/{} (min over {} reps, cache-hit {:.0}%)",
-                        m.name,
-                        m.min() * 1e6,
-                        m.unit,
-                        m.reps,
-                        rate(hit, miss)
-                    );
-                    results.push(m);
-                }
+                m.detail = format!(
+                    "2x2 pattern landscape, 2-shard job on a warm pool; cache-hit rate \
+                     {:.0}% ({hits} hits / {misses} misses, warm-up included)",
+                    100.0 * hits as f64 / (hits + misses).max(1) as f64
+                );
+                m.log();
+                results.push(m);
             }
         }
     }
@@ -556,16 +503,7 @@ fn main() {
     // (`max_jobs 1`) — the stalls overlap instead of queueing. A/B
     // reps interleave (1-core hosts jitter ≫ 10%); compare minima.
     if enabled("multi_job_throughput") {
-        let serve_exe = std::env::current_exe()
-            .ok()
-            .and_then(|p| {
-                Some(
-                    p.parent()?
-                        .join(format!("mbqao-serve{}", std::env::consts::EXE_SUFFIX)),
-                )
-            })
-            .filter(|p| p.is_file());
-        match serve_exe {
+        match &serve_exe {
             None => eprintln!(
                 "  {:<28} skipped (mbqao-serve binary not built)",
                 "multi_job_throughput"
@@ -611,7 +549,7 @@ fn main() {
                     let stats = serve(
                         std::io::Cursor::new(input.clone()),
                         std::io::sink(),
-                        &exe,
+                        exe,
                         &config,
                     );
                     assert_eq!((stats.done, stats.failed), (2, 0));

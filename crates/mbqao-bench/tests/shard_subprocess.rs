@@ -15,7 +15,7 @@ use mbqao_bench::sweep::{
     FamilyRef, Fault, Workload,
 };
 use mbqao_core::engine::shard::{
-    run_worker, Merger, RetryPolicy, Shard, ShardError, WorkerCommand,
+    Merger, PoolConfig, PoolJob, RetryPolicy, Shard, ShardError, WorkerCommand, WorkerPool,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -259,8 +259,8 @@ fn straggler_is_repartitioned_and_merges_bit_identically() {
 /// Regression for the synchronous-stdin-write spawn bug at the bench
 /// level: a job spec far larger than an OS pipe buffer (padded past
 /// 256 KiB — unknown fields are ignored by the decoder) must round-trip
-/// through a real worker subprocess without deadlocking the driver, and
-/// the payload must be unaffected by the padding.
+/// through a real pool worker without deadlocking the caller, and the
+/// payload must be unaffected by the padding.
 #[test]
 fn oversized_job_spec_reaches_the_worker_without_deadlock() {
     let w = workload();
@@ -271,9 +271,24 @@ fn oversized_job_spec_reaches_the_worker_without_deadlock() {
     padded.push_str(&format!(",\"padding\":\"{}\"}}", "x".repeat(300 * 1024)));
     assert!(padded.len() > 256 * 1024);
 
-    let cmd = WorkerCommand::new(worker_exe(), &["--worker"]);
-    let from_padded = run_worker(&cmd, shard.index, &padded).expect("padded job completes");
-    let from_lean = run_worker(&cmd, shard.index, &lean).expect("lean job completes");
+    let pool = WorkerPool::new(
+        WorkerCommand::new(worker_exe(), &["--worker"]),
+        PoolConfig::default(),
+    );
+    let run = |input: &str| {
+        let job = PoolJob {
+            tag: 0,
+            shard_index: shard.index,
+            input: input.to_string(),
+            cache_key: w.cache_key(),
+            delay: Duration::ZERO,
+        };
+        pool.submit(job).expect("pool accepts");
+        pool.recv().expect("supervisor alive").result
+    };
+    let from_padded = run(&padded).expect("padded job completes");
+    let from_lean = run(&lean).expect("lean job completes");
+    pool.shutdown();
     let a = result_from_json(&from_padded).expect("padded result decodes");
     let b = result_from_json(&from_lean).expect("lean result decodes");
     assert_eq!(a, b, "padding must not leak into the shard result");

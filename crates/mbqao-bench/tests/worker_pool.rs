@@ -80,7 +80,7 @@ fn sigkilled_workers_mid_shard_recover_bit_identically() {
             }
         }
     };
-    let (output, stats) = run_job_with(&serve_exe(), Some(&pool), &spec, &config, None, &mut emit)
+    let (output, stats) = run_job_with(&pool, &spec, &config, None, &mut emit)
         .expect("SIGKILLed workers must be recovered by the supervisor");
     assert!(killed.get(), "the kill hook must have fired");
     assert!(
@@ -99,8 +99,8 @@ fn sigkilled_workers_mid_shard_recover_bit_identically() {
 /// Affinity routing on a shared pool: a second job with the same cache
 /// key lands on the workers that just compiled its patterns, so the
 /// per-process compiled-pattern cache hits across **jobs** — the
-/// benefit the per-attempt subprocess path (fresh process, cold cache
-/// every time) can never have.
+/// benefit a fresh process per attempt (cold cache every time) could
+/// never have.
 #[test]
 fn affinity_routed_second_job_hits_warm_pattern_caches() {
     let w = workload(BackendKind::Pattern);
@@ -116,8 +116,7 @@ fn affinity_routed_second_job_hits_warm_pattern_caches() {
             shards: 2,
             faults: &[],
         };
-        run_job_with(&serve_exe(), Some(&pool), &spec, &config, None, &mut |_| {})
-            .expect("clean job completes")
+        run_job_with(&pool, &spec, &config, None, &mut |_| {}).expect("clean job completes")
     };
     let (out1, _stats1) = run(1);
     let (out2, stats2) = run(2);
@@ -161,7 +160,7 @@ fn quarantined_shard_fails_the_job_or_degrades_to_partial_coverage() {
         shards: 3,
         faults: &[(1, Fault::FailUntil(99))],
     };
-    let err = run_job_with(&serve_exe(), Some(&pool), &spec, &base, None, &mut |_| {})
+    let err = run_job_with(&pool, &spec, &base, None, &mut |_| {})
         .expect_err("a shard that kills every worker must fail the job");
     match &err {
         ShardError::Worker { shard, reason } => {
@@ -189,10 +188,8 @@ fn quarantined_shard_fails_the_job_or_degrades_to_partial_coverage() {
     };
     let pool = spawn_pool(&serve_exe(), &cfg);
     let mut events = Vec::new();
-    let (output, stats) = run_job_with(&serve_exe(), Some(&pool), &spec, &cfg, None, &mut |e| {
-        events.push(e)
-    })
-    .expect("allow_partial must complete the job around the poisoned range");
+    let (output, stats) = run_job_with(&pool, &spec, &cfg, None, &mut |e| events.push(e))
+        .expect("allow_partial must complete the job around the poisoned range");
     assert_eq!(stats.quarantined, 1);
     assert!(
         events
@@ -253,15 +250,9 @@ fn resume_from_truncated_journal_matches_the_uninterrupted_run() {
     };
     let mut journal = JobJournal::create(&dir, 11, &w, 3).expect("journal create");
     let path = journal.path().to_path_buf();
-    let (full, _stats) = run_job_with(
-        &serve_exe(),
-        None,
-        &spec,
-        &config,
-        Some(&mut journal),
-        &mut |_| {},
-    )
-    .expect("journaled job completes");
+    let pool = spawn_pool(&serve_exe(), &config);
+    let (full, _stats) = run_job_with(&pool, &spec, &config, Some(&mut journal), &mut |_| {})
+        .expect("journaled job completes");
     assert!(full.bit_identical(&monolithic(&w)));
 
     // Truncate: header + first partial survive, plus a torn tail.
@@ -276,9 +267,9 @@ fn resume_from_truncated_journal_matches_the_uninterrupted_run() {
     std::fs::write(&path, prefix).expect("truncate journal");
 
     let mut events = Vec::new();
-    let (id, _wl, resumed, stats) =
-        resume_job(&serve_exe(), None, &path, &config, &mut |e| events.push(e))
-            .expect("resume completes the job");
+    let (id, _wl, resumed, stats) = resume_job(&pool, &path, &config, &mut |e| events.push(e))
+        .expect("resume completes the job");
+    pool.shutdown();
     assert_eq!(id, 11);
     assert_eq!(stats.replayed, 1, "exactly one intact partial replays");
     assert!(

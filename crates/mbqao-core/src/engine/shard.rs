@@ -21,23 +21,22 @@
 //!   concatenation, argmin selection, averaging) are bit-for-bit
 //!   independent of which shard landed first.
 //!
-//! Process boundaries are crossed with [`run_worker`] /
-//! [`run_workers`] / [`Fleet`]: the driver re-invokes a worker binary
-//! per shard and speaks JSON over stdio (see [`super::wire`] — floats
-//! travel as exact bit patterns). A worker that dies or emits a
-//! truncated stream surfaces as a [`ShardError::Worker`] naming the
-//! shard; the merger is never polluted by a failed shard, so retrying
-//! just that shard and inserting its result is always safe.
-//!
-//! Execution is **bounded and readiness-ordered**: the [`Fleet`] keeps
-//! at most `cap` worker processes alive at once (never one OS process
-//! per shard), job specs are written to worker stdin by a dedicated
-//! writer thread per child (an oversized job can never stall the
-//! scheduling loop), and results surface in *completion* order — a
-//! straggler shard never delays the verdicts of shards that finished
-//! behind it. [`RetryPolicy`] supplies the exponential backoff the
-//! scheduling layers apply between attempts, and an optional per-shard
-//! deadline lets an orchestrator kill and re-partition stragglers.
+//! Process boundaries are crossed by one mechanism, the supervised
+//! [`WorkerPool`]: it keeps at most `cap` persistent worker processes
+//! alive, sends each [`PoolJob`] to one of them as a [`PoolFrame`] over
+//! stdio (see [`super::wire`] — floats travel as exact bit patterns),
+//! and returns outcomes in *completion* order, so a straggler shard
+//! never delays the verdicts of shards that finished behind it. Job
+//! frames are written by a dedicated writer thread per worker, so an
+//! oversized job can never stall the scheduling loop. A worker that
+//! dies or emits a truncated stream surfaces as a
+//! [`ShardError::Worker`] naming the shard; the merger is never
+//! polluted by a failed shard, so retrying just that shard and
+//! inserting its result is always safe.
+//! [`RetryPolicy`] supplies the exponential backoff the scheduling
+//! layers apply between attempts, and an optional per-job deadline
+//! ([`PoolConfig::job_deadline`]) lets an orchestrator kill and
+//! re-partition stragglers.
 
 use super::wire::{read_frame, PoolFrame, Value, WireError};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -70,7 +69,7 @@ impl Shard {
     /// Partitions `0..total` into `shards` contiguous, near-equal
     /// ranges (the first `total % shards` ranges are one longer). More
     /// shards than items yields trailing empty shards — degenerate but
-    /// legal, so a fixed fleet size works for any sweep.
+    /// legal, so a fixed shard count works for any sweep.
     ///
     /// # Panics
     /// Panics when `shards == 0`.
@@ -449,10 +448,10 @@ impl<P: PartialEq> Merger<P> {
     }
 }
 
-// ------------------------------------------------------- subprocess driver
+// ------------------------------------------------------- worker processes
 
 /// How to invoke a worker process (the current binary re-invoked with a
-/// `--worker`-style flag, per the protocol of the caller's choosing).
+/// `--worker`-style flag; [`WorkerPool`] appends its own flags).
 #[derive(Debug, Clone)]
 pub struct WorkerCommand {
     /// Worker executable.
@@ -488,173 +487,6 @@ fn stderr_excerpt(stderr: &str) -> String {
     let head: String = chars[..half].iter().collect();
     let tail: String = chars[chars.len() - half..].iter().collect();
     format!("{head} […] {tail}")
-}
-
-/// A spawned worker with its pipe pumps running: stdin is fed by a
-/// dedicated writer thread (so an arbitrarily large job spec can never
-/// block the thread that spawned the child — the old synchronous write
-/// silently serialized the whole fleet once a job crossed the pipe
-/// buffer), and stdout/stderr are drained by reader threads (so a
-/// child producing more output than a pipe buffer can never deadlock
-/// against a parent that only reads after `wait`).
-struct RunningWorker {
-    child: Child,
-    /// Writer thread: `Some(description)` when the stdin write failed
-    /// (e.g. EPIPE from a child that died before reading). Not fatal
-    /// by itself — the exit status tells the real story.
-    writer: JoinHandle<Option<String>>,
-    stdout: JoinHandle<Vec<u8>>,
-    stderr: JoinHandle<Vec<u8>>,
-}
-
-/// Spawns one worker and starts its three pipe pumps. A failed stdin
-/// write is *not* fatal here: the child is still returned so the drain
-/// step can reap it and report the real exit status and stderr — and
-/// an unreaped child would linger as a zombie.
-fn spawn_worker(
-    cmd: &WorkerCommand,
-    shard_index: usize,
-    input: &str,
-) -> Result<RunningWorker, ShardError> {
-    let mut child = Command::new(&cmd.exe)
-        .args(&cmd.args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .map_err(|e| ShardError::Worker {
-            shard: shard_index,
-            reason: format!("spawn {:?}: {e}", cmd.exe),
-        })?;
-    let mut stdin = child.stdin.take().expect("stdin was piped");
-    let job = input.to_string();
-    // Dropping the handle at the end of the thread closes the pipe, so
-    // a partially-written job reads as truncated JSON on the worker
-    // side and fails loudly there.
-    let writer =
-        std::thread::spawn(move || stdin.write_all(job.as_bytes()).err().map(|e| e.to_string()));
-    let mut out_pipe = child.stdout.take().expect("stdout was piped");
-    let stdout = std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        let _ = out_pipe.read_to_end(&mut buf);
-        buf
-    });
-    let mut err_pipe = child.stderr.take().expect("stderr was piped");
-    let stderr = std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        let _ = err_pipe.read_to_end(&mut buf);
-        buf
-    });
-    Ok(RunningWorker {
-        child,
-        writer,
-        stdout,
-        stderr,
-    })
-}
-
-/// Reaps a worker and turns its output into the shard's verdict. With
-/// a `deadline`, a child still running when it expires is killed and
-/// reported as a straggler (`timed_out = true` in the bool) — the
-/// orchestration layer's cue to re-partition its range.
-fn drain_worker(
-    worker: RunningWorker,
-    shard_index: usize,
-    deadline: Option<Duration>,
-) -> (Result<String, ShardError>, bool) {
-    let fail = |reason: String| ShardError::Worker {
-        shard: shard_index,
-        reason,
-    };
-    let RunningWorker {
-        mut child,
-        writer,
-        stdout,
-        stderr,
-    } = worker;
-    let mut timed_out = false;
-    let status = match deadline {
-        None => child.wait(),
-        Some(limit) => {
-            // Readiness poll with a deadline: cheap (the child is a
-            // whole OS process; a 1 ms poll is noise next to spawn
-            // cost) and portable.
-            let t0 = Instant::now();
-            loop {
-                match child.try_wait() {
-                    Err(e) => break Err(e),
-                    Ok(Some(status)) => break Ok(status),
-                    Ok(None) if t0.elapsed() >= limit => {
-                        timed_out = true;
-                        let _ = child.kill();
-                        break child.wait();
-                    }
-                    Ok(None) => std::thread::sleep(Duration::from_millis(1)),
-                }
-            }
-        }
-    };
-    // The pipe pumps finish once the child is gone (its pipe ends
-    // close); join order after wait() is deadlock-free. A pump that
-    // itself panicked must not cascade into this thread — treat it as
-    // a failed write / empty capture and let the exit status (already
-    // collected above) tell the story.
-    let write_error = writer
-        .join()
-        .unwrap_or_else(|_| Some("stdin writer thread panicked".into()));
-    let out = stdout.join().unwrap_or_default();
-    let err = stderr.join().unwrap_or_default();
-    let status = match status {
-        Ok(s) => s,
-        Err(e) => return (Err(fail(format!("collecting output: {e}"))), timed_out),
-    };
-    if timed_out {
-        let reason = format!(
-            "straggler killed after exceeding its {deadline:?} deadline; stderr: {}",
-            stderr_excerpt(&String::from_utf8_lossy(&err)),
-            deadline = deadline.expect("timed out implies a deadline"),
-        );
-        return (Err(fail(reason)), true);
-    }
-    if !status.success() {
-        let mut reason = format!(
-            "exited with {status}; stderr: {}",
-            stderr_excerpt(&String::from_utf8_lossy(&err))
-        );
-        if let Some(e) = write_error {
-            reason.push_str(&format!(" (job write also failed: {e})"));
-        }
-        return (Err(fail(reason)), false);
-    }
-    if let Some(e) = write_error {
-        return (
-            Err(fail(format!(
-                "writing job to stdin failed ({e}) though the worker exited 0"
-            ))),
-            false,
-        );
-    }
-    (
-        String::from_utf8(out).map_err(|e| fail(format!("non-UTF-8 output: {e}"))),
-        false,
-    )
-}
-
-/// Runs one worker subprocess for shard `shard_index`: writes `input`
-/// (a job description) to its stdin, closes it, and reads stdout to
-/// EOF. Any failure — spawn error, nonzero exit (e.g. a panic), or a
-/// kill — becomes a [`ShardError::Worker`] naming the shard, with an
-/// excerpt of the worker's stderr for diagnosis. Decoding the returned
-/// stdout is the caller's job (map decode failures to
-/// [`ShardError::Worker`] too, so truncated output also names its
-/// shard).
-pub fn run_worker(
-    cmd: &WorkerCommand,
-    shard_index: usize,
-    input: &str,
-) -> Result<String, ShardError> {
-    let worker = spawn_worker(cmd, shard_index, input)?;
-    drain_worker(worker, shard_index, None).0
 }
 
 // ------------------------------------------------------ retry & backoff
@@ -710,192 +542,6 @@ impl RetryPolicy {
     }
 }
 
-// --------------------------------------------------------------- fleet
-
-/// One job handed to the [`Fleet`]: an opaque stdin payload for shard
-/// `shard_index`, tagged so the submitter can correlate the outcome
-/// (the same shard may be in flight more than once across retries).
-#[derive(Debug, Clone)]
-pub struct FleetJob {
-    /// Submitter-chosen correlation tag (unique per submission).
-    pub tag: u64,
-    /// Shard index named in any resulting [`ShardError::Worker`].
-    pub shard_index: usize,
-    /// The job description written to the worker's stdin.
-    pub input: String,
-    /// Delay before execution (retry backoff; `ZERO` for first runs).
-    /// The delay occupies the worker slot — backoff is deliberately
-    /// not free concurrency.
-    pub delay: Duration,
-}
-
-/// One completed [`FleetJob`], delivered in completion order.
-#[derive(Debug)]
-pub struct FleetOutcome {
-    /// The submitter's correlation tag.
-    pub tag: u64,
-    /// The job's shard index.
-    pub shard_index: usize,
-    /// The worker's stdout, or the failure naming the shard.
-    pub result: Result<String, ShardError>,
-    /// Wall-clock from dequeue (after any backoff delay) to verdict.
-    pub elapsed: Duration,
-    /// Whether the worker was killed as a straggler (deadline
-    /// exceeded) — the cue to re-partition instead of plain retry.
-    pub timed_out: bool,
-}
-
-/// Concurrency + latency counters of a [`Fleet`], readable at any
-/// point (and after [`Fleet::shutdown`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FleetStats {
-    /// Worker processes spawned over the fleet's lifetime.
-    pub spawned: usize,
-    /// Maximum simultaneously live worker processes ever observed.
-    pub max_live: usize,
-}
-
-#[derive(Default)]
-struct FleetGauge {
-    spawned: AtomicUsize,
-    live: AtomicUsize,
-    max_live: AtomicUsize,
-}
-
-/// A bounded worker fleet: at most `cap` worker processes live at any
-/// instant, fed from a shared queue and drained **on readiness** —
-/// outcomes surface the moment a worker finishes, regardless of
-/// submission order, so one straggler never holds up the verdicts of
-/// shards that completed behind it.
-///
-/// This replaces the old `spawn-all-then-reap-in-index-order` driver,
-/// which forked one OS process per shard with no cap (a 64-shard sweep
-/// meant 64 simultaneous workers on a 1-core host) and whose serial
-/// drain suffered head-of-line blocking.
-pub struct Fleet {
-    jobs: Option<mpsc::Sender<FleetJob>>,
-    outcomes: mpsc::Receiver<FleetOutcome>,
-    runners: Vec<JoinHandle<()>>,
-    gauge: Arc<FleetGauge>,
-}
-
-impl Fleet {
-    /// Starts `cap` runner threads executing `cmd` per job. With a
-    /// `deadline`, any single worker exceeding it is killed and
-    /// reported with `timed_out = true`.
-    pub fn new(cmd: WorkerCommand, cap: usize, deadline: Option<Duration>) -> Fleet {
-        let cap = cap.max(1);
-        let (job_tx, job_rx) = mpsc::channel::<FleetJob>();
-        let (out_tx, out_rx) = mpsc::channel::<FleetOutcome>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let gauge = Arc::new(FleetGauge::default());
-        let runners = (0..cap)
-            .map(|_| {
-                let job_rx = Arc::clone(&job_rx);
-                let out_tx = out_tx.clone();
-                let cmd = cmd.clone();
-                let gauge = Arc::clone(&gauge);
-                std::thread::spawn(move || loop {
-                    // Hold the lock only for the dequeue, not the run.
-                    // A runner that panicked while holding this lock
-                    // poisons the mutex; the receiver it protects is
-                    // still perfectly valid, so recover the guard —
-                    // one bad shard must fail *its* shard, not
-                    // cascade panics across every remaining runner.
-                    let job = match lock_unpoisoned(&job_rx).recv() {
-                        Ok(job) => job,
-                        Err(_) => return, // queue closed: fleet shutdown
-                    };
-                    if !job.delay.is_zero() {
-                        std::thread::sleep(job.delay);
-                    }
-                    gauge.spawned.fetch_add(1, Ordering::Relaxed);
-                    let live = gauge.live.fetch_add(1, Ordering::SeqCst) + 1;
-                    gauge.max_live.fetch_max(live, Ordering::SeqCst);
-                    let t0 = Instant::now();
-                    let (result, timed_out) = match spawn_worker(&cmd, job.shard_index, &job.input)
-                    {
-                        Err(e) => (Err(e), false),
-                        Ok(worker) => drain_worker(worker, job.shard_index, deadline),
-                    };
-                    gauge.live.fetch_sub(1, Ordering::SeqCst);
-                    let delivered = out_tx.send(FleetOutcome {
-                        tag: job.tag,
-                        shard_index: job.shard_index,
-                        result,
-                        elapsed: t0.elapsed(),
-                        timed_out,
-                    });
-                    if delivered.is_err() {
-                        return; // receiver gone: nobody wants verdicts
-                    }
-                })
-            })
-            .collect();
-        Fleet {
-            jobs: Some(job_tx),
-            outcomes: out_rx,
-            runners,
-            gauge,
-        }
-    }
-
-    /// Enqueues a job. Returns the job back when the fleet has already
-    /// shut down.
-    pub fn submit(&self, job: FleetJob) -> Result<(), FleetJob> {
-        match &self.jobs {
-            Some(tx) => tx.send(job).map_err(|e| e.0),
-            None => Err(job),
-        }
-    }
-
-    /// The next outcome in **completion order**, blocking while any
-    /// job is queued or in flight. `None` once the fleet is shut down
-    /// and drained.
-    pub fn recv(&self) -> Option<FleetOutcome> {
-        self.outcomes.recv().ok()
-    }
-
-    /// [`Fleet::recv`] with a timeout: `None` on timeout *or* once the
-    /// fleet is drained (callers track their own in-flight count and
-    /// only poll while jobs are outstanding).
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<FleetOutcome> {
-        self.outcomes.recv_timeout(timeout).ok()
-    }
-
-    /// Current concurrency counters.
-    pub fn stats(&self) -> FleetStats {
-        FleetStats {
-            spawned: self.gauge.spawned.load(Ordering::SeqCst),
-            max_live: self.gauge.max_live.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Closes the queue, waits for in-flight jobs to finish, and
-    /// returns the final counters. Undelivered outcomes are dropped.
-    pub fn shutdown(mut self) -> FleetStats {
-        self.join_runners();
-        self.stats()
-    }
-
-    fn join_runners(&mut self) {
-        self.jobs = None; // close the queue: runners exit at next recv
-        for runner in self.runners.drain(..) {
-            // A runner that panicked already surfaced its job's failure
-            // (or dropped its outcome sender); propagating the panic
-            // here — possibly from Drop during another unwind — would
-            // abort the process instead of failing one shard.
-            let _ = runner.join();
-        }
-    }
-}
-
-impl Drop for Fleet {
-    fn drop(&mut self) {
-        self.join_runners();
-    }
-}
-
 /// The default worker cap: the host's available parallelism.
 pub fn default_worker_cap() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
@@ -904,52 +550,14 @@ pub fn default_worker_cap() -> usize {
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
 /// Every mutex in this module protects state that stays structurally
-/// valid across a panic (an mpsc receiver, an output buffer, a pipe
-/// writer) — there is no invariant a half-finished critical section
+/// valid across a panic (a stderr buffer, the pid list, the dead
+/// letters) — there is no invariant a half-finished critical section
 /// could have broken. Propagating the poison would instead cascade one
 /// worker's panic across every thread that touches the lock afterwards,
-/// which is exactly the blast radius the fleet/pool design bounds to a
-/// single shard.
+/// which is exactly the blast radius the pool design bounds to a single
+/// shard.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Runs one worker per `(shard_index, job)` pair — **bounded** at
-/// `cap` simultaneously live workers — and returns each shard's
-/// outcome in completion order (never short-circuits: every shard gets
-/// a verdict, so the caller can merge the successes and retry exactly
-/// the failures).
-pub fn run_workers_capped(
-    cmd: &WorkerCommand,
-    jobs: &[(usize, String)],
-    cap: usize,
-) -> Vec<(usize, Result<String, ShardError>)> {
-    let fleet = Fleet::new(cmd.clone(), cap, None);
-    for (tag, (index, input)) in jobs.iter().enumerate() {
-        fleet
-            .submit(FleetJob {
-                tag: tag as u64,
-                shard_index: *index,
-                input: input.clone(),
-                delay: Duration::ZERO,
-            })
-            .expect("fleet alive");
-    }
-    (0..jobs.len())
-        .map(|_| {
-            let outcome = fleet.recv().expect("one outcome per job");
-            (outcome.shard_index, outcome.result)
-        })
-        .collect()
-}
-
-/// [`run_workers_capped`] at the [`default_worker_cap`] — the bounded
-/// replacement for the old unbounded one-process-per-shard driver.
-pub fn run_workers(
-    cmd: &WorkerCommand,
-    jobs: &[(usize, String)],
-) -> Vec<(usize, Result<String, ShardError>)> {
-    run_workers_capped(cmd, jobs, default_worker_cap())
 }
 
 // ---------------------------------------------- supervised worker pool
@@ -980,8 +588,8 @@ pub struct PoolConfig {
     /// Circuit breaker: more than this many unexpected worker deaths
     /// inside `restart_window` trips the pool — every queued and
     /// in-flight job fails fast with `circuit_open = true` and further
-    /// submissions are refused, so a systemically crashing fleet
-    /// degrades to the caller's fallback path instead of fork-bombing.
+    /// submissions are refused, so a systemically crashing worker
+    /// binary fails its jobs fast instead of fork-bombing the host.
     pub max_restarts: usize,
     /// Sliding window for `max_restarts`.
     pub restart_window: Duration,
@@ -1001,18 +609,20 @@ impl Default for PoolConfig {
     }
 }
 
-/// One job for the pool: like [`FleetJob`] plus the `cache_key` the
-/// dispatcher routes on (jobs with the same key prefer the worker that
-/// last ran that key, so process-wide compile caches hit cross-shard
-/// and cross-job).
+/// One job for the pool: an opaque job description for shard
+/// `shard_index`, tagged so the submitter can correlate the outcome
+/// (the same shard may be in flight more than once across retries),
+/// plus the `cache_key` the dispatcher routes on (jobs with the same
+/// key prefer the worker that last ran that key, so process-wide
+/// compile caches hit cross-shard and cross-job).
 #[derive(Debug, Clone)]
 pub struct PoolJob {
     /// Caller's correlation tag, echoed in the outcome.
     pub tag: u64,
     /// Which shard this job computes (quarantine is keyed on this).
     pub shard_index: usize,
-    /// The job description (one line of JSON — the same payload a
-    /// one-shot worker reads from stdin).
+    /// The job description (one line of JSON, carried as the body of
+    /// a [`PoolFrame::Job`]).
     pub input: String,
     /// Affinity routing key (workloads sharing compiled state share a
     /// key).
@@ -1029,7 +639,7 @@ pub struct PoolOutcome {
     pub tag: u64,
     /// The shard the job computed.
     pub shard_index: usize,
-    /// The worker's raw stdout-equivalent result body, or the failure.
+    /// The worker's raw result body, or the failure naming the shard.
     pub result: Result<String, ShardError>,
     /// Wall-clock from dispatch to verdict.
     pub elapsed: Duration,
@@ -1039,7 +649,7 @@ pub struct PoolOutcome {
     /// is dead-lettered and must not be retried as-is.
     pub quarantined: bool,
     /// The pool's restart-rate circuit breaker is open; the job was
-    /// not (fully) attempted and may be retried on a fallback path.
+    /// not (fully) attempted, and the pool takes no further work.
     pub circuit_open: bool,
 }
 
@@ -1581,13 +1191,7 @@ impl PoolSupervisor {
         let hb_ms = self.config.heartbeat.as_millis().max(1).to_string();
         let mut child = Command::new(&self.cmd.exe)
             .args(&self.cmd.args)
-            .args([
-                "--persistent",
-                "--gen",
-                gen_s.as_str(),
-                "--heartbeat-ms",
-                hb_ms.as_str(),
-            ])
+            .args(["--gen", gen_s.as_str(), "--heartbeat-ms", hb_ms.as_str()])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
@@ -1685,13 +1289,17 @@ impl PoolSupervisor {
     /// (there are none in normal operation — callers drain first) fail
     /// with a named shutdown error rather than hanging the caller.
     fn shutdown_workers(&mut self) {
+        // Close every worker's stdin (via its writer thread) before
+        // waiting on any, so they all exit during one grace period.
+        for s in &mut self.slots {
+            s.job_tx = None;
+        }
+        let deadline = Instant::now() + Duration::from_millis(500);
         for i in 0..self.slots.len() {
             let s = &mut self.slots[i];
             let Some(mut child) = s.child.take() else {
                 continue;
             };
-            s.job_tx = None; // closes stdin via the writer thread
-            let deadline = Instant::now() + Duration::from_millis(500);
             loop {
                 match child.try_wait() {
                     Ok(Some(_)) => break,
@@ -1700,7 +1308,10 @@ impl PoolSupervisor {
                         let _ = child.wait();
                         break;
                     }
-                    Ok(None) => std::thread::sleep(Duration::from_millis(2)),
+                    // A worker exits within about a millisecond of its
+                    // stdin closing; a coarser poll would dominate the
+                    // teardown of a short-lived private pool.
+                    Ok(None) => std::thread::sleep(Duration::from_micros(200)),
                     Err(_) => break,
                 }
             }
@@ -1716,14 +1327,13 @@ impl PoolSupervisor {
     }
 }
 
-/// A supervised pool of **persistent** worker processes.
+/// A supervised pool of **persistent** worker processes — the one way
+/// a shard reaches a subprocess.
 ///
-/// Where [`Fleet`] spawns one subprocess per shard attempt, the pool
-/// keeps up to `cap` workers alive across jobs, speaking
+/// The pool keeps up to `cap` workers alive across jobs, speaking
 /// [`PoolFrame`]s over stdio, and routes jobs to workers by
 /// `cache_key` affinity — so a worker's process-wide compile caches
-/// hit cross-shard and cross-job (per-attempt subprocesses by
-/// construction always report cold caches).
+/// hit cross-shard and cross-job.
 ///
 /// The supervisor thread owns all worker state and provides the
 /// robustness layer:
@@ -1737,7 +1347,8 @@ impl PoolSupervisor {
 /// * **restart + circuit breaker** — dead workers are respawned
 ///   lazily, but more than `max_restarts` deaths inside
 ///   `restart_window` opens the circuit and fails everything fast
-///   (the caller degrades to the per-attempt path);
+///   (every outcome carries `circuit_open`, and the circuit stays
+///   open);
 /// * **poison-shard quarantine** — a shard that kills
 ///   `quarantine_after` successive workers is dead-lettered
 ///   ([`WorkerPool::dead_letters`]) instead of retried forever.
@@ -1750,8 +1361,8 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Starts the supervisor (workers spawn lazily on demand). `cmd`
-    /// is the worker invocation *without* the persistent-mode flags —
-    /// the pool appends `--persistent --gen <g> --heartbeat-ms <ms>`.
+    /// is the worker invocation *without* the supervision flags — the
+    /// pool appends `--gen <g> --heartbeat-ms <ms>`.
     pub fn new(cmd: WorkerCommand, config: PoolConfig) -> WorkerPool {
         let (sup_tx, sup_rx) = mpsc::channel();
         let (out_tx, out_rx) = mpsc::channel();
@@ -1780,8 +1391,7 @@ impl WorkerPool {
     }
 
     /// Enqueues a job. Returns the job back if the pool cannot take it
-    /// (circuit open or supervisor gone) — the caller's cue to run it
-    /// on a fallback path.
+    /// (circuit open or supervisor gone); such a job was not run.
     pub fn submit(&self, job: PoolJob) -> Result<(), PoolJob> {
         if self.shared.tripped.load(Ordering::SeqCst) {
             return Err(job);
@@ -2092,119 +1702,6 @@ mod tests {
         assert_eq!(RetryPolicy::NONE.backoff(1), Duration::ZERO);
     }
 
-    /// `cat` is a protocol-faithful worker: reads stdin to EOF, echoes
-    /// it to stdout, exits 0 — ideal for exercising the fleet plumbing
-    /// without building a real worker binary.
-    fn cat() -> WorkerCommand {
-        WorkerCommand::new("cat", &[])
-    }
-
-    #[test]
-    fn fleet_bounds_live_workers_and_echoes_every_job() {
-        let fleet = Fleet::new(cat(), 2, None);
-        let jobs = 7usize;
-        for tag in 0..jobs {
-            fleet
-                .submit(FleetJob {
-                    tag: tag as u64,
-                    shard_index: tag,
-                    input: format!("job {tag}"),
-                    delay: Duration::ZERO,
-                })
-                .unwrap();
-        }
-        let mut seen = vec![false; jobs];
-        for _ in 0..jobs {
-            let outcome = fleet.recv().expect("one outcome per job");
-            assert_eq!(
-                outcome.result.as_deref().unwrap(),
-                format!("job {}", outcome.tag)
-            );
-            assert!(!outcome.timed_out);
-            seen[outcome.tag as usize] = true;
-        }
-        let stats = fleet.shutdown();
-        assert!(seen.iter().all(|s| *s), "every job got a verdict");
-        assert_eq!(stats.spawned, jobs);
-        assert!(
-            stats.max_live <= 2,
-            "cap 2 exceeded: {} live workers observed",
-            stats.max_live
-        );
-    }
-
-    #[test]
-    fn oversized_job_spec_round_trips_without_blocking_the_spawn_path() {
-        // 1 MiB ≫ any pipe buffer: with the old synchronous stdin
-        // write this would stall the submitting thread until the child
-        // drained it; the writer thread makes submission O(1).
-        let big = "x".repeat(1 << 20);
-        let fleet = Fleet::new(cat(), 2, None);
-        let t0 = Instant::now();
-        for tag in 0..3u64 {
-            fleet
-                .submit(FleetJob {
-                    tag,
-                    shard_index: tag as usize,
-                    input: big.clone(),
-                    delay: Duration::ZERO,
-                })
-                .unwrap();
-        }
-        let submit_elapsed = t0.elapsed();
-        for _ in 0..3 {
-            let outcome = fleet.recv().unwrap();
-            assert_eq!(outcome.result.unwrap().len(), big.len());
-        }
-        // Submission only enqueues; generous bound to stay jitter-proof.
-        assert!(
-            submit_elapsed < Duration::from_secs(5),
-            "submission must not block on stdin writes"
-        );
-    }
-
-    #[test]
-    fn straggler_deadline_kills_and_flags_timeout() {
-        let sleeper = WorkerCommand::new("sh", &["-c", "cat >/dev/null; sleep 30"]);
-        let fleet = Fleet::new(sleeper, 1, Some(Duration::from_millis(50)));
-        fleet
-            .submit(FleetJob {
-                tag: 9,
-                shard_index: 4,
-                input: "job".into(),
-                delay: Duration::ZERO,
-            })
-            .unwrap();
-        let outcome = fleet.recv().unwrap();
-        assert!(outcome.timed_out, "deadline must flag the straggler");
-        match outcome.result {
-            Err(ShardError::Worker { shard, reason }) => {
-                assert_eq!(shard, 4);
-                assert!(
-                    reason.contains("straggler"),
-                    "reason names the kill: {reason}"
-                );
-            }
-            other => panic!("expected a worker error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn failed_worker_names_shard_in_completion_order_drain() {
-        let failer = WorkerCommand::new("sh", &["-c", "cat >/dev/null; echo boom >&2; exit 3"]);
-        let outcomes = run_workers_capped(&failer, &[(0, "a".into()), (1, "b".into())], 2);
-        assert_eq!(outcomes.len(), 2);
-        for (index, result) in outcomes {
-            match result {
-                Err(ShardError::Worker { shard, reason }) => {
-                    assert_eq!(shard, index);
-                    assert!(reason.contains("boom"), "stderr excerpt surfaced: {reason}");
-                }
-                other => panic!("expected failure, got {other:?}"),
-            }
-        }
-    }
-
     #[test]
     fn poisoned_mutex_recovers_instead_of_cascading() {
         let m = Arc::new(Mutex::new(41));
@@ -2224,12 +1721,11 @@ mod tests {
 
     // ---------------------------------------------- worker-pool tests
     //
-    // These sh(1) workers speak the persistent protocol by hand: the
-    // pool appends `--persistent --gen <g> --heartbeat-ms <ms>` to the
-    // command, and `sh -c '<script>'` binds those as $0..$4, so the
-    // worker's generation is `$2`. None of them emit heartbeats, so
-    // every test that wants a long-lived worker sets a generous
-    // liveness deadline.
+    // These sh(1) workers speak the pool protocol by hand: the pool
+    // appends `--gen <g> --heartbeat-ms <ms>` to the command, and
+    // `sh -c '<script>'` binds those as $0..$3, so the worker's
+    // generation is `$1`. None of them emit heartbeats, so every test
+    // that wants a long-lived worker sets a generous liveness deadline.
 
     fn quiet_pool_config(cap: usize) -> PoolConfig {
         PoolConfig {
@@ -2249,15 +1745,25 @@ mod tests {
         }
     }
 
-    /// Replies to every job frame with its own pid, echoing `$2` (its
+    /// Replies to every job frame with its own pid, echoing `$1` (its
     /// generation) so the supervisor accepts the frame.
     fn echo_pid_worker() -> WorkerCommand {
         WorkerCommand::new(
             "sh",
             &[
                 "-c",
-                r#"while read -r line; do printf '{"type":"result","gen":%s,"body":"pid:%s"}\n' "$2" "$$"; done"#,
+                r#"while read -r line; do printf '{"type":"result","gen":%s,"body":"pid:%s"}\n' "$1" "$$"; done"#,
             ],
+        )
+    }
+
+    /// Answers every job frame with a result frame carrying the job's
+    /// own body: rewriting the frame's type tag keeps its generation
+    /// and body byte for byte, at any body size.
+    fn echo_body_worker() -> WorkerCommand {
+        WorkerCommand::new(
+            "sh",
+            &["-c", r#"exec sed -u 's/^{"type":"job"/{"type":"result"/'"#],
         )
     }
 
@@ -2322,6 +1828,37 @@ mod tests {
             "a replacement worker was spawned after the death"
         );
         assert_eq!(stats.restarts, 2);
+        assert!(!stats.tripped);
+    }
+
+    #[test]
+    fn failed_worker_names_shard_in_completion_order_drain() {
+        // Both jobs are in flight at once on two workers, so their
+        // deaths arrive in whichever order they happen: each outcome,
+        // drained as it completes, must still name its own shard.
+        let failer = WorkerCommand::new("sh", &["-c", "read -r line; echo boom >&2; exit 3"]);
+        let pool = WorkerPool::new(failer, quiet_pool_config(2));
+        let shard_of_tag = [(0u64, 0usize), (1, 1)];
+        for (tag, shard_index) in shard_of_tag {
+            pool.submit(pool_job(tag, shard_index, &format!("key{tag}")))
+                .expect("pool accepts");
+        }
+        let mut seen = [false; 2];
+        for _ in 0..2 {
+            let outcome = pool.recv().expect("supervisor alive");
+            let index = shard_of_tag[outcome.tag as usize].1;
+            match outcome.result {
+                Err(ShardError::Worker { shard, reason }) => {
+                    assert_eq!(shard, index);
+                    assert!(reason.contains("boom"), "stderr excerpt surfaced: {reason}");
+                }
+                other => panic!("expected failure, got {other:?}"),
+            }
+            seen[index] = true;
+        }
+        assert!(seen.iter().all(|s| *s), "every shard got a verdict");
+        let stats = pool.shutdown();
+        assert!(stats.max_live <= 2);
         assert!(!stats.tripped);
     }
 
@@ -2395,8 +1932,8 @@ mod tests {
             "jobs queued past the third death fail fast with circuit_open"
         );
         assert!(pool.is_tripped());
-        // An open circuit refuses new work synchronously — the
-        // caller's cue to degrade to the per-attempt subprocess path.
+        // An open circuit refuses new work synchronously: a tripped
+        // pool takes no further jobs.
         assert!(pool.submit(pool_job(9, 9, "k")).is_err());
         let stats = pool.shutdown();
         assert!(stats.tripped);
@@ -2414,7 +1951,7 @@ mod tests {
             ..quiet_pool_config(1)
         };
         // Accepts the job, then goes catatonic: no heartbeat, no result.
-        let catatonic = WorkerCommand::new("sh", &["-c", "read -r line; sleep 60"]);
+        let catatonic = WorkerCommand::new("sh", &["-c", "read -r line; exec sleep 60"]);
         let pool = WorkerPool::new(catatonic, config);
         pool.submit(pool_job(0, 3, "k")).expect("pool accepts");
         let outcome = pool.recv().expect("supervisor alive");
@@ -2430,5 +1967,92 @@ mod tests {
         }
         let stats = pool.shutdown();
         assert_eq!(stats.restarts, 1);
+    }
+
+    #[test]
+    fn pool_bounds_live_workers_and_echoes_every_job() {
+        let pool = WorkerPool::new(echo_body_worker(), quiet_pool_config(2));
+        let jobs = 7usize;
+        for tag in 0..jobs {
+            pool.submit(PoolJob {
+                input: format!("job {tag}"),
+                ..pool_job(tag as u64, tag, "k")
+            })
+            .expect("pool accepts");
+        }
+        let mut seen = vec![false; jobs];
+        for _ in 0..jobs {
+            let outcome = pool.recv().expect("one outcome per job");
+            assert_eq!(
+                outcome.result.as_deref().unwrap(),
+                format!("job {}", outcome.tag)
+            );
+            assert!(!outcome.timed_out);
+            seen[outcome.tag as usize] = true;
+        }
+        let stats = pool.shutdown();
+        assert!(seen.iter().all(|s| *s), "every job got a verdict");
+        assert_eq!(stats.jobs_done, jobs);
+        assert!(
+            stats.max_live <= 2,
+            "cap 2 exceeded: {} live workers observed",
+            stats.max_live
+        );
+    }
+
+    #[test]
+    fn oversized_job_spec_round_trips_without_blocking_submit() {
+        // 1 MiB ≫ any pipe buffer: the per-worker writer thread makes
+        // submission O(1) however long the worker takes to read it.
+        let big = "x".repeat(1 << 20);
+        let pool = WorkerPool::new(echo_body_worker(), quiet_pool_config(2));
+        let t0 = Instant::now();
+        for tag in 0..3u64 {
+            pool.submit(PoolJob {
+                input: big.clone(),
+                ..pool_job(tag, tag as usize, "k")
+            })
+            .expect("pool accepts");
+        }
+        let submit_elapsed = t0.elapsed();
+        for _ in 0..3 {
+            let outcome = pool.recv().expect("supervisor alive");
+            assert_eq!(outcome.result.unwrap().len(), big.len());
+        }
+        // Submission only enqueues; generous bound to stay jitter-proof.
+        assert!(
+            submit_elapsed < Duration::from_secs(5),
+            "submission must not block on stdin writes"
+        );
+    }
+
+    #[test]
+    fn straggler_deadline_kills_and_flags_timeout() {
+        let config = PoolConfig {
+            job_deadline: Some(Duration::from_millis(50)),
+            ..quiet_pool_config(1)
+        };
+        // Accepts the job, then computes "forever" (exec: the kill
+        // reaches the sleeping process itself).
+        let sleeper = WorkerCommand::new("sh", &["-c", "read -r line; exec sleep 30"]);
+        let pool = WorkerPool::new(sleeper, config);
+        pool.submit(pool_job(9, 4, "k")).expect("pool accepts");
+        let outcome = pool.recv().expect("supervisor alive");
+        assert_eq!(outcome.tag, 9);
+        assert!(outcome.timed_out, "deadline must flag the straggler");
+        assert!(!outcome.quarantined && !outcome.circuit_open);
+        match outcome.result {
+            Err(ShardError::Worker { shard, reason }) => {
+                assert_eq!(shard, 4);
+                assert!(
+                    reason.contains("straggler"),
+                    "reason names the kill: {reason}"
+                );
+            }
+            other => panic!("expected a worker error, got {other:?}"),
+        }
+        let stats = pool.shutdown();
+        assert_eq!(stats.restarts, 1, "the straggler's worker was reaped");
+        assert!(!stats.tripped, "a deadline kill does not feed the breaker");
     }
 }

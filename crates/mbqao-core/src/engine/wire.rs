@@ -256,15 +256,14 @@ pub fn read_frame<R: BufRead>(r: &mut R) -> Option<Result<Value, WireError>> {
 /// Job and result bodies travel as **strings** (the raw job/result
 /// JSON), not nested objects: the supervisor stays payload-agnostic,
 /// and a worker that emits a truncated or corrupt body surfaces as a
-/// decode failure at the orchestration layer naming the shard — exactly
-/// like the one-shot subprocess path.
+/// decode failure at the orchestration layer naming the shard.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PoolFrame {
     /// Supervisor → worker: run this job (the body is one job JSON).
     Job {
         /// The worker generation this job is addressed to.
         gen: u64,
-        /// The job description (the worker's one-shot stdin payload).
+        /// The job description (one job JSON).
         body: String,
     },
     /// Worker → supervisor: periodic liveness beat, emitted by a
@@ -279,7 +278,7 @@ pub enum PoolFrame {
         busy: bool,
     },
     /// Worker → supervisor: a completed job (the body is the result
-    /// JSON the one-shot worker would have written to stdout).
+    /// JSON).
     Result {
         /// The worker's generation.
         gen: u64,
@@ -475,12 +474,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| WireError("invalid UTF-8".into()))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the whole run up to the next quote or
+                    // escape with one UTF-8 check, so parsing stays
+                    // linear in the string's length.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    s.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .map_err(|_| WireError("invalid UTF-8".into()))?,
+                    );
                 }
             }
         }

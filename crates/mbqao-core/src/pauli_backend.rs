@@ -1,11 +1,11 @@
 //! The stabilizer-tableau execution backend.
 //!
-//! [`PauliBackend`] is the fourth [`crate::engine::Backend`]: it
-//! compiles the QAOA pattern exactly like
-//! [`crate::engine::PatternBackend`] (same process-wide compile cache,
-//! same state/sampling forms), but executes it on the
-//! Aaronson–Gottesman tableau of `mbqao-tableau` whenever the
-//! pattern's non-Clifford measurement count fits the branch budget.
+//! [`PauliBackend`] is the fourth [`crate::engine::Backend`]: it wraps
+//! a [`crate::engine::PatternBackend`] (same process-wide compile
+//! cache, same state/sampling forms), but executes the compiled
+//! pattern on the Aaronson–Gottesman tableau of `mbqao-tableau`
+//! whenever the pattern's non-Clifford measurement count fits the
+//! branch budget.
 //! The tableau path costs `O(M·N²)` bit operations plus a `3^k`
 //! pending-projector expansion (`k` = non-Clifford measurements) —
 //! independent of `2^n`, so Clifford-angle instances scale to hundreds
@@ -15,36 +15,27 @@
 //! [`mbqao_mbqc::classify_pattern`] counts the measurements whose
 //! evaluated angle misses every Pauli axis; above
 //! [`MAX_MAGIC_EXPECTATION`] (or [`MAX_MAGIC_SAMPLING`] for shots) the
-//! backend falls back to the dense statevector pattern execution with
-//! semantics identical to `PatternBackend` — generic-angle QAOA keeps
-//! working, the fast path kicks in exactly when the angles allow it.
+//! backend hands the call to the wrapped `PatternBackend` — generic-
+//! angle QAOA keeps working bit for bit, the fast path kicks in exactly
+//! when the angles allow it.
 //! Signal adaptation `(−1)^s θ + tπ` maps Pauli axes to Pauli axes, so
 //! the classification is branch-independent and the pre-check is
 //! sound.
 
-use crate::cache;
 use crate::compiler::{CompileOptions, CompiledQaoa};
-use crate::engine::{sample_compiled, Backend};
+use crate::engine::{Backend, PatternBackend};
 use mbqao_mbqc::classify_pattern;
-use mbqao_mbqc::simulate::{run, Branch};
 use mbqao_problems::ZPoly;
 use mbqao_sim::{QubitId, State};
 use mbqao_tableau::{PatternRun, MAX_MAGIC_EXPECTATION, MAX_MAGIC_SAMPLING};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, OnceLock};
 
 /// The stabilizer-tableau backend (see module docs).
 #[derive(Debug, Clone)]
 pub struct PauliBackend {
-    cost: ZPoly,
-    p: usize,
-    options: CompileOptions,
-    state_form: OnceLock<Arc<CompiledQaoa>>,
-    sampling_form: OnceLock<Arc<CompiledQaoa>>,
-    /// Dense `2^n` cost vector — only built when a parameter point
-    /// forces the statevector fallback.
-    cost_vector: OnceLock<Vec<f64>>,
+    /// Compiles the forms and runs every statevector fallback.
+    pattern: PatternBackend,
 }
 
 impl PauliBackend {
@@ -60,31 +51,18 @@ impl PauliBackend {
     /// first use with the right setting).
     pub fn with_options(cost: &ZPoly, p: usize, options: &CompileOptions) -> Self {
         PauliBackend {
-            cost: cost.clone(),
-            p,
-            options: options.clone(),
-            state_form: OnceLock::new(),
-            sampling_form: OnceLock::new(),
-            cost_vector: OnceLock::new(),
+            pattern: PatternBackend::with_options(cost, p, options),
         }
     }
 
     /// The state-form compiled pattern (compiled on first use).
     pub fn compiled(&self) -> &CompiledQaoa {
-        self.state_form.get_or_init(|| self.build_form(false))
+        self.pattern.compiled()
     }
 
     /// The sampling-form compiled pattern (compiled on first use).
     pub fn compiled_sampling(&self) -> &CompiledQaoa {
-        self.sampling_form.get_or_init(|| self.build_form(true))
-    }
-
-    fn build_form(&self, measure_outputs: bool) -> Arc<CompiledQaoa> {
-        let opts = CompileOptions {
-            measure_outputs,
-            ..self.options.clone()
-        };
-        cache::compile_qaoa_cached(&self.cost, self.p, &opts)
+        self.pattern.compiled_sampling()
     }
 
     /// Non-Clifford measurement count of the state-form pattern at
@@ -99,13 +77,6 @@ impl PauliBackend {
     pub fn tableau_eligible(&self, params: &[f64]) -> bool {
         self.magic_count(params) <= MAX_MAGIC_EXPECTATION
     }
-
-    /// Statevector fallback with `PatternBackend`-identical semantics.
-    fn dense_state(&self, params: &[f64]) -> State {
-        let compiled = self.compiled();
-        let mut rng = StdRng::seed_from_u64(0);
-        run(&compiled.pattern, params, Branch::Random, &mut rng).state
-    }
 }
 
 impl Backend for PauliBackend {
@@ -114,19 +85,19 @@ impl Backend for PauliBackend {
     }
 
     fn n(&self) -> usize {
-        self.cost.n()
+        self.pattern.n()
     }
 
     fn p(&self) -> usize {
-        self.p
+        self.pattern.p()
     }
 
     fn cost(&self) -> &ZPoly {
-        &self.cost
+        self.pattern.cost()
     }
 
     fn variable_wires(&self) -> Vec<QubitId> {
-        self.compiled().output_wires.clone()
+        self.pattern.variable_wires()
     }
 
     /// Dense `|γβ⟩` via the statevector pattern runtime — the
@@ -135,24 +106,21 @@ impl Backend for PauliBackend {
     /// (and therefore bounded by memory like any statevector path);
     /// `expectation` and `sample` are where the fast path lives.
     fn prepare(&self, params: &[f64]) -> State {
-        self.dense_state(params)
+        self.pattern.prepare(params)
     }
 
     fn expectation(&self, params: &[f64]) -> f64 {
-        let compiled = self.compiled();
         if self.tableau_eligible(params) {
+            let compiled = self.compiled();
+            let cost = self.cost();
             let run = PatternRun::reference(&compiled.pattern, params);
-            if let Some(value) = run.diag_expectation(
-                self.cost.constant(),
-                self.cost.terms(),
-                &compiled.output_wires,
-            ) {
+            if let Some(value) =
+                run.diag_expectation(cost.constant(), cost.terms(), &compiled.output_wires)
+            {
                 return value;
             }
         }
-        let state = self.dense_state(params);
-        let cost_vector = self.cost_vector.get_or_init(|| self.cost.cost_vector_msb());
-        state.expectation_diag(&compiled.output_wires, cost_vector)
+        self.pattern.expectation(params)
     }
 
     /// Per-shot protocol sampling. On the tableau path every outcome —
@@ -177,7 +145,7 @@ impl Backend for PauliBackend {
                 })
                 .collect();
         }
-        sample_compiled(compiled, params, shots, seed)
+        self.pattern.sample(params, shots, seed)
     }
 }
 

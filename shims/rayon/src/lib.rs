@@ -188,9 +188,9 @@ std::thread_local! {
 
 /// The persistent worker pool behind every terminal operation.
 mod pool {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::OnceLock;
     use std::thread::Thread;
 
     /// Handle to one job, shared between the caller's stack frame and
@@ -228,95 +228,6 @@ mod pool {
                 std::thread::park();
             }
         }
-    }
-
-    /// One job advertised for cross-job work stealing: an idle worker
-    /// whose own channel is empty may claim unclaimed parts of any
-    /// registered job instead of parking. Both raw pointers target the
-    /// owning `drive` frame; validity is guaranteed by the
-    /// register/steal/unregister lock protocol below.
-    struct StealEntry {
-        job: *const JobShared,
-        /// Set by the claim loop once every part is claimed — stealers
-        /// skip exhausted jobs so a finished-but-still-running job can
-        /// never busy-spin the idle workers.
-        exhausted: *const AtomicBool,
-        /// The owner to unpark if a stealer retires the last helper.
-        waiter: Thread,
-    }
-
-    // SAFETY: the pointers are only dereferenced while the steal
-    // protocol guarantees the owning frame is alive (see `try_steal` /
-    // `wait_and_unregister`), and `Thread` is `Send`.
-    unsafe impl Send for StealEntry {}
-
-    /// Jobs currently stealable. The lock also serializes the
-    /// steal-vs-unregister race: a stealer bumps `pending` while the
-    /// entry is present and the lock is held, and the owner only frees
-    /// its frame after observing `pending == 0` under the same lock.
-    static REGISTRY: Mutex<Vec<StealEntry>> = Mutex::new(Vec::new());
-
-    /// Advertises `job` for stealing until [`wait_and_unregister`].
-    ///
-    /// # Safety
-    /// The caller must keep `job` and `exhausted` alive until
-    /// [`wait_and_unregister`] on the same job returns.
-    pub(crate) unsafe fn register(job: &JobShared, exhausted: &AtomicBool) {
-        super::lock(&REGISTRY).push(StealEntry {
-            job,
-            exhausted,
-            waiter: std::thread::current(),
-        });
-    }
-
-    /// Waits for every helper (ticketed or stealing) to retire, then
-    /// removes the job from the steal registry. Only after this returns
-    /// may the owning frame be torn down: a stealer can only join a job
-    /// while its entry is present, and the final `pending == 0` check
-    /// happens under the registry lock, so no helper can be mid-run
-    /// (or mid-claim) once the entry is gone.
-    pub(crate) fn wait_and_unregister(job: &JobShared) {
-        loop {
-            job.wait();
-            let mut reg = super::lock(&REGISTRY);
-            if job.pending.load(Ordering::Acquire) == 0 {
-                reg.retain(|e| !std::ptr::eq(e.job, job));
-                return;
-            }
-            // A stealer slipped in between `wait` and the lock: drop
-            // the lock so it can finish, then wait again.
-        }
-    }
-
-    /// Claims unclaimed parts of some registered job (cross-job work
-    /// stealing): called by a worker whose own ticket channel is empty.
-    /// Returns whether a job was joined — `false` means every
-    /// registered job is exhausted and the worker should park.
-    fn try_steal() -> bool {
-        let claimed = {
-            let reg = super::lock(&REGISTRY);
-            reg.iter().find_map(|e| {
-                // SAFETY: entry present + lock held ⇒ frame alive.
-                if unsafe { &*e.exhausted }.load(Ordering::Acquire) {
-                    return None;
-                }
-                // Join as a helper while the lock pins the entry: the
-                // owner's teardown waits for this increment to drain.
-                unsafe { &*e.job }.pending.fetch_add(1, Ordering::AcqRel);
-                Some((e.job, e.waiter.clone()))
-            })
-        };
-        let Some((job, waiter)) = claimed else {
-            return false;
-        };
-        // SAFETY: the `pending` increment above keeps the frame alive
-        // until the matching decrement below.
-        let run = unsafe { &*(*job).run };
-        run();
-        if unsafe { &*job }.pending.fetch_sub(1, Ordering::Release) == 1 {
-            waiter.unpark();
-        }
-        true
     }
 
     /// One unit of "come help with this job", sent to a worker.
@@ -409,24 +320,8 @@ mod pool {
 
     fn worker_main(rx: Receiver<Ticket>) {
         super::IN_WORKER.with(|w| w.set(true));
-        loop {
-            match rx.try_recv() {
-                Ok(t) => run_ticket(t),
-                // Idle with an empty channel: steal shard-internal
-                // slices from a registered straggling job (one whose
-                // tickets sit behind busy workers) before parking.
-                // Stealing is opportunistic — a worker already parked
-                // in `recv` only wakes for its own tickets.
-                Err(TryRecvError::Empty) => {
-                    if !try_steal() {
-                        match rx.recv() {
-                            Ok(t) => run_ticket(t),
-                            Err(_) => return,
-                        }
-                    }
-                }
-                Err(TryRecvError::Disconnected) => return,
-            }
+        while let Ok(t) = rx.recv() {
+            run_ticket(t);
         }
     }
 }
@@ -457,7 +352,7 @@ where
     S: Fn(P) -> R + Sync,
     M: Fn(R, R) -> R + Sync,
 {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     let n = iter.pi_len();
@@ -488,13 +383,9 @@ where
     let results: Vec<Mutex<Option<R>>> = (0..k).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    // Raised once every part is claimed — idle workers scanning the
-    // steal registry skip this job instead of joining a drained loop.
-    let exhausted = AtomicBool::new(false);
     let run = || loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= k {
-            exhausted.store(true, Ordering::Release);
             break;
         }
         let part = lock(&slots[i]).take().expect("each part is claimed once");
@@ -506,17 +397,16 @@ where
 
     let tickets = pool.workers().min(k - 1);
     // SAFETY: this frame keeps `run` (and everything it captures) alive
-    // and blocks in `wait_and_unregister` below before any of it drops.
+    // and blocks in `job.wait()` below before any of it drops.
     let job = unsafe { pool::JobShared::new(&run, tickets) };
-    // SAFETY: `job` and `exhausted` outlive `wait_and_unregister`.
-    unsafe { pool::register(&job, &exhausted) };
+    // SAFETY: `job` outlives `job.wait()`.
     unsafe { pool.send_tickets(&job, tickets) };
 
     // The caller claims parts too; its share must not re-dispatch.
     let prev = IN_WORKER.with(|w| w.replace(true));
     run();
     IN_WORKER.with(|w| w.set(prev));
-    pool::wait_and_unregister(&job);
+    job.wait();
 
     if let Some(payload) = lock(&panicked).take() {
         std::panic::resume_unwind(payload);
