@@ -86,6 +86,11 @@ pub trait Backend: Send + Sync {
     /// Draws `shots` bitstrings (bit `v` = variable `v`, lsb-first as in
     /// [`ZPoly::value`]) from the Born distribution of `|γβ⟩`,
     /// deterministically in `seed`.
+    ///
+    /// # Panics
+    /// A shot holds at most 64 variables; implementations that can
+    /// reach more (the tableau backend) panic instead of aliasing
+    /// variable `v ≥ 64` onto another bit.
     fn sample(&self, params: &[f64], shots: usize, seed: u64) -> Vec<u64>;
 
     /// Whether [`Executor::sample`] should fan shots out as parallel

@@ -7,7 +7,10 @@
 //! whenever the pattern's non-Clifford measurement count fits the
 //! branch budget.
 //! The tableau path costs `O(M·N²)` bit operations plus a `3^k`
-//! pending-projector expansion (`k` = non-Clifford measurements) —
+//! pending-projector expansion (`k` = non-Clifford measurements), where
+//! `M` counts measurements and `N` is the live width — the peak of
+//! live plus pinned tableau columns, at most the pattern's `max_live +
+//! k`, since every Pauli-measured column is recycled. That is
 //! independent of `2^n`, so Clifford-angle instances scale to hundreds
 //! of qubits where every statevector backend is memory-bound.
 //!
@@ -128,7 +131,16 @@ impl Backend for PauliBackend {
     /// exact conditional Born probability, so the drawn bitstrings
     /// follow the same distribution as the statevector protocol run
     /// (pinned by the chi-squared differential test).
+    ///
+    /// # Panics
+    /// Panics when the cost has more than 64 variables: a shot is a
+    /// `u64` with bit `v` = variable `v`.
     fn sample(&self, params: &[f64], shots: usize, seed: u64) -> Vec<u64> {
+        let n = self.n();
+        assert!(
+            n <= 64,
+            "PauliBackend::sample packs a shot into a u64: at most 64 variables, got {n}"
+        );
         let compiled = self.compiled_sampling();
         if classify_pattern(&compiled.pattern, params).magic <= MAX_MAGIC_SAMPLING {
             let mut rng = StdRng::seed_from_u64(seed);

@@ -2,8 +2,13 @@
 //!
 //! Runs a compiled measurement pattern with its Clifford bulk — `|+⟩`
 //! preparations, CZ entanglers, Pauli corrections, and every
-//! measurement whose adapted angle lands on a Pauli axis — as `O(N²)`
-//! [`Tableau`] updates. The few non-Clifford measurements do *not*
+//! measurement whose adapted angle lands on a Pauli axis — as
+//! [`Tableau`] updates. The tableau is only as wide as the live
+//! register: a qubit takes a column at its `Prep`, and a Pauli
+//! measurement resets the column to `|0⟩` ([`Tableau::reset`]) and
+//! hands it to the next `Prep`, so `N` is the peak of live plus pinned
+//! columns ([`PatternRun::width`]), not the pattern's total qubit
+//! count. The few non-Clifford measurements do *not*
 //! collapse the representation: because a measured qubit is dead for
 //! the rest of the pattern, its projector commutes with everything
 //! that follows, so each non-Clifford measurement just parks a rank-1
@@ -13,18 +18,19 @@
 //!     B = ½ · (I + (−1)^m (cos θ · P₁ + sin θ · P₂))
 //! ```
 //!
-//! on the *pending* list (`P₁, P₂` the plane's Pauli axes). Every
-//! physical quantity of the projected state is then a ratio of the
-//! weighted functionals `R(P) = ⟨Ψ|B₁⋯B_k·P|Ψ⟩`, which expand into at
-//! most `3^k` stabilizer Pauli expectations — exact Born weights, no
-//! sampling error, cost capped by the non-Clifford count `k` instead
-//! of `2^n`. See `docs/TABLEAU.md` for the full semantics, including
-//! the deterministic-measurement rule and the branch-tree average
+//! on the *pending* list (`P₁, P₂` the plane's Pauli axes), and its
+//! column stays pinned. Every physical quantity of the projected state
+//! is then a ratio of the weighted functionals `R(P) = ⟨Ψ|B₁⋯B_k·P|Ψ⟩`,
+//! which expand into at most `3^k` stabilizer Pauli expectations —
+//! exact Born weights, no sampling error, cost capped by the
+//! non-Clifford count `k` instead of `2^n`. See `docs/TABLEAU.md` for
+//! the full semantics, including the deterministic-measurement rule,
+//! column recycling and the branch-tree average
 //! [`branch_tree_expectation`].
 
 use crate::pauli::PauliString;
 use crate::tableau::Tableau;
-use mbqao_mbqc::classify::{clifford_observable, Axis, CliffordObs, CLIFFORD_TOL};
+use mbqao_mbqc::classify::{classify_pattern, Axis, CliffordObs};
 use mbqao_mbqc::command::Command;
 use mbqao_mbqc::{Pattern, Pauli, Plane, PrepState, Signal};
 use mbqao_sim::QubitId;
@@ -82,6 +88,41 @@ fn plane_axes(plane: Plane) -> (Axis, Axis) {
     }
 }
 
+/// The adapted observable of a Pauli measurement from its base
+/// (`s = t = 0`) verdict: `θ' = (−1)^s θ + tπ`, so `s` negates the
+/// plane's second axis and `t` negates both.
+fn adapted(plane: Plane, base: CliffordObs, s: bool, t: bool) -> CliffordObs {
+    let second = plane_axes(plane).1;
+    CliffordObs {
+        axis: base.axis,
+        neg: base.neg ^ (s && base.axis == second) ^ t,
+    }
+}
+
+/// Columns a walk needs: the peak of live plus pinned qubits. A qubit
+/// takes a column at its `Prep` (inputs hold one from the start); a
+/// Pauli measurement hands it back, a non-Clifford one pins it.
+fn peak_width(pattern: &Pattern, verdicts: &[Option<CliffordObs>]) -> usize {
+    let mut held = pattern.inputs().len();
+    let mut peak = held;
+    let mut verdicts = verdicts.iter();
+    for c in pattern.commands() {
+        match c {
+            Command::Prep { .. } => {
+                held += 1;
+                peak = peak.max(held);
+            }
+            Command::Measure { .. } => {
+                if verdicts.next().is_some_and(Option::is_some) {
+                    held = held.saturating_sub(1);
+                }
+            }
+            Command::Entangle { .. } | Command::Correct { .. } => {}
+        }
+    }
+    peak
+}
+
 /// How a [`PatternRun`] chooses measurement outcomes.
 pub enum OutcomePolicy<'a, R: RngCore + ?Sized> {
     /// The deterministic-measurement rule: dictated outcomes follow
@@ -103,7 +144,11 @@ pub enum OutcomePolicy<'a, R: RngCore + ?Sized> {
 #[derive(Debug)]
 pub struct PatternRun {
     tab: Tableau,
+    /// Column of every live qubit (a measured qubit's column is
+    /// recycled, or pinned by its pending projector).
     cols: HashMap<QubitId, usize>,
+    /// Columns in `|0⟩`, ready for the next `Prep`.
+    free: Vec<usize>,
     pending: Vec<MagicProj>,
     outcomes: Vec<u8>,
     /// Clifford (Pauli) measurement count.
@@ -139,6 +184,10 @@ impl PatternRun {
 
     /// Executes `pattern` at `params` under `policy`.
     ///
+    /// The tableau is sized once to the peak of live plus pinned
+    /// columns, counted from the same [`classify_pattern`] verdicts the
+    /// walk then follows, so a valid pattern never runs out of columns.
+    ///
     /// # Panics
     /// Panics on malformed patterns (commands touching unknown qubits)
     /// and when a `ForcedMagic` slice is shorter than the non-Clifford
@@ -148,20 +197,23 @@ impl PatternRun {
         params: &[f64],
         mut policy: OutcomePolicy<'_, R>,
     ) -> PatternRun {
-        let qubits = pattern.all_qubits();
-        let cols: HashMap<QubitId, usize> =
-            qubits.iter().enumerate().map(|(i, &q)| (q, i)).collect();
-        let n = qubits.len();
+        let verdicts = classify_pattern(pattern, params).per_measurement;
+        let width = peak_width(pattern, &verdicts);
         let mut run = PatternRun {
-            tab: Tableau::zeros(n),
-            cols,
+            tab: Tableau::zeros(width),
+            cols: HashMap::with_capacity(width),
+            free: (0..width).rev().collect(),
             pending: Vec::new(),
             outcomes: vec![0u8; pattern.n_outcomes() as usize],
             clifford_measurements: 0,
             magic_measurements: 0,
             random_measurements: 0,
         };
+        for &q in pattern.inputs() {
+            run.take_col(q);
+        }
         let mut measured = vec![false; pattern.n_outcomes() as usize];
+        let mut verdicts = verdicts.into_iter();
         // No rng in the non-sampling policies: dictated/zero outcomes
         // keep the walk fully deterministic.
         let mut dummy = NullRng;
@@ -169,8 +221,9 @@ impl PatternRun {
         for c in pattern.commands() {
             match c {
                 Command::Prep { q, state } => {
+                    let col = run.take_col(*q);
                     if matches!(state, PrepState::Plus) {
-                        run.tab.h(run.col(*q));
+                        run.tab.h(col);
                     }
                 }
                 Command::Entangle { a, b } => {
@@ -194,17 +247,24 @@ impl PatternRun {
                     t,
                     out,
                 } => {
-                    let mut theta = angle.eval(params);
-                    if eval_signal(s, &run.outcomes, &measured) {
-                        theta = -theta;
-                    }
-                    if eval_signal(t, &run.outcomes, &measured) {
-                        theta += std::f64::consts::PI;
-                    }
-                    let col = run.col(*q);
-                    let m = match clifford_observable(*plane, theta, CLIFFORD_TOL) {
-                        Some(obs) => run.measure_clifford(col, obs, &mut policy, &mut dummy),
-                        None => run.measure_magic(col, *plane, theta, &mut policy),
+                    let s = eval_signal(s, &run.outcomes, &measured);
+                    let t = eval_signal(t, &run.outcomes, &measured);
+                    let col = run.cols.remove(q).expect("command touches unknown qubit");
+                    let m = match verdicts.next().expect("one verdict per measurement") {
+                        Some(base) => {
+                            let obs = adapted(*plane, base, s, t);
+                            run.measure_clifford(col, obs, &mut policy, &mut dummy)
+                        }
+                        None => {
+                            let mut theta = angle.eval(params);
+                            if s {
+                                theta = -theta;
+                            }
+                            if t {
+                                theta += std::f64::consts::PI;
+                            }
+                            run.measure_magic(col, *plane, theta, &mut policy)
+                        }
                     };
                     run.outcomes[out.0 as usize] = m;
                     measured[out.0 as usize] = true;
@@ -212,6 +272,19 @@ impl PatternRun {
             }
         }
         run
+    }
+
+    /// The number of tableau columns the run used: the peak of live
+    /// plus pinned columns, at most the pattern's `max_live` plus its
+    /// non-Clifford count.
+    pub fn width(&self) -> usize {
+        self.tab.n()
+    }
+
+    fn take_col(&mut self, q: QubitId) -> usize {
+        let col = self.free.pop().expect("more live qubits than columns");
+        self.cols.insert(q, col);
+        col
     }
 
     fn col(&self, q: QubitId) -> usize {
@@ -252,6 +325,11 @@ impl PatternRun {
         // When the state dictated an outcome contradicting the forced 0
         // (`r.annihilated`), the tableau was left untouched and the
         // dictated bit comes back — the deterministic-measurement rule.
+        // Either way the qubit is now the `+1` eigenstate of
+        // `(−1)^m·op`, in a product with the rest, so its column can be
+        // recycled.
+        self.tab.reset(col, &op, r.outcome);
+        self.free.push(col);
         r.outcome
     }
 
@@ -288,6 +366,7 @@ impl PatternRun {
             }
         };
         let sign = if m == 1 { -1.0 } else { 1.0 };
+        // The column stays pinned: the projector acts on it at readout.
         self.pending.push(MagicProj {
             col,
             terms: [axis_term(a1, sign * c), axis_term(a2, sign * s)],
@@ -372,16 +451,6 @@ impl PatternRun {
     /// Clifford branch.
     pub fn norm(&self) -> f64 {
         self.weighted(None)
-    }
-
-    /// Expectation of a Hermitian Pauli `op` (over tableau columns) on
-    /// the projected state; `None` when the branch has zero norm.
-    pub fn pauli_expectation(&self, op: &PauliString) -> Option<f64> {
-        let r0 = self.weighted(None);
-        if r0.abs() < 1e-12 {
-            return None;
-        }
-        Some(self.weighted(Some(op)) / r0)
     }
 
     /// `⟨C⟩` of a diagonal Hamiltonian `C = constant + Σ_S w_S ∏_{v∈S}

@@ -4,14 +4,18 @@
 //! Aaronson–Gottesman tableau ([`Tableau`] over bit-packed
 //! [`PauliString`] rows) plus a pattern executor ([`PatternRun`]) that
 //! runs the Clifford bulk of a compiled QAOA pattern in `O(N²)` bit
-//! operations and opens weighted branches only at the few non-Clifford
-//! measurements — exact Born weights, expectation values
-//! bit-comparable to the dense statevector backends, and cost capped
-//! by the non-Clifford *count* instead of `2^n`.
+//! operations per measurement and opens weighted branches only at the
+//! few non-Clifford measurements — exact Born weights, expectation
+//! values bit-comparable to the dense statevector backends, and cost
+//! capped by the non-Clifford *count* instead of `2^n`. `N` is the live
+//! width, not the pattern's qubit count: every Pauli-measured column is
+//! reset and reused, so a run needs at most the pattern's `max_live`
+//! plus one pinned column per non-Clifford measurement
+//! ([`PatternRun::width`]).
 //!
 //! Conventions (phases, conjugation signs, the deterministic-
-//! measurement rule, branch-tree semantics) are documented in
-//! [`conventions`], whose examples double as doctests.
+//! measurement rule, column recycling, branch-tree semantics) are
+//! documented in [`conventions`], whose examples double as doctests.
 
 pub mod executor;
 pub mod pauli;

@@ -6,9 +6,11 @@
 //! row in `O(N)`; a Pauli measurement costs `O(N²)` bit operations:
 //! one pass to find an anticommuting stabilizer (random outcome) or,
 //! failing that, a destabilizer-indexed product of generators whose
-//! sign *is* the deterministic outcome. The rules are pinned to a
-//! dense-matrix reference (and to `mbqao-sim`'s dual-projection
-//! measurement) by `tests/tableau_properties.rs`.
+//! sign *is* the deterministic outcome. A qubit left in a Pauli
+//! eigenstate by a measurement goes back to `|0⟩` in `O(N)`
+//! ([`Tableau::reset`]), so its column can host the next qubit. The
+//! rules are pinned to a dense-matrix reference (and to `mbqao-sim`'s
+//! dual-projection measurement) by `tests/tableau_properties.rs`.
 
 use crate::pauli::PauliString;
 use rand::{Rng, RngCore};
@@ -192,6 +194,38 @@ impl Tableau {
                     annihilated,
                 }
             }
+        }
+    }
+
+    /// Returns qubit `q` to `|0⟩` after a measurement of the
+    /// single-qubit Pauli `obs` (`±X`, `±Y` or `±Z` on `q`) gave
+    /// `outcome`, i.e. while `q` is the `+1` eigenstate of
+    /// `(−1)^outcome·obs` in a product with the other qubits.
+    ///
+    /// One local Clifford per case, no elimination, so `O(rows)`: `H`
+    /// for X, `S` then `H` for Y (which lands `+Y` on `−Z`), nothing
+    /// for Z, then `X` when the qubit sits on the `−1` side of Z. The
+    /// other qubits' state is untouched.
+    pub fn reset(&mut self, q: usize, obs: &PauliString, outcome: u8) {
+        let (x, z) = (obs.x_bit(q), obs.z_bit(q));
+        debug_assert!(
+            obs.weight() == 1 && obs.is_hermitian(),
+            "reset needs a Hermitian single-qubit Pauli on qubit {q}"
+        );
+        // `obs = (−1)^neg · axis`; `Y = i·XZ` carries one phase unit.
+        let neg = (obs.phase() + 4 - u8::from(x && z)) & 3 == 2;
+        let mut minus = neg ^ (outcome == 1);
+        match (x, z) {
+            (true, false) => self.h(q),
+            (true, true) => {
+                self.s(q);
+                self.h(q);
+                minus = !minus;
+            }
+            _ => {}
+        }
+        if minus {
+            self.x(q);
         }
     }
 

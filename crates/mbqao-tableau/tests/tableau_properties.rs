@@ -1,8 +1,8 @@
 //! The property-test wall behind the tableau: every Clifford
-//! conjugation rule, the measurement branch logic, and the structural
-//! invariants are pinned to the dense statevector reference
-//! (`mbqao-sim`) on random circuits at n ≤ 6. The `property-deep` CI
-//! job reruns these at `PROPTEST_CASES=1024`.
+//! conjugation rule, the measurement branch logic, the column reset,
+//! and the structural invariants are pinned to the dense statevector
+//! reference (`mbqao-sim`) on random circuits at n ≤ 6. The
+//! `property-deep` CI job reruns these at `PROPTEST_CASES=1024`.
 
 use mbqao_math::C64;
 use mbqao_sim::{QubitId, State};
@@ -114,6 +114,21 @@ fn random_pauli(n: usize, rng: &mut StdRng) -> PauliString {
     }
 }
 
+/// Random Hermitian Pauli supported off qubit `skip` (the identity is
+/// allowed: on one qubit it is the only such Pauli).
+fn random_pauli_off(n: usize, skip: usize, rng: &mut StdRng) -> PauliString {
+    let mut p = PauliString::identity(n);
+    for q in (0..n).filter(|&q| q != skip) {
+        match rng.gen_range(0..4) {
+            1 => p.mul_assign(&PauliString::x(n, q)),
+            2 => p.mul_assign(&PauliString::y(n, q)),
+            3 => p.mul_assign(&PauliString::z(n, q)),
+            _ => {}
+        }
+    }
+    p
+}
+
 /// A random (non-stabilizer) state for matrix-element probes.
 fn random_state(n: usize, rng: &mut StdRng) -> State {
     let mut st = State::zeros(&qubits(n));
@@ -156,6 +171,21 @@ fn apply_pauli_dense(amps: &[C64], n: usize, p: &PauliString) -> Vec<C64> {
 
 fn inner(a: &[C64], b: &[C64]) -> C64 {
     a.iter().zip(b).map(|(&x, &y)| x.conj() * y).sum()
+}
+
+/// Dual projection of a dense state onto outcome `m` of `P`:
+/// `(I + (−1)^m P)/2 · |ψ⟩`, renormalized.
+fn project_dense(amps: &[C64], n: usize, p: &PauliString, m: u8) -> Vec<C64> {
+    let half = if m == 1 { -0.5 } else { 0.5 };
+    let pa = apply_pauli_dense(amps, n, p);
+    let v: Vec<C64> = amps
+        .iter()
+        .zip(&pa)
+        .map(|(&a, &b)| a * 0.5 + b * half)
+        .collect();
+    let norm = inner(&v, &v).re.sqrt();
+    assert!(norm > 1e-9, "outcome {m} of {p} has zero Born weight");
+    v.iter().map(|&c| c * (1.0 / norm)).collect()
 }
 
 proptest! {
@@ -247,15 +277,7 @@ proptest! {
             prop_assert!((prob - 1.0).abs() < 1e-9, "dictated outcome must be certain: {prob}");
         }
 
-        // Dual projection of the dense state, renormalized.
-        let projected: Vec<C64> = {
-            let pa = apply_pauli_dense(&amps, n, &p);
-            let half = 0.5 * sign;
-            let v: Vec<C64> = amps.iter().zip(&pa).map(|(&a, &b)| a * 0.5 + b * half).collect();
-            let norm = inner(&v, &v).re.sqrt();
-            prop_assert!(norm > 1e-9);
-            v.iter().map(|&c| c * (1.0 / norm)).collect()
-        };
+        let projected = project_dense(&amps, n, &p, r.outcome);
         for _ in 0..6 {
             let q = random_pauli(n, &mut rng);
             let dense = inner(&projected, &apply_pauli_dense(&projected, n, &q)).re;
@@ -290,6 +312,56 @@ proptest! {
                 prop_assert_eq!(tab.expectation(&p), want);
                 tab.check_invariants().map_err(TestCaseError::fail)?;
             }
+        }
+    }
+
+    /// Column recycling: a random qubit measured on a random
+    /// `±X/±Y/±Z` axis (free or forced outcome) and then `reset` is in
+    /// `|0⟩`, and every Pauli supported off it keeps its
+    /// post-measurement expectation, checked against the projected,
+    /// renormalized dense state.
+    #[test]
+    fn prop_reset_returns_measured_qubit_to_zero(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1usize..=6);
+        let ops = random_ops(n, rng.gen_range(1..=24), &mut rng);
+        let mut tab = Tableau::zeros(n);
+        apply_ops_tableau(&mut tab, &ops);
+        let order = qubits(n);
+        let mut st = State::zeros(&order);
+        apply_ops_state(&mut st, &ops);
+
+        let q = rng.gen_range(0..n);
+        let mut obs = match rng.gen_range(0..3) {
+            0 => PauliString::x(n, q),
+            1 => PauliString::y(n, q),
+            _ => PauliString::z(n, q),
+        };
+        if rng.gen_bool(0.5) {
+            obs.mul_phase(2);
+        }
+        let forced = match rng.gen_range(0..3u8) {
+            0 => None,
+            k => Some(k - 1),
+        };
+        let r = tab.measure(&obs, forced, &mut rng);
+        let projected = project_dense(&st.aligned(&order), n, &obs, r.outcome);
+
+        tab.reset(q, &obs, r.outcome);
+        tab.check_invariants().map_err(TestCaseError::fail)?;
+        prop_assert_eq!(
+            tab.expectation(&PauliString::z(n, q)),
+            1.0,
+            "measured {} → outcome {}, reset must leave |0⟩", obs, r.outcome
+        );
+        for _ in 0..6 {
+            let p = random_pauli_off(n, q, &mut rng);
+            let dense = inner(&projected, &apply_pauli_dense(&projected, n, &p)).re;
+            let fast = tab.expectation(&p);
+            prop_assert!(
+                (dense - fast).abs() < 1e-9,
+                "after reset of {}: ⟨{p}⟩ tableau {fast} vs dense {dense}", obs
+            );
         }
     }
 }

@@ -6,11 +6,13 @@
 //! sampling statistics (chi-squared against the exact Born
 //! distribution) — on *both* sides of the magic budget: the tableau
 //! fast path at Clifford-rich parameters and the statevector fallback
-//! at generic ones.
+//! at generic ones. It also pins the tableau's own width (live
+//! register plus pinned magic columns) and the branch-tree average.
 
+use mbqao::mbqc::resources;
 use mbqao::prelude::*;
 use mbqao::problems::{generators, maxcut, mis, Qubo};
-use mbqao_tableau::MAX_MAGIC_EXPECTATION;
+use mbqao_tableau::{branch_tree_expectation, PatternRun, MAX_MAGIC_EXPECTATION, MAX_MAGIC_TREE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
@@ -51,6 +53,17 @@ fn born_distribution(backend: &dyn Backend, params: &[f64]) -> Vec<f64> {
         probs[x] += amp.norm_sqr();
     }
     probs
+}
+
+/// A unit-weight cycle on `n` vertices plus two golden-ratio chords:
+/// at π/4-lattice points with odd γ every cycle gadget is Clifford and
+/// only the two chords are magic.
+fn cycle_with_chords(n: usize) -> ZPoly {
+    let phi = 1.618_033_988_749_895f64;
+    let mut terms: Vec<(Vec<usize>, f64)> = (0..n).map(|v| (vec![v, (v + 1) % n], 1.0)).collect();
+    terms.push((vec![0, n / 2], phi));
+    terms.push((vec![n / 4, 3 * n / 4], phi * phi));
+    ZPoly::new(n, 0.0, terms)
 }
 
 #[test]
@@ -251,4 +264,115 @@ fn clifford_heavy_instance_runs_beyond_statevector_reach() {
         value.abs() <= n as f64 + phi + 1e-9,
         "out of range: {value}"
     );
+}
+
+#[test]
+#[should_panic(expected = "at most 64 variables")]
+fn pauli_sampling_refuses_more_than_64_variables() {
+    // A shot is a u64 with bit v = variable v: on 80 variables a shift
+    // past bit 63 would alias variables instead of failing.
+    let cost = maxcut::maxcut_zpoly(&generators::cycle(80));
+    let pauli = PauliBackend::new(&cost, 1);
+    pauli.sample(&[FRAC_PI_2, FRAC_PI_4], 4, 1);
+}
+
+#[test]
+fn branch_tree_weighs_every_magic_branch_like_the_reference() {
+    // Strongly deterministic patterns prepare the same state on every
+    // non-Clifford branch: 2^k branches of weight 2^-k, each with the
+    // reference branch's ⟨C⟩.
+    let triangle = maxcut::maxcut_zpoly(&generators::triangle());
+    let chords = cycle_with_chords(16);
+    for (name, cost, params, k) in [
+        ("triangle", &triangle, [0.7, FRAC_PI_4], 3usize),
+        ("C16+2 chords", &chords, [3.0 * FRAC_PI_4, FRAC_PI_2], 2),
+    ] {
+        let pauli = PauliBackend::new(cost, 1);
+        assert_eq!(pauli.magic_count(&params), k, "{name}");
+        let compiled = pauli.compiled();
+        let tree = branch_tree_expectation(
+            &compiled.pattern,
+            &params,
+            cost.constant(),
+            cost.terms(),
+            &compiled.output_wires,
+        )
+        .expect("within the tree budget");
+        assert_eq!(tree.branches.len(), 1 << k, "{name}");
+        assert!(
+            (tree.total_weight - 1.0).abs() < 1e-12,
+            "{name}: total weight {}",
+            tree.total_weight
+        );
+        let exact = pauli.expectation(&params);
+        for b in &tree.branches {
+            assert!(
+                (b.value - exact).abs() < 1e-12,
+                "{name} branch {:b}: {} vs {exact}",
+                b.bits,
+                b.value
+            );
+        }
+        assert!((tree.value - exact).abs() < 1e-12, "{name}: tree average");
+    }
+
+    // Petersen at generic p=1 angles: every gadget and mixer is magic.
+    let petersen = maxcut::maxcut_zpoly(&generators::petersen());
+    let pauli = PauliBackend::new(&petersen, 1);
+    let params = [0.7, 0.4];
+    assert!(pauli.magic_count(&params) > MAX_MAGIC_TREE);
+    let compiled = pauli.compiled();
+    assert!(branch_tree_expectation(
+        &compiled.pattern,
+        &params,
+        petersen.constant(),
+        petersen.terms(),
+        &compiled.output_wires,
+    )
+    .is_none());
+}
+
+#[test]
+fn tableau_is_no_wider_than_the_live_register_plus_magic() {
+    // Exact counts on the tableau regime: the JIT register is the n
+    // cycle wires plus one gadget qubit, and the two magic chord
+    // columns stay pinned. Sizing to every qubit the pattern touches
+    // would take 4n + 2 columns (514 at n = 128).
+    for (n, want) in [(64usize, 67usize), (128, 131)] {
+        let pauli = PauliBackend::new(&cycle_with_chords(n), 1);
+        let pattern = &pauli.compiled().pattern;
+        let stats = resources::stats(pattern);
+        assert_eq!(stats.max_live, n + 1, "C{n}");
+        assert_eq!(stats.total_qubits, 4 * n + 2, "C{n}");
+        let run = PatternRun::reference(pattern, &[FRAC_PI_4, FRAC_PI_4]);
+        assert_eq!(run.magic_measurements, 2, "C{n}");
+        assert_eq!(run.width(), want, "C{n}");
+    }
+
+    // The bound on every standard family, on both sides of the budget
+    // (the walk itself never expands the 3^k readout).
+    let mut rng = StdRng::seed_from_u64(31);
+    for fam in mbqao_bench::standard_families(7) {
+        for p in [1usize, 2] {
+            let pauli = PauliBackend::new(&fam.cost, p);
+            let pattern = &pauli.compiled().pattern;
+            let max_live = resources::stats(pattern).max_live;
+            let points = [
+                [vec![FRAC_PI_2; p], vec![FRAC_PI_4; p]].concat(),
+                [vec![0.7; p], vec![FRAC_PI_4; p]].concat(),
+                (0..2 * p).map(|_| rng.gen_range(-2.0..2.0)).collect(),
+            ];
+            for params in points {
+                let run = PatternRun::reference(pattern, &params);
+                let magic = pauli.magic_count(&params);
+                assert_eq!(run.magic_measurements, magic);
+                assert!(
+                    run.width() <= max_live + magic,
+                    "{} p={p} {params:?}: width {} > max_live {max_live} + magic {magic}",
+                    fam.name,
+                    run.width()
+                );
+            }
+        }
+    }
 }
