@@ -1,661 +1,547 @@
-//! `perf_report` — the committed perf-trajectory reporter.
+//! `perf_report` — A/B comparison of two commits on the repository benchmark:
+//! `perf_report <parent-rev> [<change-rev>] [--workload <name>] [--smoke]`.
 //!
-//! Times the representative hot paths end to end (gate vs. pattern vs.
-//! ZX expectation, MBQC shot throughput, the batched parameter sweep,
-//! and a above-`PAR_THRESHOLD` statevector workload) with warm-up and
-//! repetition, then writes a machine-readable JSON report. The committed
-//! `BENCH_<pr>.json` files at the repo root form the perf trajectory of
-//! the project; CI runs `perf_report --smoke` on every push so the
-//! reporter itself can never rot (no timing assertions there — shared
-//! runners jitter).
-//!
-//! Usage:
-//! ```text
-//! cargo run --release -p mbqao-bench --bin perf_report            # full run → target/perf_report.json
-//! cargo run --release -p mbqao-bench --bin perf_report -- --smoke # tiny run (CI)
-//! cargo run --release -p mbqao-bench --bin perf_report -- --only mbqc # workloads whose name contains "mbqc"
-//! cargo run --release -p mbqao-bench --bin perf_report -- --out BENCH_<pr>.json # commit a trajectory point
-//! ```
-//!
-//! Unknown arguments are rejected with a usage line and exit code 2.
+//! Each side (the change defaults to the checkout as it stands, new
+//! files included) is `git archive`d into `target/perf_report/<side>/`,
+//! gets the checkout's `perfbench/` copied over it and builds into its
+//! own `CARGO_TARGET_DIR` there. After one uncounted smoke run per side,
+//! each `BENCHMARK.json` workload runs [`PAIRS`] alternating pairs (pair
+//! `k`: `--seed k` for `run_seconds`, parent first when `k` is odd), then
+//! one traced run per side; `--smoke` makes that one pair of
+//! `--seconds 1 --smoke` runs. Every result line goes to
+//! `target/perf_report/runs.jsonl`, tagged with side, rev, workload,
+//! seed and kind of run. Printed: per end-to-end metric both medians,
+//! quartiles, range over median, wins and the [`compare`] verdict;
+//! Σfailed / Σattempted per side; the traced per-layer values side by
+//! side, flagging every exact counter (unit `count` or `bytes`) that
+//! differs. Exit status 2 is a bad command line, rev or workload; 1 a
+//! failed build, a run that reports failures or unreadable output.
+//! Verdicts and counter changes never set it.
 
-use mbqao_bench::serve::{
-    run_job, run_job_with, serve, spawn_pool, JobSpec, ServeConfig, SubmitRequest,
-};
-use mbqao_bench::sweep::{BackendKind, FamilyRef, Fault, Workload};
-use mbqao_core::engine::wire::{write_frame, Value};
-use mbqao_core::engine::{Backend, Executor, GateBackend, PatternBackend, PauliBackend, ZxBackend};
-use mbqao_problems::{generators, maxcut, ZPoly};
-use mbqao_qaoa::QaoaAnsatz;
-use std::time::Instant;
+use mbqao_core::engine::wire::{Value, WireError};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
-/// Which perf-trajectory point this binary produces.
-const PR: u32 = 10;
+const USAGE: &str = "usage: perf_report <parent-rev> [<change-rev>] [--workload <name>] [--smoke]";
 
-const USAGE: &str = "usage: perf_report [--smoke] [--only <filter>] [--out <path>]";
+/// The checkout this binary was built from.
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
-/// Where the report goes unless `--out` says otherwise: under the build
-/// directory, so an exploratory run never overwrites a committed
-/// `BENCH_<pr>.json` trajectory point.
-const DEFAULT_OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/perf_report.json");
+/// Alternating pairs per workload (one under `--smoke`).
+const PAIRS: u64 = 10;
 
-/// The parsed command line.
-#[derive(Debug, PartialEq)]
-struct Args {
-    smoke: bool,
-    only: Option<String>,
-    out: String,
-}
+/// The seed of each side's traced run.
+const TRACE_SEED: u64 = 1;
+
+/// The command line: parent rev, change rev, workload, `--smoke`.
+type Args = (String, Option<String>, Option<String>, bool);
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut parsed = Args {
-        smoke: false,
-        only: None,
-        out: DEFAULT_OUT.to_string(),
-    };
+    let (mut revs, mut workload, mut smoke) = (Vec::new(), None, false);
     let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--smoke" => parsed.smoke = true,
-            "--only" => parsed.only = Some(value()?),
-            "--out" => parsed.out = value()?,
-            other => return Err(format!("unknown argument {other:?}")),
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--workload" => workload = Some(it.next().ok_or("--workload needs a value")?.clone()),
+            flag if flag.starts_with('-') => return Err(format!("unknown argument {flag:?}")),
+            rev => revs.push(rev.to_string()),
         }
     }
-    Ok(parsed)
-}
-
-/// One measured workload: `reps` timed repetitions of `iters` inner
-/// iterations each (after `warmup` untimed repetitions).
-struct Measurement {
-    name: &'static str,
-    detail: String,
-    /// Unit of one inner iteration (for throughput readers).
-    unit: &'static str,
-    iters: usize,
-    warmup: usize,
-    reps: usize,
-    /// Seconds per inner iteration, one entry per rep.
-    secs_per_iter: Vec<f64>,
-}
-
-impl Measurement {
-    /// [`Measurement::time`], then one stderr line with the result.
-    fn run(
-        name: &'static str,
-        detail: String,
-        unit: &'static str,
-        iters: usize,
-        warmup: usize,
-        reps: usize,
-        f: impl FnMut(),
-    ) -> Self {
-        let m = Self::time(name, detail, unit, iters, warmup, reps, f);
-        m.log();
-        m
+    let mut revs = revs.into_iter();
+    let parent = revs.next().ok_or("missing <parent-rev>")?;
+    let change = revs.next();
+    match revs.next() {
+        Some(extra) => Err(format!("unexpected argument {extra:?}")),
+        None => Ok((parent, change, workload, smoke)),
     }
+}
 
-    /// Times `reps` repetitions of `iters` calls to `f`, after `warmup`
-    /// untimed repetitions.
-    fn time(
-        name: &'static str,
-        detail: String,
-        unit: &'static str,
-        iters: usize,
-        warmup: usize,
-        reps: usize,
-        mut f: impl FnMut(),
-    ) -> Self {
-        for _ in 0..warmup * iters {
-            f();
-        }
-        let mut secs_per_iter = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                f();
+/// One side's runs of one metric.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    q1: f64,
+    q3: f64,
+    /// `(max − min) / |median|` (NaN when every run reads 0).
+    range_over_median: f64,
+}
+
+/// Quantile `q` of `sorted`, interpolated linearly between order
+/// statistics.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+fn spread(xs: &[f64]) -> Spread {
+    let mut s = xs.to_vec();
+    s.sort_by(f64::total_cmp);
+    let median = quantile(&s, 0.5);
+    Spread {
+        median,
+        q1: quantile(&s, 0.25),
+        q3: quantile(&s, 0.75),
+        range_over_median: (s[s.len() - 1] - s[0]) / median.abs(),
+    }
+}
+
+/// Judges one end-to-end metric from its `(parent, change)` pairs:
+/// returns the pairs the change wins and the first verdict that applies:
+/// 1. **better**: the change wins at least ⌈0.9·pairs⌉ pairs (ties count
+///    for neither side) and its median is better by more than the
+///    parent's interquartile range;
+/// 2. **worse**: its median is worse by more than `bound` × the parent's;
+/// 3. **unresolved**: either side's range over median exceeds `bound`,
+///    unless every change run beats every parent run;
+/// 4. **no worse**.
+fn compare(pairs: &[(f64, f64)], higher_is_better: bool, bound: f64) -> (usize, &'static str) {
+    // How much better `b` is than `a`, in the metric's direction.
+    let gain = |a: f64, b: f64| if higher_is_better { b - a } else { a - b };
+    let (p, c): (Vec<f64>, Vec<f64>) = pairs.iter().copied().unzip();
+    let (parent, change) = (spread(&p), spread(&c));
+    let wins = pairs.iter().filter(|&&(a, b)| gain(a, b) > 0.0).count();
+    let gained = gain(parent.median, change.median);
+    let all_beat = c.iter().all(|&b| p.iter().all(|&a| gain(a, b) > 0.0));
+    let wide = parent.range_over_median > bound || change.range_over_median > bound;
+    let verdict = if wins * 10 >= pairs.len() * 9 && gained > parent.q3 - parent.q1 {
+        "better"
+    } else if -gained > bound * parent.median.abs() {
+        "WORSE"
+    } else if wide && !all_beat {
+        "unresolved"
+    } else {
+        "no worse"
+    };
+    (wins, verdict)
+}
+
+/// Reads JSON whose numbers may be decimal floats, as perfbench's
+/// result line and `BENCHMARK.json` have them. The wire parser refuses
+/// float literals by design, so every number outside a string is quoted
+/// first and read back by [`number`].
+fn read_json(text: &str) -> Result<Value, WireError> {
+    let mut out = String::with_capacity(text.len() + text.len() / 4);
+    let (mut in_str, mut escaped, mut in_num) = (false, false, false);
+    for c in text.chars() {
+        if in_str {
+            (in_str, escaped) = (escaped || c != '"', !escaped && c == '\\');
+        } else if !(in_num && (c.is_ascii_digit() || "+-.eE".contains(c))) {
+            // A number ends here, or one starts (never both in JSON).
+            let starts = c == '-' || c.is_ascii_digit();
+            if in_num || starts {
+                out.push('"');
             }
-            secs_per_iter.push(t0.elapsed().as_secs_f64() / iters as f64);
+            (in_num, in_str) = (starts, c == '"');
         }
-        Measurement {
-            name,
-            detail,
-            unit,
-            iters,
-            warmup,
-            reps,
-            secs_per_iter,
-        }
+        out.push(c);
     }
+    if in_num {
+        out.push('"');
+    }
+    Value::parse(&out)
+}
 
-    fn log(&self) {
-        eprintln!(
-            "  {:<28} {:>12.3} µs/{} (min over {} reps × {} iters)",
-            self.name,
-            self.min() * 1e6,
-            self.unit,
-            self.reps,
-            self.iters
-        );
-    }
+/// A number read by [`read_json`]; `None` for `null` or a non-number.
+fn number(v: &Value) -> Option<f64> {
+    v.as_str().ok()?.parse().ok()
+}
 
-    fn min(&self) -> f64 {
-        self.secs_per_iter
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
+/// What `perf_report` reads from `BENCHMARK.json`.
+struct Bench {
+    command: Vec<String>,
+    run_seconds: f64,
+    workloads: Vec<String>,
+    /// `(name, higher is better, bound)`.
+    end_to_end: Vec<(String, bool, f64)>,
+    /// `(name, unit)`.
+    per_layer: Vec<(String, String)>,
+}
 
-    fn mean(&self) -> f64 {
-        self.secs_per_iter.iter().sum::<f64>() / self.secs_per_iter.len() as f64
+fn read_bench() -> Result<Bench, WireError> {
+    let path = Path::new(ROOT).join("BENCHMARK.json");
+    let text = std::fs::read_to_string(path).map_err(|e| WireError(e.to_string()))?;
+    let j = read_json(&text)?;
+    // Field `field` of every entry of list `key` (the entry itself when
+    // it has no such field).
+    let strs = |key: &str, field: &str| -> Result<Vec<String>, WireError> {
+        let item = |v: &Value| v.field(field).unwrap_or(v).as_str().map(str::to_string);
+        j.field(key)?.as_arr()?.iter().map(item).collect()
+    };
+    let bad = |what: &str| WireError(format!("bad {what}"));
+    let mut end_to_end = Vec::new();
+    for m in j.field("end_to_end")?.as_arr()? {
+        let higher = m.field("better")?.as_str()? == "higher";
+        let bound = number(m.field("bound")?).ok_or(bad("bound"))?;
+        end_to_end.push((m.field("name")?.as_str()?.to_string(), higher, bound));
     }
+    Ok(Bench {
+        command: strs("command", "")?,
+        run_seconds: number(j.field("run_seconds")?).ok_or(bad("run_seconds"))?,
+        workloads: strs("workloads", "name")?,
+        end_to_end,
+        per_layer: (strs("per_layer", "name")?.into_iter())
+            .zip(strs("per_layer", "unit")?)
+            .collect(),
+    })
+}
 
-    fn median(&self) -> f64 {
-        let mut v = self.secs_per_iter.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN timings"));
-        v[v.len() / 2]
-    }
+/// One side of the A/B: a rev archived into its own tree and target.
+struct Side {
+    name: &'static str,
+    rev: String,
+    tree: PathBuf,
+    target: PathBuf,
+}
 
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"detail\": \"{}\", \"unit\": \"{}\", ",
-                "\"iters_per_rep\": {}, \"warmup_reps\": {}, \"reps\": {}, ",
-                "\"secs_per_iter\": {{\"min\": {:.9e}, \"median\": {:.9e}, \"mean\": {:.9e}}}, ",
-                "\"per_sec_min\": {:.6e}}}"
-            ),
-            self.name,
-            self.detail,
-            self.unit,
-            self.iters,
-            self.warmup,
-            self.reps,
-            self.min(),
-            self.median(),
-            self.mean(),
-            1.0 / self.min(),
-        )
+/// One readable result line.
+struct Run {
+    attempted: f64,
+    failed: f64,
+    metrics: Value,
+}
+
+impl Run {
+    fn metric(&self, name: &str) -> Option<f64> {
+        number(self.metrics.field(name).ok()?.field("value").ok()?)
     }
+}
+
+/// Runs git in the checkout, through `index` when one is given.
+fn git(args: &[&str], index: Option<&Path>) -> Result<String, String> {
+    let mut cmd = Command::new("git");
+    cmd.envs(index.map(|i| ("GIT_INDEX_FILE", i)));
+    match cmd.args(["-C", ROOT]).args(args).output() {
+        Ok(o) if o.status.success() => Ok(String::from_utf8_lossy(&o.stdout).trim().to_string()),
+        Ok(o) => Err(String::from_utf8_lossy(&o.stderr).into_owned()),
+        Err(e) => Err(format!("git: {e}")),
+    }
+}
+
+/// Extracts `paths` (all when empty) of tree-ish `id` into `dir`.
+fn archive(id: &str, paths: &[&str], dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut git = Command::new("git")
+        .args(["-C", ROOT, "archive", "--format=tar", id])
+        .args(paths)
+        .stdout(Stdio::piped())
+        .spawn()
+        .map_err(|e| format!("git archive: {e}"))?;
+    let tar = (Command::new("tar").arg("-x").arg("-C").arg(dir))
+        .stdin(git.stdout.take().expect("piped"))
+        .status();
+    match (git.wait(), tar) {
+        (Ok(g), Ok(t)) if g.success() && t.success() => Ok(()),
+        _ => Err(format!("extracting {id} into {}", dir.display())),
+    }
+}
+
+/// Archives `id` as side `name`, with the checkout's `perfbench/`
+/// (from tree `checkout`) over it.
+fn prepare(work: &Path, name: &'static str, id: &str, checkout: &str) -> Result<Side, String> {
+    let rev = match id == checkout {
+        true => format!("worktree:{id}"),
+        false => id.to_string(),
+    };
+    let dir = work.join(name);
+    let (tree, target, stamp) = (dir.join("tree"), dir.join("build"), dir.join("build.rev"));
+    // An archive keeps its commit's mtimes, so cargo would take an
+    // older rev's sources for fresh: a build dir serves one rev only.
+    if std::fs::read_to_string(&stamp).ok().as_deref() != Some(id) {
+        let _ = std::fs::remove_dir_all(&target);
+    }
+    let _ = std::fs::remove_dir_all(&tree);
+    archive(id, &[], &tree)?;
+    let _ = std::fs::remove_dir_all(tree.join("perfbench"));
+    archive(checkout, &["perfbench"], &tree)?;
+    std::fs::write(&stamp, id).map_err(|e| format!("{}: {e}", stamp.display()))?;
+    Ok(Side {
+        name,
+        rev,
+        tree,
+        target,
+    })
+}
+
+/// Runs perfbench once on `side` — a `kind` of run, `"warmup"`, `"pair"`
+/// or `"traced"` — and appends its result line to `log`. `Err` when the
+/// output cannot be read; otherwise the run and whether it passed.
+fn run(
+    bench: &Bench,
+    side: &Side,
+    (workload, seed, kind, smoke): (&str, u64, &str, bool),
+    log: &mut impl std::io::Write,
+) -> Result<(Run, bool), String> {
+    let smoke = smoke || kind == "warmup";
+    let seconds = if smoke { 1.0 } else { bench.run_seconds };
+    let trace = u8::from(kind == "traced");
+    let what = format!("{workload} seed {seed} {kind} run on {}", side.name);
+    eprintln!("perf_report: {what}");
+    let flags = format!("--workload {workload} --seed {seed} --seconds {seconds} --trace {trace}");
+    let out = Command::new(&bench.command[0])
+        .args(&bench.command[1..])
+        .args(flags.split(' '))
+        .args(smoke.then_some("--smoke"))
+        .current_dir(&side.tree)
+        .env("CARGO_TARGET_DIR", &side.target)
+        .output()
+        .map_err(|e| format!("{what}: {e}"))?;
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.trim_end().lines().last().unwrap_or("");
+    let parsed = read_json(line).ok().and_then(|j| {
+        Some(Run {
+            attempted: number(j.field("attempted").ok()?)?,
+            failed: number(j.field("failed").ok()?)?,
+            metrics: j.field("metrics").ok()?.clone(),
+        })
+    });
+    let clean = out.status.success() && parsed.as_ref().is_some_and(|r| r.failed == 0.0);
+    if !clean {
+        eprint!("{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let result = parsed.ok_or(format!("{what}: unreadable output ({})", out.status))?;
+    writeln!(
+        log,
+        "{{\"side\":\"{}\",\"rev\":\"{}\",\"workload\":\"{workload}\",\"seed\":{seed},\"run\":\"{kind}\",\"result\":{line}}}",
+        side.name, side.rev
+    )
+    .map_err(|e| format!("runs.jsonl: {e}"))?;
+    Ok((result, clean))
+}
+
+/// Four significant digits, without exponents in the usual ranges.
+fn num(v: f64) -> String {
+    match v.abs() {
+        a if a == 0.0 || !a.is_finite() => format!("{v}"),
+        a if a >= 0.01 => format!("{v:.*}", (3 - a.log10().floor() as i32).max(0) as usize),
+        _ => format!("{v:.3e}"),
+    }
+}
+
+fn report(bench: &Bench, workload: &str, runs: [&[Run]; 2], traced: [&Run; 2]) {
+    let [parent, change] = runs;
+    println!("\n== {workload}: {} pair(s) ==", parent.len());
+    println!("metric       better        parent median [Q1–Q3] rng/med        change median [Q1–Q3] rng/med  wins  verdict");
+    for (name, higher, bound) in &bench.end_to_end {
+        let pairs: Option<Vec<(f64, f64)>> = (parent.iter().zip(change))
+            .map(|(a, b)| Some((a.metric(name)?, b.metric(name)?)))
+            .collect();
+        let Some(pairs) = pairs else {
+            println!("{name:<12} (missing from a run)");
+            continue;
+        };
+        let (wins, verdict) = compare(&pairs, *higher, *bound);
+        let (p, c): (Vec<f64>, Vec<f64>) = pairs.iter().copied().unzip();
+        let side = |s: Spread| {
+            let quartiles = format!("{} [{}–{}]", num(s.median), num(s.q1), num(s.q3));
+            format!("{quartiles:>28} {:>7.3}", s.range_over_median)
+        };
+        let better = ["lower", "higher"][usize::from(*higher)];
+        let (p, c, n) = (side(spread(&p)), side(spread(&c)), pairs.len());
+        println!("{name:<12} {better:>6} {p} {c} {wins:>2}/{n:<2}  {verdict}");
+    }
+    let share = |runs: &[Run], t: &Run| {
+        let sum = |f: fn(&Run) -> f64| runs.iter().map(f).sum::<f64>() + f(t);
+        (sum(|r| r.failed), sum(|r| r.attempted))
+    };
+    let ((pf, pa), (cf, ca)) = (share(parent, traced[0]), share(change, traced[1]));
+    let flag = ["", "  <- HIGHER ON THE CHANGE"][usize::from(cf * pa > pf * ca)];
+    println!("failed/attempted: parent {pf}/{pa}, change {cf}/{ca}{flag}");
+    println!("\ntraced, seed {TRACE_SEED}              unit       parent       change");
+    let mut changed = 0;
+    for (name, unit) in &bench.per_layer {
+        let exact = unit == "count" || unit == "bytes";
+        let [a, b] = traced.map(|r| r.metric(name));
+        let show = |v: Option<f64>| match v {
+            Some(v) if exact => format!("{v}"),
+            v => v.map_or("-".into(), num),
+        };
+        let flag = (exact && a != b).then_some("  <- COUNTER CHANGED");
+        changed += usize::from(flag.is_some());
+        let flag = flag.unwrap_or("");
+        println!("{name:<24} {unit:>6} {:>12} {:>12}{flag}", show(a), show(b));
+    }
+    println!("exact counters changed: {changed}");
+}
+
+fn fail(code: i32, msg: &str) -> ! {
+    eprintln!("perf_report: {msg}");
+    if code == 2 {
+        eprintln!("{USAGE}");
+    }
+    std::process::exit(code)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return;
-    }
-    let Args {
-        smoke,
-        only,
-        out: out_path,
-    } = parse_args(&args).unwrap_or_else(|e| {
-        eprintln!("perf_report: {e}\n{USAGE}");
-        std::process::exit(2);
-    });
+    let (parent, change, workload, smoke) = parse_args(&args).unwrap_or_else(|e| fail(2, &e));
+    let bench = read_bench().unwrap_or_else(|e| fail(1, &format!("BENCHMARK.json: {e}")));
+    let workloads: Vec<String> = match workload {
+        Some(w) if !bench.workloads.contains(&w) => fail(2, &format!("unknown workload {w:?}")),
+        Some(w) => vec![w],
+        None => bench.workloads.clone(),
+    };
+    let resolve = |rev: &str| {
+        let spec = format!("{rev}^{{commit}}");
+        git(&["rev-parse", "--verify", "--quiet", &spec], None)
+            .unwrap_or_else(|_| fail(2, &format!("bad rev {rev:?}")))
+    };
+    let parent = resolve(&parent);
+    let change = change.as_deref().map(resolve);
 
-    // Scale knobs: --smoke keeps CI fast, the full run is what gets
-    // committed. Inner-iteration counts keep each rep ≳ a few ms so
-    // Instant resolution never dominates.
-    let (warmup, reps) = if smoke { (0, 1) } else { (2, 7) };
-    let shots = if smoke { 32 } else { 512 };
-    let sweep_points = if smoke { 8 } else { 64 };
-    let scale = |iters: usize| if smoke { 1 } else { iters };
-
-    eprintln!(
-        "perf_report (pr {PR}, {}, {} threads)",
-        if smoke { "smoke" } else { "full" },
-        rayon::current_num_threads()
-    );
-
-    let petersen = maxcut::maxcut_zpoly(&generators::petersen());
-    let grid = maxcut::maxcut_zpoly(&generators::grid(3, 3));
-    let ring16 = maxcut::maxcut_zpoly(&generators::cycle(16));
-    let p2_params = [0.7, 0.4, 0.3, 0.9];
-    let p1_params = [0.7, 0.4];
-
-    let enabled = |name: &str| only.as_ref().is_none_or(|f| name.contains(f.as_str()));
-    // The orchestration points drive the sibling `mbqao-serve` binary
-    // and are skipped when it is absent (e.g. `--only` builds).
-    let serve_exe = std::env::current_exe()
-        .ok()
-        .and_then(|p| {
-            Some(
-                p.parent()?
-                    .join(format!("mbqao-serve{}", std::env::consts::EXE_SUFFIX)),
-            )
-        })
-        .filter(|p| p.is_file());
-
-    let mut results: Vec<Measurement> = Vec::new();
-
-    // Expectation through each backend on the same instance: the
-    // paper-table workload (petersen: |V| = 10, |E| = 15).
-    if enabled("gate_expectation") {
-        let gate = GateBackend::standard(petersen.clone(), 2);
-        results.push(Measurement::run(
-            "gate_expectation",
-            "petersen p=2, <C> via gate-model circuit".into(),
-            "eval",
-            scale(40),
-            warmup,
-            reps,
-            || {
-                std::hint::black_box(gate.expectation(&p2_params));
-            },
-        ));
-    }
-    if enabled("pattern_expectation") {
-        let pattern = PatternBackend::new(&petersen, 2);
-        pattern.expectation(&p2_params); // compile outside the timer
-        results.push(Measurement::run(
-            "pattern_expectation",
-            "petersen p=2, <C> via compiled measurement pattern".into(),
-            "eval",
-            scale(10),
-            warmup,
-            reps,
-            || {
-                std::hint::black_box(pattern.expectation(&p2_params));
-            },
-        ));
-    }
-    if enabled("zx_expectation") {
-        let zx = ZxBackend::new(&petersen, 2);
-        zx.expectation(&p2_params);
-        results.push(Measurement::run(
-            "zx_expectation",
-            "petersen p=2, <C> via ZX-simplified re-extracted pattern".into(),
-            "eval",
-            scale(10),
-            warmup,
-            reps,
-            || {
-                std::hint::black_box(zx.expectation(&p2_params));
-            },
-        ));
-    }
-
-    // MBQC shot throughput: the per-measurement hot loop
-    // (add_qubit/entangle/measure_remove per pattern node), fanned out
-    // in blocks by the executor.
-    if enabled("mbqc_shot") {
-        let exec = Executor::new(PatternBackend::new(&petersen, 1));
-        exec.backend().sample(&p1_params, 1, 0); // compile outside the timer
-        let m = Measurement::time(
-            "mbqc_shot",
-            format!("petersen p=1, Executor::sample, {shots} shots/iter"),
-            "shot",
-            1,
-            warmup,
-            reps,
-            || {
-                std::hint::black_box(exec.sample(&p1_params, shots, 0xBEEF));
-            },
-        );
-        // Rescale: one iter drew `shots` shots.
-        let m = Measurement {
-            secs_per_iter: m.secs_per_iter.iter().map(|s| s / shots as f64).collect(),
-            ..m
-        };
-        m.log();
-        eprintln!(
-            "  {:<28} {:>12.0} shots/s",
-            "mbqc_shot_throughput",
-            1.0 / m.min()
-        );
-        results.push(m);
-    }
-
-    // Batched parameter sweep: the classical outer loop's fan-out.
-    if enabled("batched_sweep") {
-        let exec = Executor::new(GateBackend::standard(grid.clone(), 1));
-        let points: Vec<Vec<f64>> = (0..sweep_points)
-            .map(|i| vec![0.05 * i as f64, 0.03 * i as f64])
-            .collect();
-        results.push(Measurement::run(
-            "batched_sweep",
-            format!("grid3x3 p=1, expectation_batch over {sweep_points} points"),
-            "batch",
-            scale(4),
-            warmup,
-            reps,
-            || {
-                std::hint::black_box(exec.expectation_batch(&points));
-            },
-        ));
-    }
-
-    // A statevector above PAR_THRESHOLD (2^16 amplitudes): exercises the
-    // parallel kernels and the dispatch cost the worker pool removes.
-    if enabled("gate_expectation_2pow16") {
-        let gate = GateBackend::new(QaoaAnsatz::standard(ring16.clone(), 1));
-        results.push(Measurement::run(
-            "gate_expectation_2pow16",
-            "C16 p=1, <C> on a 2^16-amplitude statevector".into(),
-            "eval",
-            scale(4),
-            warmup,
-            reps,
-            || {
-                std::hint::black_box(gate.expectation(&p1_params));
-            },
-        ));
-    }
-
-    // Stabilizer-tableau scaling: a Clifford-heavy weighted cycle (unit
-    // edges are Clifford at γ = π/4, one golden-ratio chord contributes
-    // the single non-Clifford measurement) evaluated through the pauli
-    // backend at n = 16…128. The n = 128 point is the headline: a 2^128
-    // statevector cannot exist, the tableau runs it in polynomial time.
-    if enabled("tableau_scaling") {
-        let phi = 1.618_033_988_749_895f64;
-        for (name, n) in [
-            ("tableau_scaling_n16", 16usize),
-            ("tableau_scaling_n32", 32),
-            ("tableau_scaling_n64", 64),
-            ("tableau_scaling_n128", 128),
-        ] {
-            let mut terms: Vec<(Vec<usize>, f64)> =
-                (0..n).map(|v| (vec![v, (v + 1) % n], 1.0)).collect();
-            terms.push((vec![0, n / 2], phi));
-            let cost = ZPoly::new(n, 0.0, terms);
-            let pauli = PauliBackend::new(&cost, 1);
-            let params = [std::f64::consts::FRAC_PI_4; 2];
-            assert_eq!(pauli.magic_count(&params), 1);
-            pauli.expectation(&params); // compile outside the timer
-            results.push(Measurement::run(
-                name,
-                format!("C{n}+chord p=1, <C> via stabilizer tableau (1 magic)"),
-                "eval",
-                scale(4),
-                warmup,
-                reps,
-                || {
-                    std::hint::black_box(pauli.expectation(&params));
-                },
-            ));
+    let root = Path::new(ROOT).canonicalize().unwrap_or(ROOT.into());
+    let work = root.join("target/perf_report");
+    let setup = || -> Result<[Side; 2], String> {
+        std::fs::create_dir_all(&work).map_err(|e| format!("{}: {e}", work.display()))?;
+        // The checkout as it stands, new unignored files included, as a
+        // tree written through a scratch index.
+        let index = Some(work.join("index"));
+        git(&["read-tree", "HEAD"], index.as_deref())?;
+        git(&["add", "-A"], index.as_deref())?;
+        let checkout = git(&["write-tree"], index.as_deref())?;
+        let change = change.as_deref().unwrap_or(&checkout);
+        let parent = prepare(&work, "parent", &parent, &checkout)?;
+        Ok([parent, prepare(&work, "change", change, &checkout)?])
+    };
+    let sides = setup().unwrap_or_else(|e| fail(1, &e));
+    let log_path = work.join("runs.jsonl");
+    let mut log = std::fs::File::create(&log_path)
+        .unwrap_or_else(|e| fail(1, &format!("{}: {e}", log_path.display())));
+    let mut clean = true;
+    let mut go = |i: usize, workload: &str, seed, kind| {
+        let (r, ok) = run(&bench, &sides[i], (workload, seed, kind, smoke), &mut log)
+            .unwrap_or_else(|e| fail(1, &e));
+        clean &= ok;
+        r
+    };
+    for (i, side) in sides.iter().enumerate() {
+        if go(i, &workloads[0], TRACE_SEED, "warmup").failed != 0.0 {
+            fail(1, &format!("{} fails its smoke run", side.rev));
         }
     }
-
-    // Orchestrator dispatch overhead, cold: one tiny 2-shard job
-    // through `run_job`, which brings up a private worker pool per job
-    // (partition → pool spawn → wire round trip → streaming merge →
-    // pool shutdown). The sweep itself is trivial (2×2 gate
-    // landscape), so the time is almost entirely the orchestration
-    // cost a job pays before any real work; the warm-pool cost is
-    // `worker_pool_dispatch` below.
-    if enabled("serve_dispatch") {
-        match &serve_exe {
-            None => eprintln!(
-                "  {:<28} skipped (mbqao-serve binary not built)",
-                "serve_dispatch"
-            ),
-            Some(exe) => {
-                let workload = Workload::Landscape {
-                    family: FamilyRef {
-                        seed: 7,
-                        name: "square".into(),
-                    },
-                    backend: BackendKind::Gate,
-                    steps: 2,
-                    gamma: (0.0, 1.0),
-                    beta: (0.0, 1.0),
-                };
-                let config = ServeConfig {
-                    cap: 2,
-                    log: false,
-                    ..ServeConfig::default()
-                };
-                results.push(Measurement::run(
-                    "serve_dispatch",
-                    "2x2 gate landscape as a 2-shard mbqao-serve job on a private pool \
-                     (orchestration overhead incl. pool bring-up)"
-                        .into(),
-                    "job",
-                    1,
-                    warmup,
-                    reps,
-                    || {
-                        let (out, stats) = run_job(exe, 0, &workload, 2, &[], &config, &mut |_| {})
-                            .expect("dispatch job");
-                        assert!(stats.max_live <= 2);
-                        std::hint::black_box(out);
-                    },
-                ));
+    let pairs = if smoke { 1 } else { PAIRS };
+    for w in &workloads {
+        let mut runs: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
+        for seed in 1..=pairs {
+            for i in if seed % 2 == 1 { [0, 1] } else { [1, 0] } {
+                runs[i].push(go(i, w, seed, "pair"));
             }
         }
+        let traced = [0, 1].map(|i| go(i, w, TRACE_SEED, "traced"));
+        report(&bench, w, [&runs[0], &runs[1]], [&traced[0], &traced[1]]);
     }
-
-    // Worker-pool dispatch: the same tiny 2-shard pattern-backend job,
-    // repeated on one persistent pool (a frame write to a warm,
-    // affinity-routed process). Pattern backend so the per-process
-    // compiled-pattern cache matters: the hit rate climbs across reps
-    // because the workers that compiled the pattern keep getting its
-    // shards.
-    if enabled("worker_pool_dispatch") {
-        match &serve_exe {
-            None => eprintln!(
-                "  {:<28} skipped (mbqao-serve binary not built)",
-                "worker_pool_dispatch"
-            ),
-            Some(exe) => {
-                let workload = Workload::Landscape {
-                    family: FamilyRef {
-                        seed: 7,
-                        name: "square".into(),
-                    },
-                    backend: BackendKind::Pattern,
-                    steps: 2,
-                    gamma: (0.0, 1.0),
-                    beta: (0.0, 1.0),
-                };
-                let config = ServeConfig {
-                    cap: 2,
-                    log: false,
-                    ..ServeConfig::default()
-                };
-                let pool = spawn_pool(exe, &config);
-                let (mut hits, mut misses, mut id) = (0usize, 0usize, 0u64);
-                // At least one untimed job warms the pool's pattern caches.
-                let mut m = Measurement::time(
-                    "worker_pool_dispatch",
-                    String::new(),
-                    "job",
-                    1,
-                    warmup.max(1),
-                    reps,
-                    || {
-                        let spec = JobSpec {
-                            id,
-                            workload: &workload,
-                            shards: 2,
-                            faults: &[],
-                        };
-                        let (out, stats) = run_job_with(&pool, &spec, &config, None, &mut |_| {})
-                            .expect("dispatch job");
-                        assert!(stats.max_live <= 2);
-                        std::hint::black_box(out);
-                        hits += stats.cache_hits;
-                        misses += stats.cache_misses;
-                        id += 1;
-                    },
-                );
-                pool.shutdown();
-                m.detail = format!(
-                    "2x2 pattern landscape, 2-shard job on a warm pool; cache-hit rate \
-                     {:.0}% ({hits} hits / {misses} misses, warm-up included)",
-                    100.0 * hits as f64 / (hits + misses).max(1) as f64
-                );
-                m.log();
-                results.push(m);
-            }
-        }
+    let [p, c] = &sides;
+    println!("\nparent {}, change {}", p.rev, c.rev);
+    println!("runs: {}", log_path.display());
+    if !clean {
+        fail(1, "a run reported failures");
     }
-
-    // The tentpole of the multi-tenant scheduler: two independent jobs
-    // whose first attempts stall must finish ~2x faster interleaved
-    // over one pool (`max_jobs 2`) than driven serially back to back
-    // (`max_jobs 1`) — the stalls overlap instead of queueing. A/B
-    // reps interleave (1-core hosts jitter ≫ 10%); compare minima.
-    if enabled("multi_job_throughput") {
-        match &serve_exe {
-            None => eprintln!(
-                "  {:<28} skipped (mbqao-serve binary not built)",
-                "multi_job_throughput"
-            ),
-            Some(exe) => {
-                let stall_ms: u64 = if smoke { 40 } else { 150 };
-                let input = {
-                    let mut buf = Vec::new();
-                    for (id, seed) in [(1u64, 7u64), (2, 11)] {
-                        let req = SubmitRequest {
-                            id,
-                            workload: Workload::Landscape {
-                                family: FamilyRef {
-                                    seed,
-                                    name: "square".into(),
-                                },
-                                backend: BackendKind::Gate,
-                                steps: 2,
-                                gamma: (0.0, 1.0),
-                                beta: (0.0, 1.0),
-                            },
-                            shards: 1,
-                            faults: vec![(0, Fault::Stall(stall_ms))],
-                            check: false,
-                        };
-                        write_frame(&mut buf, &req.to_wire()).expect("compose submit");
-                    }
-                    write_frame(
-                        &mut buf,
-                        &Value::obj(vec![("type", Value::Str("shutdown".into()))]),
-                    )
-                    .expect("compose shutdown");
-                    buf
-                };
-                let run = |max_jobs: usize| {
-                    let config = ServeConfig {
-                        cap: 2,
-                        max_jobs,
-                        log: false,
-                        ..ServeConfig::default()
-                    };
-                    let t0 = Instant::now();
-                    let stats = serve(
-                        std::io::Cursor::new(input.clone()),
-                        std::io::sink(),
-                        exe,
-                        &config,
-                    );
-                    assert_eq!((stats.done, stats.failed), (2, 0));
-                    t0.elapsed().as_secs_f64()
-                };
-                for _ in 0..warmup.min(1) {
-                    run(2);
-                    run(1);
-                }
-                let mut secs = (Vec::with_capacity(reps), Vec::with_capacity(reps));
-                for _ in 0..reps {
-                    secs.0.push(run(2));
-                    secs.1.push(run(1));
-                }
-                for (name, s) in [
-                    ("multi_job_throughput", secs.0),
-                    ("multi_job_throughput_serial", secs.1),
-                ] {
-                    let m = Measurement {
-                        name,
-                        detail: format!(
-                            "two 1-shard jobs, {stall_ms} ms first-attempt stalls, \
-                             cap-2 pool; interleaved (max_jobs 2) vs serial \
-                             (max_jobs 1), interleaved A/B"
-                        ),
-                        unit: "batch",
-                        iters: 1,
-                        warmup: warmup.min(1),
-                        reps,
-                        secs_per_iter: s,
-                    };
-                    eprintln!(
-                        "  {:<28} {:>12.3} µs/{} (min over {} reps)",
-                        m.name,
-                        m.min() * 1e6,
-                        m.unit,
-                        m.reps
-                    );
-                    results.push(m);
-                }
-            }
-        }
-    }
-
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let body: Vec<String> = results.iter().map(Measurement::to_json).collect();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": 1,\n",
-            "  \"report\": \"perf-trajectory\",\n",
-            "  \"pr\": {},\n",
-            "  \"smoke\": {},\n",
-            "  \"threads\": {},\n",
-            "  \"par_threshold\": {},\n",
-            "  \"unix_time_secs\": {},\n",
-            "  \"workloads\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        PR,
-        smoke,
-        rayon::current_num_threads(),
-        mbqao_sim::PAR_THRESHOLD,
-        unix_time,
-        body.join(",\n")
-    );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
-    }
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Args, String> {
-        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn defaults_write_under_target_not_over_a_trajectory_point() {
-        let args = parse(&[]).expect("no arguments is a full run");
-        assert!(!args.smoke && args.only.is_none());
-        assert!(
-            args.out.ends_with("/target/perf_report.json"),
-            "{}",
-            args.out
-        );
-    }
-
     #[test]
     fn known_flags_parse_and_unknown_ones_are_rejected() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            parse_args(&args)
+        };
+        let args = parse("HEAD~1 --workload cold_start HEAD --smoke").unwrap();
         assert_eq!(
-            parse(&["--smoke", "--only", "mbqc", "--out", "BENCH_x.json"]),
-            Ok(Args {
-                smoke: true,
-                only: Some("mbqc".into()),
-                out: "BENCH_x.json".into(),
-            })
+            args,
+            (
+                "HEAD~1".into(),
+                Some("HEAD".into()),
+                Some("cold_start".into()),
+                true
+            )
         );
-        assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
-        assert!(parse(&["--out"]).unwrap_err().contains("needs a value"));
+        assert_eq!(parse("abc"), Ok(("abc".into(), None, None, false)));
+        for (bad, why) in [
+            ("HEAD --only mbqc", "--only"),
+            ("HEAD --out x.json", "--out"),
+            ("HEAD --help", "--help"),
+            ("HEAD --workload", "needs a value"),
+            ("", "missing"),
+            ("a b c", "unexpected argument \"c\""),
+        ] {
+            assert!(parse(bad).unwrap_err().contains(why), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_order_statistics() {
+        let s = spread(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!([s.q1, s.median, s.q3], [1.75, 2.5, 3.25]);
+        assert_eq!(s.range_over_median, 1.2);
+        assert_eq!(spread(&[7.0; 3]).range_over_median, 0.0);
+    }
+
+    #[test]
+    fn verdicts_follow_the_rules_in_order() {
+        let v = |p: &[f64], c: &[f64], higher| {
+            let pairs: Vec<(f64, f64)> = p.iter().copied().zip(c.iter().copied()).collect();
+            compare(&pairs, higher, 0.25)
+        };
+        let base: Vec<f64> = (0..10).map(|i| 100.0 + i as f64).collect();
+        let double: Vec<f64> = base.iter().map(|x| 2.0 * x).collect();
+        assert_eq!(v(&base, &double, true), (10, "better"));
+        assert_eq!(v(&double, &base, false), (10, "better"));
+        assert_eq!(v(&double, &base, true), (0, "WORSE"));
+        // Ties count for neither side.
+        assert_eq!(v(&base, &base, true), (0, "no worse"));
+        // 8 wins of 10 are too few for better, however large the gain.
+        let mut eight = double.clone();
+        eight[..2].fill(50.0);
+        assert_eq!(v(&base, &eight, true), (8, "unresolved"));
+        // A wide spread on either side is unresolved...
+        let mut wide = base.clone();
+        wide[9] = 200.0;
+        assert_eq!(v(&wide, &base, true).1, "unresolved");
+        // ...unless every change run beats every parent run (here by less
+        // than the parent's IQR, so not better either).
+        let mut skewed = [100.0; 10];
+        skewed[..4].copy_from_slice(&[60.0, 70.0, 80.0, 90.0]);
+        let mut above = [101.0; 10];
+        above[9] = 200.0;
+        assert_eq!(v(&skewed, &above, true), (10, "no worse"));
+        // A 10% rise of a lower-is-better metric is inside the bound.
+        let up: Vec<f64> = base.iter().map(|x| x * 1.1).collect();
+        assert_eq!(v(&base, &up, false), (0, "no worse"));
+    }
+
+    #[test]
+    fn result_lines_with_decimal_floats_are_read() {
+        let line = r#"{"n": 12, "m": {"a": 0.0123, "b": null, "c": -1.5e-7, "u": "µs \"1.5\""}}"#;
+        let j = read_json(line).unwrap();
+        let m = |k: &str| j.field("m").unwrap().field(k).unwrap();
+        assert_eq!(number(j.field("n").unwrap()), Some(12.0));
+        assert_eq!(
+            [m("a"), m("b"), m("c")].map(number),
+            [Some(0.0123), None, Some(-1.5e-7)]
+        );
+        assert_eq!(m("u").as_str(), Ok("µs \"1.5\""));
+        let bad = "|{|[1,]|{\"a\" 1}|1 2|nul|\"open|".to_string() + &"[".repeat(999);
+        for bad in bad.split('|') {
+            assert!(read_json(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn benchmark_json_declares_what_perf_report_reads() {
+        let b = read_bench().unwrap();
+        assert_eq!(b.command.join(" "), "python3 perfbench/run.py");
+        assert_eq!(b.run_seconds, 20.0);
+        assert_eq!(
+            b.workloads.join(" "),
+            "variational clifford128 cold_start serve_jobs"
+        );
+        assert_eq!(b.end_to_end.len(), 5);
+        assert_eq!(b.end_to_end[1], ("evals_per_s".into(), true, 0.25));
+        assert_eq!(b.end_to_end[4], ("peak_rss_mb".into(), false, 0.25));
+        let counter = |n: &str, u: &str| b.per_layer.contains(&(n.into(), u.into()));
+        assert!(counter("zx.rewrites", "count") && counter("wire.bytes_per_job", "bytes"));
     }
 }

@@ -1,9 +1,11 @@
-//! Shared helpers for the benchmark harness and table generators.
+//! Shared helpers for the table generators, the sweep service and the
+//! benchmark's A/B command.
 //!
-//! The binaries in `src/bin/` regenerate the paper's quantitative
-//! artifacts; the benches in `benches/` measure the implementation
-//! itself. Execution plumbing lives in `mbqao_core::engine` — this crate
-//! only assembles workloads and formats tables.
+//! The `table_*` binaries in `src/bin/` regenerate the paper's
+//! quantitative artifacts; `perf_report` compares two commits on the
+//! repository benchmark (`perfbench/`). Execution plumbing lives in
+//! `mbqao_core::engine` — this crate only assembles workloads and
+//! formats tables.
 
 pub mod serve;
 pub mod sweep;
@@ -37,6 +39,14 @@ impl FamilyInstance {
         }
     }
 }
+
+/// The names of the [`standard_families`], in order. They are the same
+/// for every seed, so a family can be checked by name without building
+/// the instances.
+pub const STANDARD_FAMILY_NAMES: [&str; 12] = [
+    "triangle", "square", "C5", "C8", "K4", "K6", "star7", "grid3x3", "petersen", "3reg8", "SK5",
+    "SK7",
+];
 
 /// The standard family sweep used by the resource/equivalence tables:
 /// the paper's MaxCut graph families across |E|/|V| regimes, plus
@@ -160,6 +170,17 @@ mod tests {
                 f.name
             );
             assert!(f.cost.coupling_term_count() >= f.graph.m().min(2));
+        }
+    }
+
+    #[test]
+    fn family_names_are_the_same_for_every_seed() {
+        for seed in [0, 3, 7, u64::MAX] {
+            let names: Vec<String> = standard_families(seed)
+                .into_iter()
+                .map(|f| f.name)
+                .collect();
+            assert_eq!(names, STANDARD_FAMILY_NAMES, "seed {seed}");
         }
     }
 

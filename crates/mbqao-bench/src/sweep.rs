@@ -175,6 +175,50 @@ fn seed_from_wire(v: &Value) -> Result<u64, WireError> {
     Ok(v.as_int()? as u64)
 }
 
+/// Decodes a [`FamilyRef`], checking the name against
+/// [`crate::STANDARD_FAMILY_NAMES`]. Only the name is checked, not the
+/// instance: a worker decodes every shard job it runs, and generating
+/// the families here would add that cost to each job.
+fn family_from_wire(v: &Value) -> Result<FamilyRef, WireError> {
+    let name = v.field("family")?.as_str()?;
+    if !crate::STANDARD_FAMILY_NAMES.contains(&name) {
+        return Err(WireError(format!(
+            "\"family\" {name:?} is not a standard family"
+        )));
+    }
+    Ok(FamilyRef {
+        seed: seed_from_wire(v.field("family_seed")?)?,
+        name: name.to_string(),
+    })
+}
+
+/// Decodes a steps-per-axis field: a scan needs both ends of an axis.
+fn steps_from_wire(v: &Value, key: &str) -> Result<usize, WireError> {
+    let steps = v.field(key)?.as_uint()?;
+    if steps < 2 {
+        return Err(WireError(format!(
+            "{key:?} must be at least 2, got {steps}"
+        )));
+    }
+    Ok(steps)
+}
+
+/// Checks that `steps` per axis over `dims` axes gives an item count
+/// the wire's `i64` indices can address (a wrapped count would pass
+/// for a small one).
+fn check_grid_size(steps: usize, dims: usize, key: &str) -> Result<(), WireError> {
+    u32::try_from(dims)
+        .ok()
+        .and_then(|d| steps.checked_pow(d))
+        .filter(|&n| i64::try_from(n).is_ok())
+        .map(|_| ())
+        .ok_or_else(|| {
+            WireError(format!(
+                "{key:?} = {steps} over {dims} axes overflows the item count"
+            ))
+        })
+}
+
 /// A complete sweep-shaped workload: a pure function from item indices
 /// `0..total()` to per-item results, plus how to fold them.
 #[derive(Debug, Clone, PartialEq)]
@@ -361,33 +405,46 @@ impl Workload {
             Ok(xs)
         };
         match v.field("kind")?.as_str()? {
-            "landscape" => Ok(Workload::Landscape {
-                family: FamilyRef {
-                    seed: seed_from_wire(v.field("family_seed")?)?,
-                    name: v.field("family")?.as_str()?.to_string(),
-                },
-                backend: BackendKind::from_name(v.field("backend")?.as_str()?)?,
-                steps: v.field("steps")?.as_uint()?,
-                gamma: (
-                    v.field("gamma_lo")?.as_f64_bits()?,
-                    v.field("gamma_hi")?.as_f64_bits()?,
-                ),
-                beta: (
-                    v.field("beta_lo")?.as_f64_bits()?,
-                    v.field("beta_hi")?.as_f64_bits()?,
-                ),
-            }),
-            "grid" => Ok(Workload::Grid {
-                family: FamilyRef {
-                    seed: seed_from_wire(v.field("family_seed")?)?,
-                    name: v.field("family")?.as_str()?.to_string(),
-                },
-                backend: BackendKind::from_name(v.field("backend")?.as_str()?)?,
-                p: v.field("p")?.as_uint()?,
-                steps: v.field("steps")?.as_uint()?,
-                lo: v.field("lo")?.as_f64_array()?,
-                hi: v.field("hi")?.as_f64_array()?,
-            }),
+            "landscape" => {
+                let steps = steps_from_wire(v, "steps")?;
+                check_grid_size(steps, 2, "steps")?;
+                Ok(Workload::Landscape {
+                    family: family_from_wire(v)?,
+                    backend: BackendKind::from_name(v.field("backend")?.as_str()?)?,
+                    steps,
+                    gamma: (
+                        v.field("gamma_lo")?.as_f64_bits()?,
+                        v.field("gamma_hi")?.as_f64_bits()?,
+                    ),
+                    beta: (
+                        v.field("beta_lo")?.as_f64_bits()?,
+                        v.field("beta_hi")?.as_f64_bits()?,
+                    ),
+                })
+            }
+            "grid" => {
+                let p = v.field("p")?.as_uint()?;
+                let steps = steps_from_wire(v, "steps")?;
+                let lo = v.field("lo")?.as_f64_array()?;
+                let hi = v.field("hi")?.as_f64_array()?;
+                for (key, corner) in [("lo", &lo), ("hi", &hi)] {
+                    if p.checked_mul(2) != Some(corner.len()) {
+                        return Err(WireError(format!(
+                            "{key:?} has {} entries, \"p\" = {p} needs 2p",
+                            corner.len()
+                        )));
+                    }
+                }
+                check_grid_size(steps, lo.len(), "steps")?;
+                Ok(Workload::Grid {
+                    family: family_from_wire(v)?,
+                    backend: BackendKind::from_name(v.field("backend")?.as_str()?)?,
+                    p,
+                    steps,
+                    lo,
+                    hi,
+                })
+            }
             "resources" => Ok(Workload::ResourceTable(ResourcesSpec {
                 family_seed: seed_from_wire(v.field("family_seed")?)?,
                 max_n: v.field("max_n")?.as_uint()?,
@@ -401,14 +458,19 @@ impl Workload {
                 qubos: v.field("qubos")?.as_uint()?,
                 include_mis: v.field("include_mis")?.as_bool()?,
             })),
-            "disorder" => Ok(Workload::Disorder(DisorderSpec {
-                n: v.field("n")?.as_uint()?,
-                instances: v.field("instances")?.as_uint()?,
-                base_seed: seed_from_wire(v.field("base_seed")?)?,
-                p: v.field("p")?.as_uint()?,
-                grid_steps: v.field("grid_steps")?.as_uint()?,
-                backend: BackendKind::from_name(v.field("backend")?.as_str()?)?,
-            })),
+            "disorder" => {
+                let p = v.field("p")?.as_uint()?;
+                let grid_steps = steps_from_wire(v, "grid_steps")?;
+                check_grid_size(grid_steps, p.saturating_mul(2), "grid_steps")?;
+                Ok(Workload::Disorder(DisorderSpec {
+                    n: v.field("n")?.as_uint()?,
+                    instances: v.field("instances")?.as_uint()?,
+                    base_seed: seed_from_wire(v.field("base_seed")?)?,
+                    p,
+                    grid_steps,
+                    backend: BackendKind::from_name(v.field("backend")?.as_str()?)?,
+                }))
+            }
             other => Err(WireError(format!("unknown workload kind {other:?}"))),
         }
     }
@@ -1433,6 +1495,95 @@ mod tests {
             let parsed = Value::parse(&w.to_wire().to_json()).unwrap();
             assert_eq!(&Workload::from_wire(&parsed).unwrap(), w);
         }
+    }
+
+    /// `w` on the wire with field `key` replaced by `value`, decoded:
+    /// the error must name the field.
+    fn rejected_field(w: &Workload, key: &str, value: Value) {
+        let Value::Obj(mut entries) = w.to_wire() else {
+            unreachable!("workloads encode as objects")
+        };
+        entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("no field {key:?}"))
+            .1 = value.clone();
+        let err = Workload::from_wire(&Value::Obj(entries))
+            .expect_err(&format!("{key:?} = {value:?} must be rejected"));
+        assert!(err.0.contains(&format!("{key:?}")), "{key}: {err}");
+    }
+
+    fn landscape() -> Workload {
+        Workload::Landscape {
+            family: FamilyRef {
+                seed: 7,
+                name: "square".into(),
+            },
+            backend: BackendKind::Gate,
+            steps: 4,
+            gamma: (0.0, 1.0),
+            beta: (0.0, 1.0),
+        }
+    }
+
+    fn grid() -> Workload {
+        Workload::Grid {
+            family: FamilyRef {
+                seed: 7,
+                name: "triangle".into(),
+            },
+            backend: BackendKind::Gate,
+            p: 1,
+            steps: 3,
+            lo: vec![0.0; 2],
+            hi: vec![1.0; 2],
+        }
+    }
+
+    #[test]
+    fn unknown_families_are_rejected() {
+        rejected_field(&landscape(), "family", Value::Str("nope".into()));
+        rejected_field(&grid(), "family", Value::Str("Petersen".into()));
+    }
+
+    #[test]
+    fn landscape_steps_below_two_are_rejected() {
+        rejected_field(&landscape(), "steps", Value::Int(0));
+        rejected_field(&landscape(), "steps", Value::Int(1));
+    }
+
+    #[test]
+    fn landscape_steps_whose_square_overflows_are_rejected() {
+        // 2^32 squared wraps a 64-bit count to 0.
+        rejected_field(&landscape(), "steps", Value::Int(1 << 32));
+        rejected_field(&landscape(), "steps", Value::Int(i64::MAX));
+    }
+
+    #[test]
+    fn grid_steps_below_two_or_overflowing_are_rejected() {
+        rejected_field(&grid(), "steps", Value::Int(1));
+        rejected_field(&grid(), "steps", Value::Int(1 << 32));
+    }
+
+    #[test]
+    fn grid_corners_must_have_2p_entries() {
+        rejected_field(&grid(), "lo", Value::f64_array(&[0.0; 3]));
+        rejected_field(&grid(), "hi", Value::f64_array(&[]));
+        rejected_field(&grid(), "p", Value::Int(2));
+    }
+
+    #[test]
+    fn disorder_grid_steps_below_two_are_rejected() {
+        let w = Workload::Disorder(DisorderSpec {
+            n: 5,
+            instances: 2,
+            base_seed: 1,
+            p: 1,
+            grid_steps: 3,
+            backend: BackendKind::Gate,
+        });
+        rejected_field(&w, "grid_steps", Value::Int(1));
+        rejected_field(&w, "grid_steps", Value::Int(1 << 40));
     }
 
     #[test]

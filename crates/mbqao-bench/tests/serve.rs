@@ -7,7 +7,7 @@
 //! buffers) and as a real subprocess of the binary.
 
 use mbqao_bench::serve::{run_job, serve, Event, ServeConfig, SubmitRequest};
-use mbqao_bench::sweep::{monolithic, BackendKind, FamilyRef, Fault, Workload};
+use mbqao_bench::sweep::{monolithic, BackendKind, DisorderSpec, FamilyRef, Fault, Workload};
 use mbqao_core::engine::shard::RetryPolicy;
 use mbqao_core::engine::wire::{read_frame, write_frame, Value};
 use std::io::Write;
@@ -315,6 +315,133 @@ fn run_binary(args: &[&str], input: &[u8]) -> std::process::Output {
     stdin.write_all(input).expect("writing requests");
     drop(stdin);
     child.wait_with_output().expect("service exits")
+}
+
+fn type_of(frame: &Value) -> &str {
+    frame.field("type").unwrap().as_str().unwrap()
+}
+
+fn shutdown() -> Value {
+    Value::obj(vec![("type", Value::Str("shutdown".into()))])
+}
+
+/// A frame nested far deeper than any the protocol writes must not
+/// overflow the reader thread's stack, which would abort the service
+/// and every tenant's jobs with it: it is `rejected` like any other
+/// malformed frame, and the service keeps answering.
+#[test]
+fn a_too_deep_frame_is_rejected_and_the_service_keeps_answering() {
+    let depth = 10_000;
+    let mut input = ("[".repeat(depth) + &"]".repeat(depth) + "\n").into_bytes();
+    write_frame(
+        &mut input,
+        &Value::obj(vec![("type", Value::Str("ping".into()))]),
+    )
+    .unwrap();
+    write_frame(&mut input, &shutdown()).unwrap();
+    let out = run_binary(&["--cap", "2", "--quiet"], &input);
+    assert!(
+        out.status.success(),
+        "{}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let frames = frames(&out.stdout);
+    let types: Vec<&str> = frames.iter().map(type_of).collect();
+    assert_eq!(types, ["rejected", "pong", "bye"]);
+}
+
+/// Specs that cannot run are refused at decode. Admitted, an unknown
+/// family kills a worker on every attempt until the pool's breaker
+/// trips for every later job, and landscape `steps` 0 (or a `steps`
+/// whose square wraps) panics or aborts the scheduler. Each bad submit
+/// gets exactly one `rejected` naming its field, and a valid job after
+/// them on the same connection runs on an untouched pool.
+#[test]
+fn unrunnable_specs_are_rejected_and_a_valid_job_after_them_runs_clean() {
+    let landscape = workload();
+    let grid = Workload::Grid {
+        family: FamilyRef {
+            seed: 7,
+            name: "triangle".into(),
+        },
+        backend: BackendKind::Gate,
+        p: 1,
+        steps: 3,
+        lo: vec![0.0; 2],
+        hi: vec![1.0; 2],
+    };
+    let disorder = Workload::Disorder(DisorderSpec {
+        n: 5,
+        instances: 2,
+        base_seed: 1,
+        p: 1,
+        grid_steps: 3,
+        backend: BackendKind::Gate,
+    });
+    let bad = [
+        (&landscape, "family", Value::Str("nope".into())),
+        (&landscape, "steps", Value::Int(0)),
+        (&landscape, "steps", Value::Int(1)),
+        (&landscape, "steps", Value::Int(1 << 32)),
+        (&grid, "steps", Value::Int(1)),
+        (&grid, "lo", Value::f64_array(&[0.0; 3])),
+        (&grid, "hi", Value::f64_array(&[1.0])),
+        (&disorder, "grid_steps", Value::Int(1)),
+    ];
+    let mut input = Vec::new();
+    for (id, (w, key, value)) in (1..).zip(&bad) {
+        let Value::Obj(mut fields) = w.to_wire() else {
+            unreachable!("workloads encode as objects")
+        };
+        fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = value.clone();
+        let submit = Value::obj(vec![
+            ("type", Value::Str("submit".into())),
+            ("id", Value::Int(id)),
+            ("workload", Value::Obj(fields)),
+        ]);
+        write_frame(&mut input, &submit).unwrap();
+    }
+    let valid = SubmitRequest {
+        id: 100,
+        workload: workload(),
+        shards: 2,
+        faults: vec![],
+        check: true,
+    };
+    write_frame(&mut input, &valid.to_wire()).unwrap();
+    write_frame(&mut input, &shutdown()).unwrap();
+    let out = run_binary(&["--cap", "2", "--quiet"], &input);
+    assert!(
+        out.status.success(),
+        "{}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let frames = frames(&out.stdout);
+    let rejected: Vec<&Value> = frames.iter().filter(|f| type_of(f) == "rejected").collect();
+    assert_eq!(rejected.len(), bad.len(), "one rejection per bad submit");
+    for (frame, (_, key, _)) in rejected.iter().zip(&bad) {
+        let reason = frame.field("reason").unwrap().as_str().unwrap();
+        assert!(reason.contains(&format!("{key:?}")), "{key}: {reason}");
+    }
+    let accepted: Vec<u64> = frames
+        .iter()
+        .filter(|f| type_of(f) == "accepted")
+        .map(|f| f.field("id").unwrap().as_uint().unwrap() as u64)
+        .collect();
+    assert_eq!(accepted, [100]);
+    let done = frames
+        .iter()
+        .find(|f| type_of(f) == "done")
+        .expect("the valid job must finish");
+    assert!(done.field("bit_identical").unwrap().as_bool().unwrap());
+    let stats = done.field("stats").unwrap();
+    assert_eq!(
+        stats.field("worker_restarts").unwrap().as_uint().unwrap(),
+        0
+    );
 }
 
 /// The service CLI rejects what it does not know: the flag that used

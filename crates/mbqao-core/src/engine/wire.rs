@@ -15,7 +15,9 @@
 //!   strings.
 //!
 //! The parser rejects decimal float literals outright: a truncated or
-//! hand-edited payload fails loudly instead of silently rounding.
+//! hand-edited payload fails loudly instead of silently rounding. It
+//! also rejects arrays and objects nested deeper than [`MAX_DEPTH`], so
+//! a hostile frame cannot overflow the reading thread's stack.
 //!
 //! For long-lived connections (the `mbqao-serve` orchestrator), values
 //! travel as **newline-delimited frames**: one compact JSON document
@@ -55,6 +57,12 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// The deepest nesting of arrays and objects [`Value::parse`] accepts.
+/// The protocol's own frames nest about 4 levels; the parser recurses
+/// once per level, and this bound keeps that recursion far inside any
+/// thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 fn err<T>(msg: impl Into<String>) -> Result<T, WireError> {
     Err(WireError(msg.into()))
@@ -199,6 +207,7 @@ impl Value {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -356,6 +365,8 @@ fn write_json_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -400,8 +411,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.integer(),
             Some(other) => err(format!(
                 "unexpected byte {:?} at {}",
@@ -409,6 +420,24 @@ impl Parser<'_> {
             )),
             None => err("unexpected end of input (truncated?)"),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, WireError>,
+    ) -> Result<Value, WireError> {
+        if self.depth == MAX_DEPTH {
+            return err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn integer(&mut self) -> Result<Value, WireError> {
@@ -630,6 +659,17 @@ mod tests {
         assert!(Value::parse("1.5").is_err());
         assert!(Value::parse("[1e3]").is_err());
         assert!(Value::parse("42").is_ok());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        let at_limit = "{\"a\":".repeat(MAX_DEPTH) + "null" + &"}".repeat(MAX_DEPTH);
+        assert!(Value::parse(&at_limit).is_ok());
+        assert!(Value::parse(&nest(MAX_DEPTH + 1)).is_err());
+        let deep = Value::parse(&nest(100_000)).unwrap_err();
+        assert!(deep.0.contains("nesting"), "{deep}");
     }
 
     #[test]
