@@ -3,11 +3,11 @@
 //! Reads newline-delimited request frames on stdin (`submit` / `ping` /
 //! `shutdown`, mini-JSON per `mbqao_core::engine::wire`), schedules
 //! each job's shards onto a supervised persistent worker pool
-//! (heartbeats, automatic restarts, poison-shard quarantine — see
+//! (heartbeats, automatic restarts, a circuit breaker — see
 //! `docs/SERVE.md`), and writes event frames on stdout as the job
 //! progresses: `accepted`, one `partial` per merged shard in
 //! completion order, `requeue` for every retry or straggler
-//! re-partition, `quarantined` for dead-lettered shards, and a final
+//! re-partition, `quarantined` for poison shards, and a final
 //! `done` carrying the assembled output plus per-job stats. With
 //! `--journal DIR` every landed partial is write-ahead logged so an
 //! interrupted job can be completed later with `--resume`.
@@ -33,7 +33,7 @@
 //! ```
 
 use mbqao_bench::serve::{resume_job, serve, spawn_pool, Event, ServeConfig};
-use mbqao_bench::sweep::{flag_value, monolithic, worker_entry};
+use mbqao_bench::sweep::{flag_value, worker_entry};
 use mbqao_core::engine::shard::RetryPolicy;
 use mbqao_core::engine::wire::write_frame;
 use std::path::{Path, PathBuf};
@@ -150,25 +150,10 @@ fn resume(exe: &Path, path: &Path, check: bool, config: &ServeConfig) {
         let _ = write_frame(&mut out, &event.to_wire());
     };
     let pool = spawn_pool(exe, config);
-    let outcome = resume_job(&pool, path, config, &mut emit);
+    let completed = resume_job(&pool, path, config, check, &mut emit);
     pool.shutdown();
-    match outcome {
-        Ok((id, workload, output, stats)) => {
-            let bit_identical = check.then(|| output.bit_identical(&monolithic(&workload)));
-            emit(Event::Done {
-                id,
-                output,
-                stats,
-                bit_identical,
-            });
-        }
-        Err(e) => {
-            emit(Event::JobError {
-                id: 0,
-                reason: format!("resume: {e}"),
-            });
-            std::process::exit(1);
-        }
+    if !completed {
+        std::process::exit(1);
     }
 }
 

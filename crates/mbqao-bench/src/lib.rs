@@ -7,6 +7,7 @@
 //! `mbqao_core::engine` — this crate only assembles workloads and
 //! formats tables.
 
+pub mod scheduler;
 pub mod serve;
 pub mod sweep;
 pub mod tables;
@@ -103,6 +104,9 @@ impl MisInstance {
     }
 }
 
+/// How many [`mis_families`] there are, known without building them.
+pub const MIS_FAMILY_COUNT: usize = 4;
+
 /// The MIS family sweep: small graphs where the constraint-preserving
 /// mixer (and therefore the ZX backend's handling of `|0⟩`
 /// preparations, X-corrections and controlled mixers) gets exercised.
@@ -182,6 +186,11 @@ mod tests {
                 .collect();
             assert_eq!(names, STANDARD_FAMILY_NAMES, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn mis_family_count_is_the_number_of_mis_families() {
+        assert_eq!(mis_families().len(), MIS_FAMILY_COUNT);
     }
 
     #[test]

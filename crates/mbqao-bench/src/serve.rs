@@ -4,24 +4,16 @@
 //! back as they land, and a retry policy (exponential backoff, plus
 //! straggler kill + re-partition) turns transient worker failures into
 //! completed jobs whose output is still **bit-identical** to the
-//! monolithic run — the merge algebra of
-//! [`mbqao_core::engine::shard::Merger`] is the contract that makes
-//! every recovery action safe.
+//! monolithic run — the merge algebra of [`Merger`] is the contract
+//! that makes every recovery action safe.
 //!
 //! Layering:
 //!
-//! * [`run_job`] executes one job end to end: partition → submit to a
-//!   [`WorkerPool`] capped at `cap` live workers → merge **on readiness**
-//!   (streaming a [`Event::Partial`] per landed shard) → retry failed
-//!   shards with backoff ([`Event::Requeue`]) → kill and split shards
-//!   that exceed the straggler deadline → assemble.
-//! * [`serve`] is the long-running loop: a reader thread parses
-//!   request frames and applies **admission control** (a bounded job
-//!   queue; overload is an immediate [`Event::Rejected`], never
-//!   unbounded memory), while the scheduler drains the queue with
-//!   **cache-affinity**: among queued jobs it prefers one sharing the
-//!   last job's [`Workload::cache_key`], keeping compiled-pattern
-//!   caches hot across consecutive jobs.
+//! * [`Scheduler`] is the whole job policy, a sans-IO state machine.
+//! * One driver loop executes its actions against a [`WorkerPool`],
+//!   the journals and check threads. [`serve`] feeds it request frames;
+//!   [`run_job`], [`run_job_with`], [`resume_job`] and the batch driver
+//!   [`crate::sweep::drive_subprocess_capped`] feed it one job.
 //! * Every event is one wire frame on the response stream (and
 //!   optionally one human-readable line on stderr) — per-shard
 //!   latency, attempt counts, retry/re-partition decisions and cache
@@ -30,22 +22,20 @@
 //!
 //! See `docs/SERVE.md` for the protocol reference.
 
-use crate::sweep::{
-    assemble, decode_worker_result, hole_payload, job_to_json_attempt, monolithic, Fault, Payload,
-    SweepOutput, Workload,
-};
+use crate::scheduler::{Action, Input, JobResult, JournalOp, Scheduler};
+use crate::sweep::{monolithic, Fault, Payload, SweepOutput, Workload, MAX_JOB_ITEMS};
+#[cfg(doc)]
+use mbqao_core::engine::shard::Merger;
 use mbqao_core::engine::shard::{
-    default_worker_cap, lock_unpoisoned, Merger, PoolConfig, PoolJob, PoolOutcome, PoolStats,
-    Provenance, RetryPolicy, Shard, ShardError, ShardResult, WorkerCommand, WorkerPool,
-    AFFINITY_STREAK_BOUND,
+    default_worker_cap, PoolConfig, PoolOutcome, PoolStats, Provenance, RetryPolicy, Shard,
+    ShardError, ShardResult, WorkerCommand, WorkerPool,
 };
 use mbqao_core::engine::wire::{read_frame, write_frame, Value, WireError};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io::{BufRead, Seek, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc;
 use std::time::Duration;
 
 // ---------------------------------------------------------------- config
@@ -73,14 +63,14 @@ pub struct ServeConfig {
     pub max_jobs: usize,
     /// Mirror every emitted event as a human-readable stderr line.
     pub log: bool,
-    /// Poison-shard threshold: a shard whose job kills this many
-    /// successive pool workers is quarantined (dead-lettered) instead
-    /// of retried forever.
+    /// Poison-shard threshold: a shard is quarantined after this many
+    /// attempts that killed their worker (or found none to spawn),
+    /// instead of retried forever.
     pub quarantine_after: u32,
     /// What quarantine does to the job: `true` completes it with the
-    /// poisoned range filled by [`hole_payload`] placeholders (degraded
-    /// partial coverage), `false` fails it with an error naming the
-    /// shard.
+    /// poisoned range filled by [`crate::sweep::hole_payload`]
+    /// placeholders (degraded partial coverage), `false` fails it with
+    /// an error naming the shard.
     pub allow_partial: bool,
     /// Write a per-job crash-safe journal (`job-<id>.wal`) into this
     /// directory: a header frame plus one bit-exact `wal_partial`
@@ -105,23 +95,17 @@ impl Default for ServeConfig {
     }
 }
 
-/// The [`PoolConfig`] a [`ServeConfig`] implies: the serve cap and
-/// straggler deadline map onto the pool's cap and per-job deadline,
-/// `quarantine_after` passes through, supervision defaults otherwise.
-pub fn pool_config(config: &ServeConfig) -> PoolConfig {
-    PoolConfig {
-        cap: config.cap,
-        job_deadline: config.straggler_deadline,
-        quarantine_after: config.quarantine_after,
-        ..PoolConfig::default()
-    }
-}
-
 /// Builds the persistent worker pool for a serve connection
 /// (re-invokes `exe --worker`, which the pool extends with
-/// `--gen N --heartbeat-ms M`).
+/// `--gen N --heartbeat-ms M`). The serve cap and straggler deadline
+/// become the pool's cap and per-job deadline.
 pub fn spawn_pool(exe: &Path, config: &ServeConfig) -> WorkerPool {
-    WorkerPool::new(WorkerCommand::new(exe, &["--worker"]), pool_config(config))
+    let pool = PoolConfig {
+        cap: config.cap,
+        job_deadline: config.straggler_deadline,
+        ..PoolConfig::default()
+    };
+    WorkerPool::new(WorkerCommand::new(exe, &["--worker"]), pool)
 }
 
 // ----------------------------------------------------------------- stats
@@ -265,9 +249,9 @@ pub enum Event {
         /// Items in the sweep.
         total: usize,
     },
-    /// A poison shard was dead-lettered after killing repeated
-    /// workers; with partial coverage allowed the job continues around
-    /// the hole, otherwise it fails with this reason.
+    /// A poison shard was quarantined after killing repeated workers;
+    /// with partial coverage allowed the job continues around the
+    /// hole, otherwise it fails with this reason.
     Quarantined {
         /// Job id.
         id: u64,
@@ -317,6 +301,23 @@ pub enum Event {
 }
 
 impl Event {
+    /// The terminal frame of job `id`: `done` with its output, stats
+    /// and check verdict, or `job_error` naming the failure.
+    pub fn finished(id: u64, result: JobResult, bit_identical: Option<bool>) -> Event {
+        match result {
+            Ok((output, stats)) => Event::Done {
+                id,
+                output,
+                stats,
+                bit_identical,
+            },
+            Err(e) => Event::JobError {
+                id,
+                reason: e.to_string(),
+            },
+        }
+    }
+
     /// Wire encoding (one frame).
     pub fn to_wire(&self) -> Value {
         match self {
@@ -551,8 +552,12 @@ impl SubmitRequest {
             Err(_) => 2,
             Ok(s) => s.as_uint()?,
         };
-        if shards == 0 {
-            return Err(WireError("shards must be >= 1".into()));
+        // More shards than items are empty, and past the item cap even
+        // the partition could not be allocated.
+        if shards == 0 || shards > MAX_JOB_ITEMS {
+            return Err(WireError(format!(
+                "\"shards\" must be between 1 and {MAX_JOB_ITEMS}, got {shards}"
+            )));
         }
         let check = match v.field("check") {
             Err(_) => false,
@@ -581,13 +586,19 @@ impl SubmitRequest {
     }
 }
 
-enum Request {
+/// One request frame.
+#[derive(Debug)]
+pub enum Request {
+    /// Run a job.
     Submit(Box<SubmitRequest>),
+    /// Answer with `pong`.
     Ping,
+    /// Finish the admitted jobs, then say `bye`.
     Shutdown,
 }
 
-fn parse_request(v: &Value) -> Result<Request, WireError> {
+/// Decodes a request frame.
+pub fn parse_request(v: &Value) -> Result<Request, WireError> {
     match v.field("type")?.as_str()? {
         "submit" => Ok(Request::Submit(Box::new(SubmitRequest::from_wire(v)?))),
         "ping" => Ok(Request::Ping),
@@ -692,28 +703,20 @@ pub struct JournalReplay {
 /// (crash mid-append) is tolerated — that shard simply re-runs; a
 /// malformed line anywhere else is corruption and errors out.
 pub fn load_journal(path: &Path) -> Result<JournalReplay, WireError> {
+    read_journal(path).map_err(|(_, e)| e)
+}
+
+/// [`load_journal`], naming the job in its errors once the header has
+/// been read.
+fn read_journal(path: &Path) -> Result<JournalReplay, (Option<u64>, WireError)> {
     let content =
-        fs::read_to_string(path).map_err(|e| WireError(format!("reading journal: {e}")))?;
+        fs::read_to_string(path).map_err(|e| (None, WireError(format!("reading journal: {e}"))))?;
     let lines: Vec<&str> = content
         .lines()
         .map(str::trim)
         .filter(|l| !l.is_empty())
         .collect();
-    let header = lines
-        .first()
-        .ok_or_else(|| WireError("empty journal (no wal_job header)".into()))
-        .and_then(|l| Value::parse(l))?;
-    if header.field("type")?.as_str()? != "wal_job" {
-        return Err(WireError(
-            "journal does not start with a wal_job header".into(),
-        ));
-    }
-    let mut replay = JournalReplay {
-        id: header.field("id")?.as_uint()? as u64,
-        shards: header.field("shards")?.as_uint()?,
-        workload: Workload::from_wire(header.field("workload")?)?,
-        results: Vec::new(),
-    };
+    let mut replay = journal_header(lines.first().copied()).map_err(|e| (None, e))?;
     for (i, line) in lines.iter().enumerate().skip(1) {
         let parsed = Value::parse(line).and_then(|v| {
             if v.field("type")?.as_str()? != "wal_partial" {
@@ -732,25 +735,37 @@ pub fn load_journal(path: &Path) -> Result<JournalReplay, WireError> {
             // A torn tail is exactly what a crash mid-append leaves;
             // the un-journaled shard re-runs.
             Err(_) if i == lines.len() - 1 => break,
-            Err(e) => return Err(WireError(format!("journal line {}: {e}", i + 1))),
+            Err(e) => {
+                let e = WireError(format!("journal line {}: {e}", i + 1));
+                return Err((Some(replay.id), e));
+            }
         }
     }
     Ok(replay)
 }
 
-// ----------------------------------------------------------- job engine
-
-/// A submission in flight on the pool (possibly one of several
-/// attempts for its range).
-struct InFlight {
-    shard: Shard,
-    attempt: u32,
-    fault: Option<Fault>,
+/// Decodes a journal's `wal_job` header line into an empty replay.
+fn journal_header(line: Option<&str>) -> Result<JournalReplay, WireError> {
+    let header =
+        Value::parse(line.ok_or_else(|| WireError("empty journal (no wal_job header)".into()))?)?;
+    if header.field("type")?.as_str()? != "wal_job" {
+        return Err(WireError(
+            "journal does not start with a wal_job header".into(),
+        ));
+    }
+    Ok(JournalReplay {
+        id: header.field("id")?.as_uint()? as u64,
+        shards: header.field("shards")?.as_uint()?,
+        workload: Workload::from_wire(header.field("workload")?)?,
+        results: Vec::new(),
+    })
 }
+
+// --------------------------------------------------------------- drivers
 
 /// Splits a straggler's range in half onto two fresh synthetic shard
 /// indices. Requires `len >= 2` (a single item cannot be split).
-fn split_shard(shard: Shard, next_index: &mut usize) -> [Shard; 2] {
+pub(crate) fn split_shard(shard: Shard, next_index: &mut usize) -> [Shard; 2] {
     debug_assert!(shard.len() >= 2);
     let mid = shard.start + shard.len() / 2;
     let mut sub = |start: usize, end: usize| {
@@ -775,324 +790,157 @@ pub struct JobSpec<'a> {
     pub faults: &'a [(usize, Fault)],
 }
 
-/// How long the serve loop waits for a verdict before it re-checks
-/// admission, so a fresh submit is picked up within one interval.
-const RECV_POLL: Duration = Duration::from_millis(5);
-
-/// Pool shard-index namespace stride. Concurrent jobs both have a
-/// shard 0; without an offset their kill counts would alias in the
-/// pool's per-shard quarantine ledger and one tenant's poison shard
-/// could dead-letter another's. The serve driver offsets each job's
-/// indices by a distinct multiple of this stride; the single-job entry
-/// points use namespace 0, passing indices through unchanged.
-const JOB_NS_STRIDE: usize = 1 << 20;
-
-/// Routes shard attempts from any number of concurrent jobs onto the
-/// shared [`WorkerPool`] and demuxes outcomes back to their jobs by
-/// tag. Tags are unique for the dispatcher's whole lifetime, so a
-/// failed job's late outcomes can never be mistaken for a later job's
-/// (the per-job tag counter of the old single-job engine made exactly
-/// that collision possible).
-struct Dispatcher<'a> {
-    pool: &'a WorkerPool,
-    /// Tag → (job id, attempt bookkeeping).
-    inflight: HashMap<u64, (u64, InFlight)>,
-    next_tag: u64,
+/// Where a driver journals its jobs.
+enum Journals<'a> {
+    /// One journal the caller opened (its header is written), or none.
+    One(Option<&'a mut JobJournal>),
+    /// A `job-<id>.wal` per job in this directory.
+    Dir(&'a Path, HashMap<u64, JobJournal>),
 }
 
-impl<'a> Dispatcher<'a> {
-    fn new(pool: &'a WorkerPool) -> Dispatcher<'a> {
-        Dispatcher {
-            pool,
-            inflight: HashMap::new(),
-            next_tag: 0,
-        }
-    }
-
-    /// Submissions not yet resolved, across all jobs.
-    fn live(&self) -> usize {
-        self.inflight.len()
-    }
-
-    /// Hands one attempt to the pool. A pool that refuses it has
-    /// tripped its circuit breaker: the job fails with a reason naming
-    /// the breaker.
-    fn submit(
-        &mut self,
-        job: &mut JobRun,
-        shard: Shard,
-        attempt: u32,
-        fault: Option<Fault>,
-        delay: Duration,
-    ) {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        let submitted = self.pool.submit(PoolJob {
-            tag,
-            shard_index: job.ns * JOB_NS_STRIDE + shard.index,
-            input: job_to_json_attempt(&job.workload, shard, fault, attempt),
-            cache_key: job.cache_key.clone(),
-            delay,
-        });
-        if submitted.is_err() {
-            job.fail(ShardError::Worker {
-                shard: shard.index,
-                reason: "worker pool circuit breaker open; the pool takes no further jobs".into(),
-            });
-            return;
-        }
-        let flight = InFlight {
-            shard,
-            attempt,
-            fault,
+impl Journals<'_> {
+    /// Executes one [`JournalOp`] for job `id`.
+    fn run(&mut self, id: u64, op: JournalOp) -> Result<(), String> {
+        let done = match (self, op) {
+            (Journals::Dir(dir, open), JournalOp::Create(workload, shards)) => {
+                JobJournal::create(dir, id, &workload, shards).map(|j| {
+                    open.insert(id, j);
+                })
+            }
+            (Journals::Dir(_, open), JournalOp::Append(result)) => {
+                open.get_mut(&id).map_or(Ok(()), |j| j.append(&result))
+            }
+            (Journals::One(Some(j)), JournalOp::Append(result)) => j.append(&result),
+            (Journals::One(_), _) => Ok(()),
         };
-        self.inflight.insert(tag, (job.id, flight));
-        job.inflight += 1;
-    }
-
-    fn demux(&mut self, outcome: PoolOutcome) -> (u64, InFlight, PoolOutcome) {
-        let (job, flight) = self
-            .inflight
-            .remove(&outcome.tag)
-            .expect("every outcome matches a submission");
-        (job, flight, outcome)
-    }
-
-    /// Next outcome, blocking. `None` means the pool's supervisor died
-    /// with jobs in flight — unrecoverable.
-    fn recv(&mut self) -> Option<(u64, InFlight, PoolOutcome)> {
-        let outcome = self.pool.recv()?;
-        Some(self.demux(outcome))
-    }
-
-    /// Bounded wait for the next outcome: `None` on timeout. The
-    /// multi-job driver interleaves admission checks between waits, so
-    /// a fresh submit is picked up within one poll interval.
-    fn poll(&mut self, timeout: Duration) -> Option<(u64, InFlight, PoolOutcome)> {
-        let outcome = self.pool.recv_timeout(timeout)?;
-        Some(self.demux(outcome))
+        done.map_err(|e| e.to_string())
     }
 }
 
-/// One in-flight job's complete state: its own [`Merger`], stats,
-/// retry/straggler bookkeeping, and the queue of shard attempts not
-/// yet handed to the dispatcher. The multi-tenant driver keeps up to
-/// `max_jobs` of these live at once over one [`Dispatcher`]; the merge
-/// algebra is strictly per-job, so interleaving cannot change any
-/// job's output.
-struct JobRun {
-    id: u64,
-    /// Pool shard-index namespace (0 for the single-job entry points).
-    ns: usize,
-    workload: Workload,
-    cache_key: String,
-    total: usize,
-    merger: Merger<Payload>,
-    stats: JobStats,
-    next_index: usize,
-    abandoned: Vec<Shard>,
-    /// Shard attempts awaiting dispatch: `(shard, attempt, fault,
-    /// backoff delay)`.
-    ready: VecDeque<(Shard, u32, Option<Fault>, Duration)>,
-    /// This job's submissions currently in flight.
-    inflight: usize,
-    /// Pool counters at job start, for per-job deltas at the end.
-    pool_base: PoolStats,
-    /// Set once the job permanently failed; its remaining in-flight
-    /// verdicts are drained and discarded before the error surfaces.
-    failed: Option<ShardError>,
-}
-
-impl JobRun {
-    fn new(
-        id: u64,
-        ns: usize,
-        workload: Workload,
-        merger: Merger<Payload>,
-        next_index: usize,
-        stats: JobStats,
-        pool: &WorkerPool,
-    ) -> JobRun {
-        JobRun {
-            id,
-            ns,
-            cache_key: workload.cache_key(),
-            total: workload.total(),
-            workload,
-            merger,
-            stats,
-            next_index,
-            abandoned: Vec::new(),
-            ready: VecDeque::new(),
-            inflight: 0,
-            pool_base: pool.stats(),
-            failed: None,
-        }
-    }
-
-    /// Nothing in flight and nothing left to dispatch: the job is done
-    /// (successfully or not) and can be reaped via [`JobRun::into_result`].
-    fn settled(&self) -> bool {
-        self.inflight == 0 && self.ready.is_empty()
-    }
-
-    fn fail(&mut self, e: ShardError) {
-        self.ready.clear();
-        if self.failed.is_none() {
-            self.failed = Some(e);
-        }
-    }
-
-    /// Applies one pool outcome for this job: merge (WAL-first), retry
-    /// with backoff, straggler split, quarantine, or failure on an
-    /// open circuit breaker. Requeued attempts land in `ready`; the
-    /// scheduling loop decides when to dispatch them.
-    fn on_verdict(
-        &mut self,
-        config: &ServeConfig,
-        flight: InFlight,
-        outcome: PoolOutcome,
-        journal: Option<&mut JobJournal>,
-        emit: &mut dyn FnMut(Event),
-    ) {
-        self.inflight -= 1;
-        if self.failed.is_some() {
-            // Already failed: late verdicts drain into the void.
-            return;
-        }
-        let id = self.id;
-        let decoded = outcome
-            .result
-            .and_then(|body| decode_worker_result(flight.shard.index, &body));
-        match decoded {
-            Ok(result) => {
-                // WAL first: the merge is only acknowledged once the
-                // partial is durably journaled, so a crash after this
-                // point is recoverable bit-exactly.
-                if let Some(j) = journal {
-                    if let Err(e) = j.append(&result) {
-                        self.fail(ShardError::Worker {
-                            shard: flight.shard.index,
-                            reason: format!("journal append failed: {e}"),
-                        });
-                        return;
+/// The one driver loop: runs `core` until it has finished, executing
+/// its actions. Attempts go to `pool`, journal operations to
+/// `journals`, checks to threads of their own, and frames and finished
+/// jobs to `report`, with the pool's `spawned`, `max_live` and
+/// `worker_restarts` stamped into each job's stats. `feed` sends the
+/// requests from a thread of its own. The loop blocks, without a
+/// timeout, on one channel fed by `feed`, the pool's outcomes and the
+/// checks.
+fn drive(
+    core: &mut Scheduler,
+    pool: &WorkerPool,
+    journals: &mut Journals<'_>,
+    feed: impl FnOnce(&mpsc::Sender<Input>) + Send,
+    report: &mut dyn FnMut(Action),
+) {
+    let (tx, rx) = mpsc::channel();
+    // One credit per attempt the pool took: the forwarder waits for
+    // exactly that many outcomes, so it never blocks past the last one
+    // on a pool its caller keeps using.
+    let (credit_tx, credit_rx) = mpsc::channel::<()>();
+    let mut base: HashMap<u64, PoolStats> = HashMap::new();
+    std::thread::scope(|s| {
+        let feed_tx = tx.clone();
+        s.spawn(move || feed(&feed_tx));
+        let pool_tx = tx.clone();
+        s.spawn(move || {
+            for () in credit_rx {
+                let input = pool.recv().map_or(Input::PoolGone, Input::Outcome);
+                let gone = matches!(input, Input::PoolGone);
+                if pool_tx.send(input).is_err() || gone {
+                    return;
+                }
+            }
+        });
+        // Journal answers and refused submits go back in before the
+        // next event is read.
+        let mut answers = VecDeque::new();
+        while !core.finished() {
+            let input = answers.pop_front();
+            let input = input.unwrap_or_else(|| rx.recv().expect("the loop holds a sender"));
+            for mut action in core.step(input) {
+                match action {
+                    Action::Submit(job) => match pool.submit(job) {
+                        Ok(()) => {
+                            let _ = credit_tx.send(());
+                        }
+                        Err(job) => answers.push_back(Input::Outcome(PoolOutcome {
+                            tag: job.tag,
+                            shard_index: job.shard_index,
+                            result: Err(ShardError::Worker {
+                                shard: job.shard_index,
+                                reason: "worker pool circuit breaker open".into(),
+                            }),
+                            elapsed: Duration::ZERO,
+                            timed_out: false,
+                            circuit_open: true,
+                        })),
+                    },
+                    Action::Journal(id, op) => {
+                        answers.push_back(Input::Journaled(id, journals.run(id, op)));
                     }
+                    Action::Check(id, workload, output) => {
+                        let tx = tx.clone();
+                        s.spawn(move || {
+                            let bit_identical = output.bit_identical(&monolithic(&workload));
+                            let _ = tx.send(Input::Checked(id, bit_identical));
+                        });
+                    }
+                    Action::Emit(Event::Accepted { id, .. } | Event::Resumed { id, .. }) => {
+                        base.insert(id, pool.stats());
+                        report(action);
+                    }
+                    Action::Finish(id, ref mut result, _) => {
+                        if let Journals::Dir(_, open) = journals {
+                            open.remove(&id);
+                        }
+                        if let (Ok((_, stats)), Some(base)) = (result, base.remove(&id)) {
+                            let now = pool.stats();
+                            stats.spawned += now.spawned.saturating_sub(base.spawned);
+                            stats.worker_restarts += now.restarts.saturating_sub(base.restarts);
+                            stats.max_live = stats.max_live.max(now.max_live);
+                        }
+                        report(action);
+                    }
+                    Action::Emit(_) => report(action),
                 }
-                let provenance = result.provenance.clone();
-                if let Err(e) = self.merger.insert(result) {
-                    self.fail(e);
-                    return;
-                }
-                self.stats.completed += 1;
-                self.stats.cache_hits += provenance.cache_hits;
-                self.stats.cache_misses += provenance.cache_misses;
-                let latency_ms = outcome.elapsed.as_millis() as u64;
-                self.stats.shard_ms.push(latency_ms);
-                let covered = self.total
-                    - self
-                        .merger
-                        .missing()
-                        .iter()
-                        .map(|(s, e)| e - s)
-                        .sum::<usize>();
-                emit(Event::Partial {
-                    id,
-                    shard: flight.shard,
-                    backend: provenance.backend,
-                    attempt: flight.attempt,
-                    latency_ms,
-                    cache_hits: provenance.cache_hits,
-                    cache_misses: provenance.cache_misses,
-                    covered,
-                    total: self.total,
-                });
-            }
-            // The pool's restart-rate breaker opened: the host is
-            // failing systemically, so the job ends here with the
-            // breaker named (its WAL, if any, stays resumable).
-            Err(e) if outcome.circuit_open => self.fail(e),
-            Err(e) if outcome.quarantined => {
-                self.stats.quarantined += 1;
-                emit(Event::Quarantined {
-                    id,
-                    range: (flight.shard.start, flight.shard.end),
-                    reason: e.to_string(),
-                });
-                if config.allow_partial {
-                    self.abandoned.push(flight.shard);
-                } else {
-                    self.fail(e);
-                }
-            }
-            Err(e) if outcome.timed_out && flight.shard.len() >= 2 => {
-                // Straggler: its worker is already killed; halve the
-                // range onto fresh workers. Sub-shards run clean (the
-                // injected-fault map keys on original indices only) and
-                // merge into the exact same output — ranges are
-                // disjoint and the fold is canonical-order.
-                self.stats.repartitions += 1;
-                emit(Event::Requeue {
-                    id,
-                    range: (flight.shard.start, flight.shard.end),
-                    attempt: 0,
-                    backoff_ms: 0,
-                    repartitioned: true,
-                    reason: e.to_string(),
-                });
-                for sub in split_shard(flight.shard, &mut self.next_index) {
-                    self.ready.push_back((sub, 0, None, Duration::ZERO));
-                }
-            }
-            Err(e) => {
-                let attempt = flight.attempt + 1;
-                if attempt >= config.retry.max_attempts {
-                    self.fail(e);
-                    return;
-                }
-                self.stats.retries += 1;
-                let backoff = config.retry.backoff(attempt);
-                emit(Event::Requeue {
-                    id,
-                    range: (flight.shard.start, flight.shard.end),
-                    attempt,
-                    backoff_ms: backoff.as_millis() as u64,
-                    repartitioned: false,
-                    reason: e.to_string(),
-                });
-                self.ready
-                    .push_back((flight.shard, attempt, flight.fault, backoff));
             }
         }
-    }
+        drop(credit_tx);
+    });
+}
 
-    /// Consumes the settled job: folds the pool's per-job counter
-    /// deltas, fills quarantined ranges with [`hole_payload`]
-    /// placeholders (`allow_partial`), and assembles the output.
-    fn into_result(mut self, pool: &WorkerPool) -> Result<(SweepOutput, JobStats), ShardError> {
-        let (now, base) = (pool.stats(), self.pool_base);
-        self.stats.spawned += now.spawned.saturating_sub(base.spawned);
-        self.stats.worker_restarts += now.restarts.saturating_sub(base.restarts);
-        self.stats.max_live = self.stats.max_live.max(now.max_live);
-        if let Some(e) = self.failed {
-            return Err(e);
-        }
-        // Quarantined ranges (allow_partial) fill with placeholder
-        // payloads so the output keeps its shape; the holes are
-        // NaN-valued and the stats carry the quarantine count.
-        for shard in std::mem::take(&mut self.abandoned) {
-            self.merger.insert(ShardResult {
-                provenance: Provenance {
-                    shard,
-                    backend: "quarantined".into(),
-                    cache_hits: 0,
-                    cache_misses: 0,
-                },
-                payload: hole_payload(&self.workload, shard),
-            })?;
-        }
-        let output = assemble(&self.workload, self.merger.finish()?);
-        Ok((output, self.stats))
-    }
+/// Drives the one job `start` begins on `pool` to its end: every frame
+/// but the terminal one goes to `emit`, and the job's result and check
+/// verdict come back.
+fn run_one(
+    pool: &WorkerPool,
+    config: &ServeConfig,
+    journal: Option<&mut JobJournal>,
+    start: Input,
+    emit: &mut dyn FnMut(Event),
+) -> (JobResult, Option<bool>) {
+    // A private core that admits its one job whatever the queue bound.
+    let mut core = Scheduler::new(&ServeConfig {
+        max_queue: 1,
+        ..config.clone()
+    });
+    let feed = |tx: &mpsc::Sender<Input>| {
+        let _ = tx.send(start);
+        let _ = tx.send(Input::Request(Ok(Request::Shutdown)));
+    };
+    let mut end = None;
+    drive(
+        &mut core,
+        pool,
+        &mut Journals::One(journal),
+        feed,
+        &mut |action| match action {
+            Action::Emit(event) => emit(event),
+            Action::Finish(_, result, bit_identical) => end = Some((result, bit_identical)),
+            _ => {}
+        },
+    );
+    end.expect("the core finishes after its one job")
 }
 
 /// Executes one job end to end with streaming merge, retry + backoff,
@@ -1124,8 +972,9 @@ pub fn run_job(
 
 /// [`run_job`] against a caller-owned (typically connection-scoped)
 /// [`WorkerPool`] — affinity routing then keeps compiled-pattern
-/// caches warm **across** jobs — and an optional crash-safe journal
-/// that records every landed partial before it is acknowledged.
+/// caches warm **across** jobs — and an optional crash-safe journal,
+/// already created, that records every landed partial before it is
+/// merged.
 pub fn run_job_with(
     pool: &WorkerPool,
     spec: &JobSpec<'_>,
@@ -1133,45 +982,15 @@ pub fn run_job_with(
     journal: Option<&mut JobJournal>,
     emit: &mut dyn FnMut(Event),
 ) -> Result<(SweepOutput, JobStats), ShardError> {
-    let total = spec.workload.total();
-    let parts: Vec<Shard> = Shard::partition(total, spec.shards)
-        .into_iter()
-        .filter(|s| !s.is_empty())
-        .collect();
-    let stats = JobStats {
-        shards: parts.len(),
-        ..JobStats::default()
-    };
-    emit(Event::Accepted {
+    let request = SubmitRequest {
         id: spec.id,
-        total,
-        shards: parts.len(),
-    });
-    let work: Vec<(Shard, Option<Fault>)> = parts
-        .iter()
-        .map(|part| {
-            let fault = spec
-                .faults
-                .iter()
-                .find(|(i, _)| *i == part.index)
-                .map(|(_, f)| *f);
-            (*part, fault)
-        })
-        .collect();
-    // Synthetic indices for re-partitioned sub-shards start above the
-    // original partition so error messages stay unambiguous.
-    run_shards(
-        pool,
-        config,
-        spec.id,
-        spec.workload,
-        work,
-        Merger::new(total),
-        spec.shards,
-        stats,
-        journal,
-        emit,
-    )
+        workload: spec.workload.clone(),
+        shards: spec.shards,
+        faults: spec.faults.to_vec(),
+        check: false,
+    };
+    let start = Input::Request(Ok(Request::Submit(Box::new(request))));
+    run_one(pool, config, journal, start, emit).0
 }
 
 /// Resumes a crashed or interrupted job from its journal: replays
@@ -1179,122 +998,44 @@ pub fn run_job_with(
 /// [`Event::Resumed`], re-runs **only** the missing ranges (as fresh
 /// synthetic shards, like re-partitioning), and keeps appending to the
 /// same journal. The final output is bit-identical to the
-/// uninterrupted run. Returns `(id, workload, output, stats)` — the
-/// workload so the caller can run a `--check` against the monolithic
-/// reference.
+/// uninterrupted run; `check` verifies that against the monolithic
+/// run. Every frame goes to `emit`, the terminal `done` or `job_error`
+/// included; a `job_error` names the job once the journal header has
+/// been read (0 before). Returns whether the job completed.
 pub fn resume_job(
     pool: &WorkerPool,
     path: &Path,
     config: &ServeConfig,
+    check: bool,
     emit: &mut dyn FnMut(Event),
-) -> Result<(u64, Workload, SweepOutput, JobStats), ShardError> {
-    let JournalReplay {
-        id,
-        workload,
-        shards,
-        results,
-    } = load_journal(path).map_err(|e| ShardError::Worker {
-        shard: 0,
-        reason: format!("loading journal {}: {e}", path.display()),
-    })?;
-    let total = workload.total();
-    let mut merger = Merger::new(total);
-    let stats = JobStats {
-        shards,
-        replayed: results.len(),
-        ..JobStats::default()
+) -> bool {
+    let failed = |reason: String| Err(ShardError::Worker { shard: 0, reason });
+    let (id, result, bit_identical) = match read_journal(path) {
+        Err((id, e)) => {
+            let reason = format!("loading journal {}: {e}", path.display());
+            (id.unwrap_or(0), failed(reason), None)
+        }
+        Ok(replay) => match JobJournal::open_append(path) {
+            Err(e) => {
+                let reason = format!("re-opening journal {}: {e}", path.display());
+                (replay.id, failed(reason), None)
+            }
+            Ok(mut journal) => {
+                let id = replay.id;
+                let start = Input::Resume(replay, check);
+                let (result, bit_identical) =
+                    run_one(pool, config, Some(&mut journal), start, emit);
+                (id, result, bit_identical)
+            }
+        },
     };
-    let mut next_index = shards;
-    for result in results {
-        next_index = next_index.max(result.provenance.shard.index + 1);
-        merger.insert(result)?;
+    let mut event = Event::finished(id, result, bit_identical);
+    if let Event::JobError { reason, .. } = &mut event {
+        *reason = format!("resume: {reason}");
     }
-    let covered = total - merger.missing().iter().map(|(s, e)| e - s).sum::<usize>();
-    emit(Event::Resumed {
-        id,
-        replayed: stats.replayed,
-        covered,
-        total,
-    });
-    // Missing ranges re-run as fresh synthetic shards with no faults:
-    // injected faults are keyed on original indices, and a resume must
-    // converge rather than re-trip the same failure. `Shard::synthetic`
-    // keeps the `index < of` provenance invariant that the wire decoder
-    // asserts (re-runs used to claim "shard 7 of 4").
-    let work: Vec<(Shard, Option<Fault>)> = merger
-        .missing()
-        .into_iter()
-        .map(|(start, end)| {
-            let index = next_index;
-            next_index += 1;
-            (Shard::synthetic(index, total, start, end), None)
-        })
-        .collect();
-    let mut journal = JobJournal::open_append(path).map_err(|e| ShardError::Worker {
-        shard: 0,
-        reason: format!("re-opening journal {}: {e}", path.display()),
-    })?;
-    let (output, stats) = run_shards(
-        pool,
-        config,
-        id,
-        &workload,
-        work,
-        merger,
-        next_index,
-        stats,
-        Some(&mut journal),
-        emit,
-    )?;
-    Ok((id, workload, output, stats))
-}
-
-/// The single-job execution core: drives `work` to completion on the
-/// pool via a private [`Dispatcher`] and one [`JobRun`], streaming
-/// merges (journaling each landed partial first), retrying with
-/// backoff, re-partitioning stragglers, failing on a tripped breaker,
-/// and turning quarantined shards into [`hole_payload`] placeholders
-/// (`allow_partial`) or a named failure.
-/// A permanently failed job drains its remaining in-flight verdicts
-/// before the error surfaces, so no stale outcome can leak into a
-/// later job on the same pool.
-#[allow(clippy::too_many_arguments)]
-fn run_shards(
-    pool: &WorkerPool,
-    config: &ServeConfig,
-    id: u64,
-    workload: &Workload,
-    work: Vec<(Shard, Option<Fault>)>,
-    merger: Merger<Payload>,
-    next_index: usize,
-    stats: JobStats,
-    mut journal: Option<&mut JobJournal>,
-    emit: &mut dyn FnMut(Event),
-) -> Result<(SweepOutput, JobStats), ShardError> {
-    let mut d = Dispatcher::new(pool);
-    let mut job = JobRun::new(id, 0, workload.clone(), merger, next_index, stats, pool);
-    for (shard, fault) in work {
-        job.ready.push_back((shard, 0, fault, Duration::ZERO));
-    }
-    loop {
-        while let Some((shard, attempt, fault, delay)) = job.ready.pop_front() {
-            d.submit(&mut job, shard, attempt, fault, delay);
-        }
-        if job.inflight == 0 {
-            break;
-        }
-        let Some((_, flight, outcome)) = d.recv() else {
-            job.fail(ShardError::Worker {
-                shard: 0,
-                reason: "worker scheduler terminated with jobs in flight".into(),
-            });
-            // The pool's supervisor is dead: nothing further arrives.
-            job.inflight = 0;
-            break;
-        };
-        job.on_verdict(config, flight, outcome, journal.as_deref_mut(), emit);
-    }
-    job.into_result(pool)
+    let completed = matches!(event, Event::Done { .. });
+    emit(event);
+    completed
 }
 
 // ------------------------------------------------------------ the server
@@ -1310,301 +1051,64 @@ pub struct ServeStats {
     pub rejected: usize,
 }
 
-/// Picks the next job to admit: cache-affinity first (a queued job
-/// sharing `last_key` keeps the compiled-pattern caches hot), else
-/// FIFO. Affinity is **bounded**: after [`AFFINITY_STREAK_BOUND`]
-/// consecutive picks that bypassed the FIFO head, the head runs
-/// regardless — a sustained stream of same-key submissions used to
-/// starve every other queued job forever. A head pick (affine or not)
-/// advances the FIFO and resets the streak.
-fn pick_next(
-    queue: &mut VecDeque<SubmitRequest>,
-    last_key: Option<&str>,
-    streak: &mut usize,
-) -> Option<SubmitRequest> {
-    if let Some(key) = last_key {
-        if let Some(pos) = queue.iter().position(|r| r.workload.cache_key() == key) {
-            if pos == 0 {
-                *streak = 0;
-                return queue.pop_front();
-            }
-            if *streak < AFFINITY_STREAK_BOUND {
-                *streak += 1;
-                return queue.remove(pos);
-            }
-        }
-    }
-    *streak = 0;
-    queue.pop_front()
-}
-
-/// Admission state shared between the reader thread and the scheduler.
-struct Admission {
-    queue: VecDeque<SubmitRequest>,
-    /// Ids of every queued **or running** job. A submit reusing one is
-    /// rejected: admitting it would shadow a live job's event stream
-    /// and `JobJournal::create` would truncate the original's WAL,
-    /// silently destroying its in-flight crash-safety.
-    ids: HashSet<u64>,
-    /// Reader saw shutdown/EOF; the scheduler drains and exits.
-    done: bool,
-}
-
-/// One admitted job the scheduler is driving.
-struct ActiveJob {
-    run: JobRun,
-    journal: Option<JobJournal>,
-    check: bool,
-}
-
 /// The always-on orchestrator loop: newline-delimited request frames
 /// in, event frames out, until a `shutdown` frame or input EOF (then
 /// the queue is drained gracefully and a `bye` frame closes the
 /// stream).
 ///
-/// A dedicated reader thread keeps admission decisions prompt while
-/// jobs are running: `ping` answers immediately, a `submit` beyond
-/// `max_queue` queued jobs (or reusing a queued/running id) is
-/// rejected the moment it arrives, and the scheduler sleeps on a
-/// condvar while idle — the reader's wakeup replaces the old 5 ms
-/// polling loop.
-///
-/// Up to `max_jobs` admitted jobs run **concurrently**: the scheduler
-/// feeds their shards to the shared pool round-robin (one shard per
-/// job per turn) and demuxes verdicts back per job, so every tenant
-/// makes progress while any has work left.
-pub fn serve<R, W>(reader: R, writer: W, exe: &Path, config: &ServeConfig) -> ServeStats
+/// A reader thread parses each frame as it arrives and hands it to the
+/// [`Scheduler`], which answers `ping`, admits or rejects a `submit`
+/// at once, and runs up to `max_jobs` jobs concurrently over one
+/// shared pool. A `check:true` job's monolithic run happens on its own
+/// thread, so it never holds up another tenant.
+pub fn serve<R, W>(reader: R, mut writer: W, exe: &Path, config: &ServeConfig) -> ServeStats
 where
     R: BufRead + Send,
-    W: Write + Send,
+    W: Write,
 {
-    let writer = Mutex::new(writer);
-    let admission = Mutex::new(Admission {
-        queue: VecDeque::new(),
-        ids: HashSet::new(),
-        done: false,
-    });
-    let wakeup = Condvar::new();
-    let rejected = AtomicUsize::new(0);
-    let emit = |event: Event| {
+    let mut write = |event: Event| {
         if config.log {
             eprintln!("serve: {}", event.log_line());
         }
-        let mut w = lock_unpoisoned(&writer);
         // A vanished client is not an error the service can answer;
         // keep running (remaining events will fail the same way).
-        let _ = write_frame(&mut *w, &event.to_wire());
+        let _ = write_frame(&mut writer, &event.to_wire());
     };
-    let mut stats = ServeStats::default();
-    // One persistent pool per connection: affinity routing keeps
-    // compiled-pattern caches warm across consecutive jobs sharing a
-    // cache key. A tripped pool is not respawned into the same
-    // systemic failure: every later job fails naming the breaker.
-    let pool = spawn_pool(exe, config);
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut reader = reader;
-            while let Some(frame) = read_frame(&mut reader) {
-                match frame.and_then(|v| parse_request(&v)) {
-                    Ok(Request::Ping) => emit(Event::Pong),
-                    Ok(Request::Shutdown) => break,
-                    Ok(Request::Submit(req)) => {
-                        let mut adm = lock_unpoisoned(&admission);
-                        if adm.queue.len() >= config.max_queue {
-                            drop(adm);
-                            rejected.fetch_add(1, Ordering::SeqCst);
-                            emit(Event::Rejected {
-                                id: Some(req.id),
-                                reason: format!(
-                                    "admission: queue full ({} jobs waiting)",
-                                    config.max_queue
-                                ),
-                            });
-                        } else if adm.ids.contains(&req.id) {
-                            drop(adm);
-                            rejected.fetch_add(1, Ordering::SeqCst);
-                            emit(Event::Rejected {
-                                id: Some(req.id),
-                                reason: format!(
-                                    "admission: job id {} is already queued or running",
-                                    req.id
-                                ),
-                            });
-                        } else {
-                            adm.ids.insert(req.id);
-                            adm.queue.push_back(*req);
-                            drop(adm);
-                            wakeup.notify_all();
-                        }
-                    }
-                    Err(e) => {
-                        rejected.fetch_add(1, Ordering::SeqCst);
-                        emit(Event::Rejected {
-                            id: None,
-                            reason: e.to_string(),
-                        });
-                    }
-                }
-            }
-            lock_unpoisoned(&admission).done = true;
-            wakeup.notify_all();
-        });
-
-        let mut dispatcher = Dispatcher::new(&pool);
-        let mut active: Vec<ActiveJob> = Vec::new();
-        let mut last_key: Option<String> = None;
-        let mut streak = 0usize;
-        let mut rr = 0usize;
-        let mut next_ns = 0usize;
-        loop {
-            // Admit queued jobs into free slots (affinity-bounded).
-            while active.len() < config.max_jobs.max(1) {
-                let next = {
-                    let mut adm = lock_unpoisoned(&admission);
-                    pick_next(&mut adm.queue, last_key.as_deref(), &mut streak)
-                };
-                let Some(req) = next else { break };
-                last_key = Some(req.workload.cache_key());
-                let journal = match &config.journal_dir {
-                    None => None,
-                    Some(dir) => match JobJournal::create(dir, req.id, &req.workload, req.shards) {
-                        Ok(j) => Some(j),
-                        Err(e) => {
-                            stats.failed += 1;
-                            emit(Event::JobError {
-                                id: req.id,
-                                reason: format!("cannot create job journal: {e}"),
-                            });
-                            lock_unpoisoned(&admission).ids.remove(&req.id);
-                            continue;
-                        }
-                    },
-                };
-                let total = req.workload.total();
-                let parts: Vec<Shard> = Shard::partition(total, req.shards)
-                    .into_iter()
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                emit(Event::Accepted {
-                    id: req.id,
-                    total,
-                    shards: parts.len(),
-                });
-                let mut run = JobRun::new(
-                    req.id,
-                    next_ns,
-                    req.workload.clone(),
-                    Merger::new(total),
-                    req.shards,
-                    JobStats {
-                        shards: parts.len(),
-                        ..JobStats::default()
-                    },
-                    &pool,
-                );
-                next_ns += 1;
-                for part in parts {
-                    let fault = req
-                        .faults
-                        .iter()
-                        .find(|(i, _)| *i == part.index)
-                        .map(|(_, f)| *f);
-                    run.ready.push_back((part, 0, fault, Duration::ZERO));
-                }
-                active.push(ActiveJob {
-                    run,
-                    journal,
-                    check: req.check,
-                });
-            }
-            if active.is_empty() {
-                let adm = lock_unpoisoned(&admission);
-                if adm.done && adm.queue.is_empty() {
-                    break;
-                }
-                if adm.queue.is_empty() {
-                    // Idle: sleep until the reader signals a submit or
-                    // shutdown. Both transitions notify under this
-                    // mutex, so no wakeup can be lost.
-                    drop(wakeup.wait(adm));
-                }
-                continue;
-            }
-            // Keep the pool fed round-robin: one shard per ready job
-            // per turn, until the dispatch window is full. The window
-            // keeps the pool's internal queue shallow so a job
-            // admitted late is not stuck behind one tenant's backlog.
-            let window = config.cap + active.len();
-            while dispatcher.live() < window {
-                let mut dispatched = false;
-                for off in 0..active.len() {
-                    let slot = (rr + off) % active.len();
-                    let job = &mut active[slot].run;
-                    if let Some((shard, attempt, fault, delay)) = job.ready.pop_front() {
-                        dispatcher.submit(job, shard, attempt, fault, delay);
-                        rr = (slot + 1) % active.len();
-                        dispatched = true;
-                        break;
-                    }
-                }
-                if !dispatched {
-                    break;
-                }
-            }
-            // One bounded wait for a verdict: fresh submits still get
-            // admitted within a poll interval while jobs are running.
-            if dispatcher.live() > 0 {
-                if let Some((job_id, flight, outcome)) = dispatcher.poll(RECV_POLL) {
-                    if let Some(slot) = active.iter_mut().find(|a| a.run.id == job_id) {
-                        let mut emit_fn = |event: Event| emit(event);
-                        slot.run.on_verdict(
-                            config,
-                            flight,
-                            outcome,
-                            slot.journal.as_mut(),
-                            &mut emit_fn,
-                        );
-                    }
-                }
-            }
-            // Reap settled jobs, interleaving `done` frames by job id.
-            let mut i = 0;
-            while i < active.len() {
-                if !active[i].run.settled() {
-                    i += 1;
-                    continue;
-                }
-                let done = active.remove(i);
-                let id = done.run.id;
-                let workload = done.run.workload.clone();
-                match done.run.into_result(&pool) {
-                    Ok((output, job_stats)) => {
-                        let bit_identical = done
-                            .check
-                            .then(|| output.bit_identical(&monolithic(&workload)));
-                        stats.done += 1;
-                        emit(Event::Done {
-                            id,
-                            output,
-                            stats: job_stats,
-                            bit_identical,
-                        });
-                    }
-                    Err(e) => {
-                        stats.failed += 1;
-                        emit(Event::JobError {
-                            id,
-                            reason: e.to_string(),
-                        });
-                    }
-                }
-                lock_unpoisoned(&admission).ids.remove(&id);
+    let read_requests = |tx: &mpsc::Sender<Input>| {
+        let mut reader = reader;
+        while let Some(frame) = read_frame(&mut reader) {
+            let request = frame.and_then(|v| parse_request(&v));
+            let shutdown = matches!(request, Ok(Request::Shutdown));
+            if tx.send(Input::Request(request)).is_err() || shutdown {
+                return;
             }
         }
-    });
+        let _ = tx.send(Input::Request(Ok(Request::Shutdown)));
+    };
+    let mut journals = match &config.journal_dir {
+        Some(dir) => Journals::Dir(dir, HashMap::new()),
+        None => Journals::One(None),
+    };
+    let mut core = Scheduler::new(config);
+    // One persistent pool per connection: affinity routing keeps
+    // compiled-pattern caches warm across jobs sharing a cache key. A
+    // tripped pool is not respawned into the same systemic failure:
+    // every later job fails naming the breaker.
+    let pool = spawn_pool(exe, config);
+    drive(
+        &mut core,
+        &pool,
+        &mut journals,
+        read_requests,
+        &mut |action| match action {
+            Action::Emit(event) => write(event),
+            Action::Finish(id, result, bit) => write(Event::finished(id, result, bit)),
+            _ => {}
+        },
+    );
     pool.shutdown();
-    stats.rejected = rejected.load(Ordering::SeqCst);
-    emit(Event::Bye {
+    let stats = core.stats();
+    write(Event::Bye {
         done: stats.done,
         failed: stats.failed,
         rejected: stats.rejected,
@@ -1671,48 +1175,6 @@ mod tests {
             }
         }
         assert!(SubmitRequest::from_wire(&v).is_err());
-    }
-
-    #[test]
-    fn pick_next_prefers_cache_affinity_then_fifo() {
-        let mut q: VecDeque<SubmitRequest> = [
-            submit(1, "square"),
-            submit(2, "triangle"),
-            submit(3, "square"),
-        ]
-        .into_iter()
-        .collect();
-        let key = landscape("square").cache_key();
-        let mut streak = 0;
-        // Affinity: job 1 (first matching), then job 3 — job 2 waits.
-        assert_eq!(pick_next(&mut q, Some(&key), &mut streak).unwrap().id, 1);
-        assert_eq!(pick_next(&mut q, Some(&key), &mut streak).unwrap().id, 3);
-        // No match left: FIFO.
-        assert_eq!(pick_next(&mut q, Some(&key), &mut streak).unwrap().id, 2);
-        assert!(pick_next(&mut q, None, &mut streak).is_none());
-    }
-
-    #[test]
-    fn pick_next_affinity_streak_cannot_starve_the_fifo_head() {
-        // Regression: affinity used to be unbounded, so a sustained
-        // stream of same-key jobs starved a different-key head forever.
-        let mut q: VecDeque<SubmitRequest> = std::iter::once(submit(100, "triangle"))
-            .chain((1..=AFFINITY_STREAK_BOUND as u64 + 2).map(|id| submit(id, "square")))
-            .collect();
-        let key = landscape("square").cache_key();
-        let mut streak = 0;
-        let mut order = Vec::new();
-        while let Some(req) = pick_next(&mut q, Some(&key), &mut streak) {
-            order.push(req.id);
-        }
-        // Exactly K affinity picks bypass the head, then the head runs.
-        let bumped = order
-            .iter()
-            .position(|&id| id == 100)
-            .expect("the head must eventually run");
-        assert_eq!(bumped, AFFINITY_STREAK_BOUND);
-        // Nothing is lost, and the post-head picks resume affinity.
-        assert_eq!(order.len(), AFFINITY_STREAK_BOUND + 3);
     }
 
     #[test]

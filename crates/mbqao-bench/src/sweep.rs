@@ -17,8 +17,9 @@
 //!   computation is a pure function of its index, any shard count and
 //!   any arrival order reproduces the monolithic output bit-for-bit
 //!   (`tests/shard_equivalence.rs` is the proof harness).
-//! * [`drive_subprocess`] sends every shard to a private
-//!   [`WorkerPool`] of persistent `--worker` processes, speaking the
+//! * [`drive_subprocess`] runs the sweep as one job of the
+//!   [`crate::scheduler::Scheduler`] with no retries, on a private
+//!   [`WorkerPool`] of persistent `--worker` processes speaking the
 //!   bit-exact JSON of [`mbqao_core::engine::wire`] over stdio (the
 //!   transport is a seam — the jobs and results are self-describing
 //!   strings). A worker that panics or truncates its output fails
@@ -27,11 +28,12 @@
 //!
 //! `cargo run -p mbqao-bench --bin sweep_shard` is the CLI front end.
 
+use crate::serve::{run_job, ServeConfig};
 use crate::tables::{EquivalenceSpec, ResourcesSpec, TableRow};
 use crate::FamilyInstance;
 use mbqao_core::engine::shard::{
-    default_worker_cap, lock_unpoisoned, Merger, PoolConfig, PoolJob, Provenance, Shard,
-    ShardError, ShardResult, WorkerCommand, WorkerPool,
+    default_worker_cap, lock_unpoisoned, Merger, PoolConfig, PoolJob, Provenance, RetryPolicy,
+    Shard, ShardError, ShardResult, WorkerCommand, WorkerPool,
 };
 use mbqao_core::engine::wire::{read_frame, write_frame, PoolFrame, Value, WireError};
 use mbqao_core::{
@@ -203,9 +205,25 @@ fn steps_from_wire(v: &Value, key: &str) -> Result<usize, WireError> {
     Ok(steps)
 }
 
-/// Checks that `steps` per axis over `dims` axes gives an item count
-/// the wire's `i64` indices can address (a wrapped count would pass
-/// for a small one).
+/// Most items one job may sweep: far above any sweep the repository
+/// runs, and far below a count that could not be encoded in the
+/// `accepted` frame or would make every worker allocate the whole sweep
+/// and die. Per-item sizes (disorder `n`, table depths) are not capped.
+pub const MAX_JOB_ITEMS: usize = 1 << 20;
+
+/// Checks an upper bound on a job's item count (`None` when computing
+/// it overflowed) against [`MAX_JOB_ITEMS`], naming the field `key`.
+fn check_job_items(items: Option<usize>, key: &str) -> Result<(), WireError> {
+    let too_many = || format!("{key:?} asks for more than {MAX_JOB_ITEMS} items, the cap per job");
+    items
+        .filter(|&n| n <= MAX_JOB_ITEMS)
+        .map(|_| ())
+        .ok_or_else(|| WireError(too_many()))
+}
+
+/// Checks that `steps` per axis over `dims` axes gives a per-item grid
+/// the wire's `i64` indices can address (a wrapped count would pass for
+/// a small one).
 fn check_grid_size(steps: usize, dims: usize, key: &str) -> Result<(), WireError> {
     u32::try_from(dims)
         .ok()
@@ -274,9 +292,9 @@ impl Workload {
 
     /// The compiled-artifact affinity key: two workloads with the same
     /// key exercise the same `(cost, p, mixer)` compile-cache entries,
-    /// so a scheduler that runs them back-to-back on the same worker
-    /// keeps the pattern cache hot (the `mbqao-serve` admission queue
-    /// routes on this).
+    /// so a pool that runs them back-to-back on the same worker keeps
+    /// the pattern cache hot (the worker pool routes shards on this;
+    /// jobs are admitted FIFO).
     pub fn cache_key(&self) -> String {
         match self {
             Workload::Landscape {
@@ -407,7 +425,7 @@ impl Workload {
         match v.field("kind")?.as_str()? {
             "landscape" => {
                 let steps = steps_from_wire(v, "steps")?;
-                check_grid_size(steps, 2, "steps")?;
+                check_job_items(steps.checked_mul(steps), "steps")?;
                 Ok(Workload::Landscape {
                     family: family_from_wire(v)?,
                     backend: BackendKind::from_name(v.field("backend")?.as_str()?)?,
@@ -435,7 +453,8 @@ impl Workload {
                         )));
                     }
                 }
-                check_grid_size(steps, lo.len(), "steps")?;
+                let dims = u32::try_from(lo.len()).ok();
+                check_job_items(dims.and_then(|d| steps.checked_pow(d)), "steps")?;
                 Ok(Workload::Grid {
                     family: family_from_wire(v)?,
                     backend: BackendKind::from_name(v.field("backend")?.as_str()?)?,
@@ -445,26 +464,49 @@ impl Workload {
                     hi,
                 })
             }
-            "resources" => Ok(Workload::ResourceTable(ResourcesSpec {
-                family_seed: seed_from_wire(v.field("family_seed")?)?,
-                max_n: v.field("max_n")?.as_uint()?,
-                depths: uints("depths")?,
-            })),
-            "equivalence" => Ok(Workload::EquivalenceTable(EquivalenceSpec {
-                family_seed: seed_from_wire(v.field("family_seed")?)?,
-                param_seed: seed_from_wire(v.field("param_seed")?)?,
-                max_n: v.field("max_n")?.as_uint()?,
-                depths: uints("depths")?,
-                qubos: v.field("qubos")?.as_uint()?,
-                include_mis: v.field("include_mis")?.as_bool()?,
-            })),
+            "resources" => {
+                let depths = uints("depths")?;
+                let rows = crate::STANDARD_FAMILY_NAMES.len().checked_mul(depths.len());
+                check_job_items(rows, "depths")?;
+                Ok(Workload::ResourceTable(ResourcesSpec {
+                    family_seed: seed_from_wire(v.field("family_seed")?)?,
+                    max_n: v.field("max_n")?.as_uint()?,
+                    depths,
+                }))
+            }
+            "equivalence" => {
+                let depths = uints("depths")?;
+                let qubos = v.field("qubos")?.as_uint()?;
+                let include_mis = v.field("include_mis")?.as_bool()?;
+                let mis = if include_mis {
+                    crate::MIS_FAMILY_COUNT
+                } else {
+                    0
+                };
+                let rows = crate::STANDARD_FAMILY_NAMES.len().checked_mul(depths.len());
+                check_job_items(rows, "depths")?;
+                check_job_items(
+                    rows.and_then(|r| r.checked_add(qubos)?.checked_add(mis)),
+                    "qubos",
+                )?;
+                Ok(Workload::EquivalenceTable(EquivalenceSpec {
+                    family_seed: seed_from_wire(v.field("family_seed")?)?,
+                    param_seed: seed_from_wire(v.field("param_seed")?)?,
+                    max_n: v.field("max_n")?.as_uint()?,
+                    depths,
+                    qubos,
+                    include_mis,
+                }))
+            }
             "disorder" => {
                 let p = v.field("p")?.as_uint()?;
                 let grid_steps = steps_from_wire(v, "grid_steps")?;
                 check_grid_size(grid_steps, p.saturating_mul(2), "grid_steps")?;
+                let instances = v.field("instances")?.as_uint()?;
+                check_job_items(Some(instances), "instances")?;
                 Ok(Workload::Disorder(DisorderSpec {
                     n: v.field("n")?.as_uint()?,
-                    instances: v.field("instances")?.as_uint()?,
+                    instances,
                     base_seed: seed_from_wire(v.field("base_seed")?)?,
                     p,
                     grid_steps,
@@ -1325,54 +1367,6 @@ pub fn sharded_in_process(workload: &Workload, shards: usize, arrival: &[usize])
     assemble(workload, merger.finish().expect("all shards inserted"))
 }
 
-/// Runs `jobs` on a private [`WorkerPool`] of at most `cap`
-/// `exe --worker` processes and decodes each result. Every job gets a
-/// verdict, in completion order, paired with its shard index.
-fn run_on_pool(
-    exe: &Path,
-    workload: &Workload,
-    jobs: &[(Shard, Option<Fault>)],
-    cap: usize,
-) -> Vec<(usize, Result<ShardResult<Payload>, ShardError>)> {
-    let config = PoolConfig {
-        cap,
-        ..PoolConfig::default()
-    };
-    let pool = WorkerPool::new(WorkerCommand::new(exe, &["--worker"]), config);
-    let cache_key = workload.cache_key();
-    let mut verdicts = Vec::with_capacity(jobs.len());
-    let mut submitted = 0;
-    for (shard, fault) in jobs {
-        let job = PoolJob {
-            tag: shard.index as u64,
-            shard_index: shard.index,
-            input: job_to_json(workload, *shard, *fault),
-            cache_key: cache_key.clone(),
-            delay: Duration::ZERO,
-        };
-        match pool.submit(job) {
-            Ok(()) => submitted += 1,
-            // Only a tripped breaker refuses work here.
-            Err(_) => verdicts.push((
-                shard.index,
-                Err(ShardError::Worker {
-                    shard: shard.index,
-                    reason: "worker pool circuit breaker open; job not run".into(),
-                }),
-            )),
-        }
-    }
-    for _ in 0..submitted {
-        let outcome = pool.recv().expect("the pool answers every job it took");
-        let verdict = outcome
-            .result
-            .and_then(|body| decode_worker_result(outcome.shard_index, &body));
-        verdicts.push((outcome.shard_index, verdict));
-    }
-    pool.shutdown();
-    verdicts
-}
-
 /// Runs one shard on a one-worker [`WorkerPool`] of `exe --worker`,
 /// decoding its result. Failures — panic, nonzero exit, truncated or
 /// malformed output — name the shard. This is also the retry primitive:
@@ -1383,24 +1377,37 @@ pub fn run_shard_subprocess(
     shard: Shard,
     fault: Option<Fault>,
 ) -> Result<ShardResult<Payload>, ShardError> {
-    let (_, verdict) = run_on_pool(exe, workload, &[(shard, fault)], 1)
-        .pop()
-        .expect("one verdict per job");
-    verdict
+    let config = PoolConfig {
+        cap: 1,
+        ..PoolConfig::default()
+    };
+    let pool = WorkerPool::new(WorkerCommand::new(exe, &["--worker"]), config);
+    let job = PoolJob {
+        tag: 0,
+        shard_index: shard.index,
+        input: job_to_json(workload, shard, fault),
+        cache_key: workload.cache_key(),
+        delay: Duration::ZERO,
+    };
+    pool.submit(job).expect("a fresh pool takes a job");
+    let body = pool
+        .recv()
+        .expect("the pool answers every job it took")
+        .result;
+    pool.shutdown();
+    body.and_then(|body| decode_worker_result(shard.index, &body))
 }
 
 /// Executes a workload as `shards` jobs on a private [`WorkerPool`] of
 /// at most `cap` worker processes, drained on readiness, and merges the
 /// results. `faults` maps shard indices to injected faults (tests).
 ///
-/// All shards get a verdict before this returns (no hang on a dead
-/// worker, no short-circuit): if any failed, the error names the
-/// lowest-indexed failed shard and the successfully merged shards are
-/// discarded — re-driving, or re-running just the failed shards via
-/// [`run_shard_subprocess`], are both sound because merging is
-/// order-insensitive and idempotent. (The long-running service in
-/// [`crate::serve`] adds retry, backoff and straggler re-partition on
-/// top of the same pool.)
+/// This is a [`crate::serve`] job with no retries
+/// ([`RetryPolicy::NONE`]): after its first failure it dispatches no
+/// further shard and names the lowest-indexed failed shard among the
+/// verdicts it received. Re-running just the failed shards via
+/// [`run_shard_subprocess`] is sound: merging is order-insensitive and
+/// idempotent.
 pub fn drive_subprocess_capped(
     exe: &Path,
     workload: &Workload,
@@ -1408,34 +1415,12 @@ pub fn drive_subprocess_capped(
     faults: &[(usize, Fault)],
     cap: usize,
 ) -> Result<SweepOutput, ShardError> {
-    // Empty shards (more shards than items) contribute nothing to the
-    // merge — don't dispatch them.
-    let jobs: Vec<(Shard, Option<Fault>)> = Shard::partition(workload.total(), shards)
-        .into_iter()
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            let fault = faults.iter().find(|(i, _)| *i == s.index).map(|(_, f)| *f);
-            (s, fault)
-        })
-        .collect();
-    let mut merger = Merger::new(workload.total());
-    let mut first_failure: Option<(usize, ShardError)> = None;
-    for (index, verdict) in run_on_pool(exe, workload, &jobs, cap) {
-        match verdict {
-            Ok(result) => merger.insert(result)?,
-            // Verdicts arrive in completion order; keep the
-            // lowest-indexed failure so the reported error is
-            // deterministic.
-            Err(e) if first_failure.as_ref().is_none_or(|(i, _)| index < *i) => {
-                first_failure = Some((index, e));
-            }
-            Err(_) => {}
-        }
-    }
-    if let Some((_, e)) = first_failure {
-        return Err(e);
-    }
-    Ok(assemble(workload, merger.finish()?))
+    let config = ServeConfig {
+        cap,
+        retry: RetryPolicy::NONE,
+        ..ServeConfig::default()
+    };
+    run_job(exe, 0, workload, shards, faults, &config, &mut |_| {}).map(|(output, _)| output)
 }
 
 /// [`drive_subprocess_capped`] at the host's available parallelism.
@@ -1563,6 +1548,43 @@ mod tests {
     fn grid_steps_below_two_or_overflowing_are_rejected() {
         rejected_field(&grid(), "steps", Value::Int(1));
         rejected_field(&grid(), "steps", Value::Int(1 << 32));
+    }
+
+    #[test]
+    fn specs_past_the_job_item_cap_are_rejected() {
+        // 2^11 squared is 2^22 items; at 2^31 steps every worker would
+        // allocate 2^31-point axes.
+        rejected_field(&landscape(), "steps", Value::Int(1 << 11));
+        rejected_field(&landscape(), "steps", Value::Int(1 << 31));
+        rejected_field(&grid(), "steps", Value::Int(1 << 11));
+        let disorder = Workload::Disorder(DisorderSpec {
+            n: 5,
+            instances: 2,
+            base_seed: 1,
+            p: 1,
+            grid_steps: 3,
+            backend: BackendKind::Gate,
+        });
+        rejected_field(&disorder, "instances", Value::Int(1 << 21));
+        // An item count past `i64`, which the `accepted` frame cannot
+        // encode.
+        let equivalence = Workload::EquivalenceTable(EquivalenceSpec {
+            max_n: 4,
+            depths: vec![1],
+            ..EquivalenceSpec::full()
+        });
+        rejected_field(&equivalence, "qubos", Value::Int(i64::MAX));
+        rejected_field(&equivalence, "qubos", Value::Int(1 << 21));
+        let many_depths = Value::Arr(vec![Value::Int(1); 1 << 17]);
+        rejected_field(&equivalence, "depths", many_depths.clone());
+        let resources = Workload::ResourceTable(ResourcesSpec::full());
+        rejected_field(&resources, "depths", many_depths);
+        // At the cap, a spec still decodes.
+        let Value::Obj(mut fields) = landscape().to_wire() else {
+            unreachable!("workloads encode as objects")
+        };
+        fields.iter_mut().find(|(k, _)| k == "steps").unwrap().1 = Value::Int(1 << 10);
+        assert!(Workload::from_wire(&Value::Obj(fields)).is_ok());
     }
 
     #[test]

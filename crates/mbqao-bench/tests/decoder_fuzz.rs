@@ -78,7 +78,8 @@ fn workload() -> impl Strategy<Value = Workload> {
         (
             family(),
             backend(),
-            2usize..1 << 20,
+            // steps² stays within the per-job item cap (MAX_JOB_ITEMS).
+            2usize..=1 << 10,
             (f64_any(), f64_any()),
             (f64_any(), f64_any()),
         )

@@ -8,6 +8,7 @@
 
 use mbqao_bench::serve::{run_job, serve, Event, ServeConfig, SubmitRequest};
 use mbqao_bench::sweep::{monolithic, BackendKind, DisorderSpec, FamilyRef, Fault, Workload};
+use mbqao_bench::tables::EquivalenceSpec;
 use mbqao_core::engine::shard::RetryPolicy;
 use mbqao_core::engine::wire::{read_frame, write_frame, Value};
 use std::io::Write;
@@ -354,7 +355,8 @@ fn a_too_deep_frame_is_rejected_and_the_service_keeps_answering() {
 /// Specs that cannot run are refused at decode. Admitted, an unknown
 /// family kills a worker on every attempt until the pool's breaker
 /// trips for every later job, and landscape `steps` 0 (or a `steps`
-/// whose square wraps) panics or aborts the scheduler. Each bad submit
+/// whose square wraps), an item count past the per-job cap or a
+/// partition that cannot be allocated panics or aborts the scheduler. Each bad submit
 /// gets exactly one `rejected` naming its field, and a valid job after
 /// them on the same connection runs on an untouched pool.
 #[test]
@@ -379,6 +381,11 @@ fn unrunnable_specs_are_rejected_and_a_valid_job_after_them_runs_clean() {
         grid_steps: 3,
         backend: BackendKind::Gate,
     });
+    let equivalence = Workload::EquivalenceTable(EquivalenceSpec {
+        max_n: 4,
+        depths: vec![1],
+        ..EquivalenceSpec::full()
+    });
     let bad = [
         (&landscape, "family", Value::Str("nope".into())),
         (&landscape, "steps", Value::Int(0)),
@@ -388,18 +395,29 @@ fn unrunnable_specs_are_rejected_and_a_valid_job_after_them_runs_clean() {
         (&grid, "lo", Value::f64_array(&[0.0; 3])),
         (&grid, "hi", Value::f64_array(&[1.0])),
         (&disorder, "grid_steps", Value::Int(1)),
+        // Past the per-job item cap: an equivalence table whose item
+        // count exceeds `i64` (its `accepted` frame cannot encode it),
+        // and 2^31 steps (every worker would allocate 2^31-point axes).
+        (&equivalence, "qubos", Value::Int(i64::MAX)),
+        (&landscape, "steps", Value::Int(1 << 31)),
+        // A submit field, not a workload one: the partition itself.
+        (&landscape, "shards", Value::Int(1 << 40)),
     ];
     let mut input = Vec::new();
     for (id, (w, key, value)) in (1..).zip(&bad) {
         let Value::Obj(mut fields) = w.to_wire() else {
             unreachable!("workloads encode as objects")
         };
-        fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = value.clone();
-        let submit = Value::obj(vec![
+        let mut submit = vec![
             ("type", Value::Str("submit".into())),
             ("id", Value::Int(id)),
-            ("workload", Value::Obj(fields)),
-        ]);
+        ];
+        match fields.iter_mut().find(|(k, _)| k == key) {
+            Some(field) => field.1 = value.clone(),
+            None => submit.push((*key, value.clone())),
+        }
+        submit.push(("workload", Value::Obj(fields)));
+        let submit = Value::obj(submit);
         write_frame(&mut input, &submit).unwrap();
     }
     let valid = SubmitRequest {

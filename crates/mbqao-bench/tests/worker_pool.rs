@@ -10,7 +10,8 @@ use mbqao_bench::serve::{
     SubmitRequest,
 };
 use mbqao_bench::sweep::{
-    monolithic, run_shard_subprocess, BackendKind, FamilyRef, Fault, Workload,
+    corrupt_f64_payload, monolithic, run_shard, run_shard_subprocess, BackendKind, FamilyRef,
+    Fault, Workload,
 };
 use mbqao_core::engine::shard::{Merger, RetryPolicy, Shard, ShardError};
 use mbqao_core::engine::wire::{read_frame, write_frame, Value};
@@ -139,9 +140,10 @@ fn affinity_routed_second_job_hits_warm_pattern_caches() {
 }
 
 /// Poison-shard quarantine at the orchestrator level: a shard that
-/// kills `quarantine_after` successive workers is dead-lettered. With
-/// `allow_partial` off the job fails with an error naming the shard;
-/// with it on the job completes around a visible hole.
+/// kills `quarantine_after` workers is quarantined, and its
+/// `quarantined` frame carries the kill count and the last stderr.
+/// With `allow_partial` off the job fails with an error naming the
+/// shard; with it on the job completes around a visible hole.
 #[test]
 fn quarantined_shard_fails_the_job_or_degrades_to_partial_coverage() {
     let w = workload(BackendKind::Gate);
@@ -160,7 +162,8 @@ fn quarantined_shard_fails_the_job_or_degrades_to_partial_coverage() {
         shards: 3,
         faults: &[(1, Fault::FailUntil(99))],
     };
-    let err = run_job_with(&pool, &spec, &base, None, &mut |_| {})
+    let mut events = Vec::new();
+    let err = run_job_with(&pool, &spec, &base, None, &mut |e| events.push(e))
         .expect_err("a shard that kills every worker must fail the job");
     match &err {
         ShardError::Worker { shard, reason } => {
@@ -172,12 +175,32 @@ fn quarantined_shard_fails_the_job_or_degrades_to_partial_coverage() {
         }
         other => panic!("expected ShardError::Worker, got {other:?}"),
     }
-    let letters = pool.dead_letters();
-    assert_eq!(letters.len(), 1, "exactly one dead letter");
-    assert_eq!(letters[0].shard_index, 1);
+    let quarantined: Vec<(&(usize, usize), &String)> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Quarantined {
+                id: 5,
+                range,
+                reason,
+            } => Some((range, reason)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(quarantined.len(), 1, "exactly one quarantined frame");
+    let (range, reason) = quarantined[0];
+    let poisoned = Shard::partition(w.total(), 3)[1];
     assert_eq!(
-        letters[0].kills, 2,
-        "quarantine must trigger after exactly K = 2 kills"
+        *range,
+        (poisoned.start, poisoned.end),
+        "the frame names shard 1's range"
+    );
+    assert!(
+        reason.contains("shard 1 quarantined after killing 2 workers"),
+        "quarantine must trigger after exactly K = 2 kills: {reason}"
+    );
+    assert!(
+        reason.contains("injected fault"),
+        "the frame keeps the last stderr excerpt: {reason}"
     );
     pool.shutdown();
 
@@ -267,10 +290,21 @@ fn resume_from_truncated_journal_matches_the_uninterrupted_run() {
     std::fs::write(&path, prefix).expect("truncate journal");
 
     let mut events = Vec::new();
-    let (id, _wl, resumed, stats) = resume_job(&pool, &path, &config, &mut |e| events.push(e))
-        .expect("resume completes the job");
+    assert!(
+        resume_job(&pool, &path, &config, false, &mut |e| events.push(e)),
+        "resume completes the job"
+    );
     pool.shutdown();
-    assert_eq!(id, 11);
+    let Some(Event::Done {
+        id,
+        output: resumed,
+        stats,
+        bit_identical: None,
+    }) = events.last()
+    else {
+        panic!("the resumed job must end in an unchecked done frame");
+    };
+    assert_eq!(*id, 11);
     assert_eq!(stats.replayed, 1, "exactly one intact partial replays");
     assert!(
         events
@@ -292,6 +326,42 @@ fn resume_from_truncated_journal_matches_the_uninterrupted_run() {
         merger.insert(r).expect("disjoint or bit-identical");
     }
     assert!(merger.is_complete(), "post-resume journal covers the sweep");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A resume that fails after the journal header has been read names
+/// the job: a WAL whose second partial repeats the first with one
+/// payload digit flipped must end the real binary's `--resume` in a
+/// `job_error` carrying the header's id 7, and exit 1.
+#[test]
+fn a_resume_that_fails_after_the_header_names_the_job() {
+    let w = workload(BackendKind::Gate);
+    let dir = scratch("wal-dup");
+    let mut journal = JobJournal::create(&dir, 7, &w, 2).expect("journal create");
+    journal
+        .append(&run_shard(&w, Shard::partition(w.total(), 2)[0]))
+        .expect("journal append");
+    let path = journal.path().to_path_buf();
+    drop(journal);
+    let content = std::fs::read_to_string(&path).expect("journal readable");
+    let first = content.lines().nth(1).expect("one partial");
+    std::fs::write(&path, format!("{content}{}\n", corrupt_f64_payload(first))).unwrap();
+
+    let out = Command::new(serve_exe())
+        .arg("--resume")
+        .arg(&path)
+        .arg("--quiet")
+        .output()
+        .expect("resume run");
+    assert_eq!(out.status.code(), Some(1), "a failed resume exits 1");
+    let mut cursor = std::io::Cursor::new(&out.stdout[..]);
+    let frame = read_frame(&mut cursor)
+        .expect("one frame")
+        .expect("the frame parses");
+    assert_eq!(frame.field("type").unwrap().as_str().unwrap(), "job_error");
+    assert_eq!(frame.field("id").unwrap().as_uint().unwrap(), 7);
+    let reason = frame.field("reason").unwrap().as_str().unwrap();
+    assert!(reason.contains("delivered twice"), "{reason}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

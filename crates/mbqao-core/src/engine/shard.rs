@@ -39,7 +39,7 @@
 //! re-partition stragglers.
 
 use super::wire::{read_frame, PoolFrame, Value, WireError};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -550,8 +550,8 @@ pub fn default_worker_cap() -> usize {
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
 /// Every mutex in this module protects state that stays structurally
-/// valid across a panic (a stderr buffer, the pid list, the dead
-/// letters) — there is no invariant a half-finished critical section
+/// valid across a panic (a stderr buffer, the pid list, the outcome
+/// receiver) — there is no invariant a half-finished critical section
 /// could have broken. Propagating the poison would instead cascade one
 /// worker's panic across every thread that touches the lock afterwards,
 /// which is exactly the blast radius the pool design bounds to a single
@@ -581,10 +581,6 @@ pub struct PoolConfig {
     /// Distinct from `liveness`: a straggler still beats; a sick
     /// worker doesn't.
     pub job_deadline: Option<Duration>,
-    /// Poison-shard quarantine threshold: a shard whose job kills this
-    /// many successive workers is dead-lettered instead of retried
-    /// forever (a completed job for the shard resets its count).
-    pub quarantine_after: u32,
     /// Circuit breaker: more than this many unexpected worker deaths
     /// inside `restart_window` trips the pool — every queued and
     /// in-flight job fails fast with `circuit_open = true` and further
@@ -602,7 +598,6 @@ impl Default for PoolConfig {
             heartbeat: Duration::from_millis(100),
             liveness: Duration::from_secs(5),
             job_deadline: None,
-            quarantine_after: 3,
             max_restarts: 8,
             restart_window: Duration::from_secs(30),
         }
@@ -614,12 +609,13 @@ impl Default for PoolConfig {
 /// (the same shard may be in flight more than once across retries),
 /// plus the `cache_key` the dispatcher routes on (jobs with the same
 /// key prefer the worker that last ran that key, so process-wide
-/// compile caches hit cross-shard and cross-job).
+/// compile caches hit cross-shard and cross-job). The pool keeps no
+/// per-shard state: retries and quarantine belong to the submitter.
 #[derive(Debug, Clone)]
 pub struct PoolJob {
     /// Caller's correlation tag, echoed in the outcome.
     pub tag: u64,
-    /// Which shard this job computes (quarantine is keyed on this).
+    /// Which shard this job computes (named in the outcome's errors).
     pub shard_index: usize,
     /// The job description (one line of JSON, carried as the body of
     /// a [`PoolFrame::Job`]).
@@ -645,24 +641,9 @@ pub struct PoolOutcome {
     pub elapsed: Duration,
     /// The worker was killed by the per-job straggler deadline.
     pub timed_out: bool,
-    /// The job's shard hit the poison-shard quarantine threshold; it
-    /// is dead-lettered and must not be retried as-is.
-    pub quarantined: bool,
     /// The pool's restart-rate circuit breaker is open; the job was
     /// not (fully) attempted, and the pool takes no further work.
     pub circuit_open: bool,
-}
-
-/// A quarantined shard's tombstone: which shard, how many workers it
-/// killed, and the last corpse's stderr excerpt for diagnosis.
-#[derive(Debug, Clone)]
-pub struct DeadLetter {
-    /// The poisonous shard index.
-    pub shard_index: usize,
-    /// How many successive workers it killed.
-    pub kills: u32,
-    /// Stderr excerpt from the final kill.
-    pub stderr: String,
 }
 
 /// Pool-lifetime counters (monotonic; safe to snapshot and diff).
@@ -684,8 +665,6 @@ pub struct PoolStats {
     pub affinity_hits: usize,
     /// Jobs completed successfully.
     pub jobs_done: usize,
-    /// Shards dead-lettered by quarantine.
-    pub quarantined: usize,
     /// Whether the circuit breaker has tripped.
     pub tripped: bool,
 }
@@ -700,10 +679,8 @@ struct PoolShared {
     heartbeats: AtomicUsize,
     affinity_hits: AtomicUsize,
     jobs_done: AtomicUsize,
-    quarantined: AtomicUsize,
     tripped: AtomicBool,
     pids: Mutex<Vec<(usize, u32)>>,
-    dead_letters: Mutex<Vec<DeadLetter>>,
 }
 
 /// Supervisor-loop inbox: everything that can happen to the pool
@@ -738,14 +715,14 @@ enum SlotState {
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum DeathKind {
     /// Unexpected exit / protocol corruption: counts toward the
-    /// circuit breaker and (if busy) the shard's quarantine tally.
+    /// circuit breaker.
     Crash,
     /// Killed for missing the liveness deadline: same accounting as a
     /// crash — a hung worker is a sick worker.
     Liveness,
     /// Killed by the per-job straggler deadline: a *policy* kill. The
     /// job reports `timed_out` (re-partition cue); the death counts as
-    /// a restart but neither trips the breaker nor poisons the shard.
+    /// a restart but does not feed the breaker.
     Deadline,
 }
 
@@ -789,12 +766,12 @@ impl Slot {
 /// is ever reported; an endlessly chatty worker must not grow memory).
 const POOL_STDERR_CAP: usize = 64 * 1024;
 
-/// Fairness bound shared by every cache-affinity scheduler in the
-/// stack (the pool's slot dispatch and the serve layer's job/shard
-/// pickers): at most this many *consecutive* picks may bypass the FIFO
-/// head for a warm cache key before the head runs unconditionally. A
-/// sustained stream of one key therefore delays any other tenant by at
-/// most `AFFINITY_STREAK_BOUND` picks instead of forever.
+/// Fairness bound of the pool's slot dispatch, the one cache-affinity
+/// policy in the stack (jobs are admitted FIFO): at most this many
+/// *consecutive* picks may bypass the FIFO head for a warm cache key
+/// before the head runs unconditionally. A sustained stream of one key
+/// therefore delays any other tenant by at most
+/// `AFFINITY_STREAK_BOUND` picks instead of forever.
 pub const AFFINITY_STREAK_BOUND: usize = 4;
 
 struct PoolSupervisor {
@@ -803,9 +780,6 @@ struct PoolSupervisor {
     slots: Vec<Slot>,
     queue: VecDeque<PoolJob>,
     delayed: Vec<(Instant, PoolJob)>,
-    /// Successive worker kills per shard index (cleared on success),
-    /// with the last corpse's stderr excerpt.
-    deaths: HashMap<usize, (u32, String)>,
     /// Consecutive affinity-routed (non-FIFO-head) picks; bounded by
     /// [`AFFINITY_STREAK_BOUND`] so a warm cache key can never starve
     /// the rest of the queue.
@@ -874,7 +848,6 @@ impl PoolSupervisor {
                     s.state = SlotState::Idle;
                     s.last_key = Some(job.cache_key.clone());
                     let elapsed = s.busy_since.elapsed();
-                    self.deaths.remove(&job.shard_index);
                     self.shared.jobs_done.fetch_add(1, Ordering::Relaxed);
                     let _ = self.out_tx.send(PoolOutcome {
                         tag: job.tag,
@@ -882,7 +855,6 @@ impl PoolSupervisor {
                         result: Ok(body),
                         elapsed,
                         timed_out: false,
-                        quarantined: false,
                         circuit_open: false,
                     });
                 }
@@ -922,7 +894,7 @@ impl PoolSupervisor {
     }
 
     /// Kills and reaps the worker in `slot`, settles its in-flight job
-    /// per `kind`, and applies restart/breaker/quarantine accounting.
+    /// per `kind`, and applies restart/breaker accounting.
     fn reap(&mut self, slot: usize, kind: DeathKind, reason: &str) {
         let s = &mut self.slots[slot];
         let Some(mut child) = s.child.take() else {
@@ -950,22 +922,7 @@ impl PoolSupervisor {
             self.breaker_event();
         }
         if let Some(job) = job {
-            match kind {
-                DeathKind::Deadline => self.fail_job(job, Some(&reason), true, false),
-                DeathKind::Crash | DeathKind::Liveness => {
-                    let entry = self
-                        .deaths
-                        .entry(job.shard_index)
-                        .or_insert((0, String::new()));
-                    entry.0 += 1;
-                    entry.1 = reason.clone();
-                    if entry.0 >= self.config.quarantine_after {
-                        self.quarantine(job);
-                    } else {
-                        self.fail_job(job, Some(&reason), false, false);
-                    }
-                }
-            }
+            self.fail_job(job, Some(&reason), kind == DeathKind::Deadline, false);
         }
     }
 
@@ -1018,37 +975,6 @@ impl PoolSupervisor {
         }
     }
 
-    /// Dead-letters `job`'s shard and reports the quarantined outcome.
-    fn quarantine(&mut self, job: PoolJob) {
-        let (kills, stderr) = self
-            .deaths
-            .get(&job.shard_index)
-            .cloned()
-            .unwrap_or((self.config.quarantine_after, String::new()));
-        self.shared.quarantined.fetch_add(1, Ordering::Relaxed);
-        lock_unpoisoned(&self.shared.dead_letters).push(DeadLetter {
-            shard_index: job.shard_index,
-            kills,
-            stderr: stderr.clone(),
-        });
-        let reason = format!(
-            "shard {} quarantined after killing {kills} workers; last stderr: {stderr}",
-            job.shard_index
-        );
-        let _ = self.out_tx.send(PoolOutcome {
-            tag: job.tag,
-            shard_index: job.shard_index,
-            result: Err(ShardError::Worker {
-                shard: job.shard_index,
-                reason,
-            }),
-            elapsed: Duration::ZERO,
-            timed_out: false,
-            quarantined: true,
-            circuit_open: false,
-        });
-    }
-
     fn fail_job(&self, job: PoolJob, reason: Option<&str>, timed_out: bool, circuit_open: bool) {
         let reason = match reason {
             Some(r) => r.to_string(),
@@ -1067,7 +993,6 @@ impl PoolSupervisor {
             }),
             elapsed: Duration::ZERO,
             timed_out,
-            quarantined: false,
             circuit_open,
         });
     }
@@ -1091,17 +1016,6 @@ impl PoolSupervisor {
         loop {
             if self.queue.is_empty() || self.shared.tripped.load(Ordering::SeqCst) {
                 return;
-            }
-            // Already-quarantined shards fail fast instead of
-            // re-running a known poison job.
-            if let Some(pos) = self.queue.iter().position(|job| {
-                self.deaths
-                    .get(&job.shard_index)
-                    .is_some_and(|(kills, _)| *kills >= self.config.quarantine_after)
-            }) {
-                let job = self.queue.remove(pos).expect("position is in range");
-                self.quarantine(job);
-                continue;
             }
             let mut pick = None;
             // Affinity picks that bypass the FIFO head are bounded: a
@@ -1348,13 +1262,15 @@ impl PoolSupervisor {
 ///   lazily, but more than `max_restarts` deaths inside
 ///   `restart_window` opens the circuit and fails everything fast
 ///   (every outcome carries `circuit_open`, and the circuit stays
-///   open);
-/// * **poison-shard quarantine** — a shard that kills
-///   `quarantine_after` successive workers is dead-lettered
-///   ([`WorkerPool::dead_letters`]) instead of retried forever.
+///   open).
+///
+/// The pool tells jobs apart only by tag: retries, quarantine and
+/// merging belong to the submitter (`mbqao-bench`'s `Scheduler`).
 pub struct WorkerPool {
     sup_tx: mpsc::Sender<SupMsg>,
-    outcomes: mpsc::Receiver<PoolOutcome>,
+    /// Behind a mutex so that one thread can wait for outcomes while
+    /// another submits.
+    outcomes: Mutex<mpsc::Receiver<PoolOutcome>>,
     supervisor: Option<JoinHandle<()>>,
     shared: Arc<PoolShared>,
 }
@@ -1373,7 +1289,6 @@ impl WorkerPool {
             config,
             queue: VecDeque::new(),
             delayed: Vec::new(),
-            deaths: HashMap::new(),
             affinity_streak: 0,
             breaker: VecDeque::new(),
             next_gen: 0,
@@ -1384,7 +1299,7 @@ impl WorkerPool {
         let handle = std::thread::spawn(move || supervisor.run(sup_rx));
         WorkerPool {
             sup_tx,
-            outcomes: out_rx,
+            outcomes: Mutex::new(out_rx),
             supervisor: Some(handle),
             shared,
         }
@@ -1406,12 +1321,7 @@ impl WorkerPool {
     /// The next outcome in completion order (blocking). `None` only if
     /// the supervisor died.
     pub fn recv(&self) -> Option<PoolOutcome> {
-        self.outcomes.recv().ok()
-    }
-
-    /// [`WorkerPool::recv`] with a timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<PoolOutcome> {
-        self.outcomes.recv_timeout(timeout).ok()
+        lock_unpoisoned(&self.outcomes).recv().ok()
     }
 
     /// Snapshot of the pool-lifetime counters.
@@ -1424,7 +1334,6 @@ impl WorkerPool {
             heartbeats: self.shared.heartbeats.load(Ordering::SeqCst),
             affinity_hits: self.shared.affinity_hits.load(Ordering::SeqCst),
             jobs_done: self.shared.jobs_done.load(Ordering::SeqCst),
-            quarantined: self.shared.quarantined.load(Ordering::SeqCst),
             tripped: self.shared.tripped.load(Ordering::SeqCst),
         }
     }
@@ -1436,16 +1345,6 @@ impl WorkerPool {
             .iter()
             .map(|(_, pid)| *pid)
             .collect()
-    }
-
-    /// Tombstones of every quarantined shard so far.
-    pub fn dead_letters(&self) -> Vec<DeadLetter> {
-        lock_unpoisoned(&self.shared.dead_letters).clone()
-    }
-
-    /// Whether the restart-rate circuit breaker has opened.
-    pub fn is_tripped(&self) -> bool {
-        self.shared.tripped.load(Ordering::SeqCst)
     }
 
     /// Stops the supervisor, shuts every worker down cleanly, and
@@ -1810,7 +1709,7 @@ mod tests {
             pool.submit(pool_job(tag, shard_index, "k"))
                 .expect("pool accepts");
             let outcome = pool.recv().expect("supervisor alive");
-            assert!(!outcome.quarantined && !outcome.circuit_open);
+            assert!(!outcome.timed_out && !outcome.circuit_open);
             match outcome.result {
                 Err(ShardError::Worker { shard, reason }) => {
                     assert_eq!(shard, shard_index);
@@ -1863,65 +1762,14 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_dead_letters_a_shard_after_exactly_k_kills() {
-        let config = PoolConfig {
-            quarantine_after: 2,
-            ..quiet_pool_config(1)
-        };
-        let pool = WorkerPool::new(crashing_worker(), config);
-        // First kill: a plain failure (the orchestrator may retry).
-        pool.submit(pool_job(0, 9, "k")).expect("pool accepts");
-        let first = pool.recv().expect("supervisor alive");
-        assert!(!first.quarantined, "one kill is below the threshold");
-        assert!(first.result.is_err());
-        // Second kill of the same shard: quarantined, dead-lettered.
-        pool.submit(pool_job(1, 9, "k")).expect("pool accepts");
-        let second = pool.recv().expect("supervisor alive");
-        assert!(
-            second.quarantined,
-            "K = 2 successive kills quarantines the shard"
-        );
-        match &second.result {
-            Err(ShardError::Worker { shard, reason }) => {
-                assert_eq!(*shard, 9);
-                assert!(reason.contains("quarantined"), "named verdict: {reason}");
-            }
-            other => panic!("expected a quarantine verdict, got {other:?}"),
-        }
-        let letters = pool.dead_letters();
-        assert_eq!(letters.len(), 1);
-        assert_eq!(letters[0].shard_index, 9, "dead letter names the shard");
-        assert_eq!(letters[0].kills, 2);
-        assert!(
-            letters[0].stderr.contains("poisonous"),
-            "tombstone keeps the last stderr"
-        );
-        // Third submission fails fast — no fresh worker is sacrificed.
-        pool.submit(pool_job(2, 9, "k")).expect("pool accepts");
-        let third = pool.recv().expect("supervisor alive");
-        assert!(third.quarantined);
-        let stats = pool.shutdown();
-        assert_eq!(
-            stats.spawned, 2,
-            "the quarantined shard never got a third worker"
-        );
-        assert_eq!(
-            stats.quarantined, 2,
-            "one tombstone + one fail-fast verdict"
-        );
-    }
-
-    #[test]
     fn circuit_breaker_trips_after_the_restart_budget() {
         let config = PoolConfig {
             max_restarts: 2,
-            quarantine_after: 100, // keep quarantine out of this test
             ..quiet_pool_config(1)
         };
         let pool = WorkerPool::new(crashing_worker(), config);
         for tag in 0..5u64 {
-            // Distinct shards: every death feeds the breaker, none the
-            // quarantine tally.
+            // Every death feeds the breaker.
             pool.submit(pool_job(tag, tag as usize, "k"))
                 .expect("pool accepts");
         }
@@ -1931,7 +1779,7 @@ mod tests {
             outcomes.iter().any(|o| o.circuit_open),
             "jobs queued past the third death fail fast with circuit_open"
         );
-        assert!(pool.is_tripped());
+        assert!(pool.stats().tripped);
         // An open circuit refuses new work synchronously: a tripped
         // pool takes no further jobs.
         assert!(pool.submit(pool_job(9, 9, "k")).is_err());
@@ -2040,7 +1888,7 @@ mod tests {
         let outcome = pool.recv().expect("supervisor alive");
         assert_eq!(outcome.tag, 9);
         assert!(outcome.timed_out, "deadline must flag the straggler");
-        assert!(!outcome.quarantined && !outcome.circuit_open);
+        assert!(!outcome.circuit_open);
         match outcome.result {
             Err(ShardError::Worker { shard, reason }) => {
                 assert_eq!(shard, 4);

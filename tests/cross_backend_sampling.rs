@@ -1,7 +1,12 @@
 //! E8/E14 (sampling form) — the MBQC protocol as it would actually run:
 //! random outcomes, classically-corrected readout, and agreement of the
-//! sampled cost distribution with the gate-model Born distribution.
+//! sampled cost distribution with the gate-model Born distribution —
+//! here for every backend, through the one Hellinger oracle of
+//! `tests/common`.
 
+mod common;
+
+use common::{assert_born, born_distribution, born_fidelity};
 use mbqao::mbqc::simulate::{run, Branch};
 use mbqao::prelude::*;
 use mbqao::problems::{generators, maxcut};
@@ -48,48 +53,62 @@ fn sampled_cost_mean_matches_gate_model_expectation() {
     );
 }
 
+/// The sampling-form pattern's readout follows the Born law. Passing
+/// the Hellinger oracle at these 6000 shots over 8 outcomes bounds the
+/// total variation too: TV ≤ √(1 − F) < 0.032.
 #[test]
 fn bitstring_distributions_agree_in_total_variation() {
-    let g = generators::triangle();
-    let cost = maxcut::maxcut_zpoly(&g);
+    let cost = maxcut::maxcut_zpoly(&generators::triangle());
     let params = [0.8, 0.4];
     let opts = CompileOptions {
         measure_outputs: true,
         ..Default::default()
     };
     let compiled = compile_qaoa(&cost, 1, &opts);
+    let born = born_distribution(&GateBackend::standard(cost, 1), &params);
+    let samples = mbqc_samples(&compiled, &params, 6000, 7);
+    assert_born("sampling-form pattern", &samples, &born);
+}
 
-    // Exact Born distribution from the gate model (bit v of index x =
-    // variable v, lsb-first).
-    let ansatz = QaoaAnsatz::standard(cost.clone(), 1);
-    let st = ansatz.prepare(&params);
-    let order = ansatz.qubit_order();
-    let aligned = st.aligned(&order);
-    let n = g.n();
-    let mut born = vec![0.0f64; 1 << n];
-    for (msb_idx, amp) in aligned.iter().enumerate() {
-        let mut x = 0usize;
-        for v in 0..n {
-            if (msb_idx >> (n - 1 - v)) & 1 == 1 {
-                x |= 1 << v;
-            }
+/// The oracle over the backend × family matrix: every backend's samples
+/// on the triangle and the square follow the exact Born law, at the
+/// point and seed of the per-backend checks.
+#[test]
+fn every_backend_samples_the_born_law_on_the_triangle_and_the_square() {
+    let params = [0.8, 0.4];
+    for (family, graph) in [
+        ("triangle", generators::triangle()),
+        ("square", generators::square()),
+    ] {
+        let cost = maxcut::maxcut_zpoly(&graph);
+        let born = born_distribution(&GateBackend::standard(cost.clone(), 1), &params);
+        let backends: [(&str, Box<dyn Backend>); 4] = [
+            ("gate", Box::new(GateBackend::standard(cost.clone(), 1))),
+            ("pattern", Box::new(PatternBackend::new(&cost, 1))),
+            ("zx", Box::new(ZxBackend::new(&cost, 1))),
+            ("pauli", Box::new(PauliBackend::new(&cost, 1))),
+        ];
+        for (name, backend) in backends {
+            let samples = backend.sample(&params, 6000, 9);
+            assert_born(&format!("{name} on the {family}"), &samples, &born);
         }
-        born[x] += amp.norm_sqr();
     }
+}
 
-    let shots = 6000;
-    let samples = mbqc_samples(&compiled, &params, shots, 7);
-    let mut emp = vec![0.0f64; 1 << n];
-    for &x in &samples {
-        emp[x as usize] += 1.0 / shots as f64;
+/// Negative control: samples of the Born law at other angles fail the
+/// oracle.
+#[test]
+fn the_born_law_at_other_angles_fails_the_oracle() {
+    let cost = maxcut::maxcut_zpoly(&generators::square());
+    let gate = GateBackend::standard(cost, 1);
+    let samples = gate.sample(&[0.8, 0.4], 6000, 9);
+    for other in [[0.8, 0.5], [0.3, 1.1]] {
+        let (fidelity, bound) = born_fidelity(&samples, &born_distribution(&gate, &other));
+        assert!(
+            fidelity < bound,
+            "samples at (0.8, 0.4) pass for {other:?}: fidelity {fidelity} ≥ {bound}"
+        );
     }
-    let tv: f64 = born
-        .iter()
-        .zip(&emp)
-        .map(|(a, b)| (a - b).abs())
-        .sum::<f64>()
-        / 2.0;
-    assert!(tv < 0.05, "total variation {tv} too large");
 }
 
 #[test]

@@ -3,12 +3,15 @@
 //! `PauliBackend` must be indistinguishable — on expectations (1e-8)
 //! across the standard families (MaxCut, SK, QUBO, MIS mixer, XY
 //! mixer) at p ∈ {1, 2}, on batched evaluation (bit-identical), and on
-//! sampling statistics (chi-squared against the exact Born
-//! distribution) — on *both* sides of the magic budget: the tableau
+//! sampling statistics (the Hellinger oracle of `tests/common` against
+//! the exact Born distribution) — on *both* sides of the magic budget: the tableau
 //! fast path at Clifford-rich parameters and the statevector fallback
 //! at generic ones. It also pins the tableau's own width (live
 //! register plus pinned magic columns) and the branch-tree average.
 
+mod common;
+
+use common::{assert_born, born_distribution};
 use mbqao::mbqc::resources;
 use mbqao::prelude::*;
 use mbqao::problems::{generators, maxcut, mis, Qubo};
@@ -16,44 +19,6 @@ use mbqao_tableau::{branch_tree_expectation, PatternRun, MAX_MAGIC_EXPECTATION, 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
-
-/// Chi-squared statistic of `samples` against exact probabilities.
-fn chi_squared(samples: &[u64], probs: &[f64]) -> f64 {
-    let shots = samples.len() as f64;
-    let mut counts = vec![0usize; probs.len()];
-    for &x in samples {
-        counts[x as usize] += 1;
-    }
-    probs
-        .iter()
-        .zip(&counts)
-        .filter(|&(&p, _)| p * shots > 1e-9)
-        .map(|(&p, &c)| {
-            let expected = p * shots;
-            (c as f64 - expected).powi(2) / expected
-        })
-        .sum()
-}
-
-/// Exact Born distribution of a backend's prepared state, indexed by the
-/// lsb-first variable convention of `Backend::sample`.
-fn born_distribution(backend: &dyn Backend, params: &[f64]) -> Vec<f64> {
-    let st = backend.prepare(params);
-    let order = backend.variable_wires();
-    let aligned = st.aligned(&order);
-    let n = order.len();
-    let mut probs = vec![0.0f64; 1 << n];
-    for (msb_idx, amp) in aligned.iter().enumerate() {
-        let mut x = 0usize;
-        for v in 0..n {
-            if (msb_idx >> (n - 1 - v)) & 1 == 1 {
-                x |= 1 << v;
-            }
-        }
-        probs[x] += amp.norm_sqr();
-    }
-    probs
-}
 
 /// A unit-weight cycle on `n` vertices plus two golden-ratio chords:
 /// at π/4-lattice points with odd γ every cycle gadget is Clifford and
@@ -208,9 +173,8 @@ fn pauli_sampling_matches_gate_born_distribution_chi_squared() {
         let shots = 6000;
         let samples = exec.sample(&params, shots, 9);
         assert_eq!(samples.len(), shots);
-        // 8 outcomes → 7 degrees of freedom; χ²₀.₉₉₉(7) ≈ 24.3.
-        let chi2 = chi_squared(&samples, &probs);
-        assert!(chi2 < 24.3, "{label}: chi-squared {chi2} too large");
+        // The bound is the χ²₀.₉₉₉ quantile of the Freeman–Tukey statistic.
+        assert_born(label, &samples, &probs);
 
         let est = exec.sampled_expectation(&params, shots, 9);
         let exact = exec.expectation(&params);

@@ -1,55 +1,20 @@
 //! The cross-backend differential harness: `GateBackend`,
 //! `PatternBackend` and `ZxBackend` must be indistinguishable — on
 //! expectations (1e-8), on batched evaluation (bit-identical), and on
-//! sampling statistics (chi-squared against the exact Born
-//! distribution). Random problem graphs and random parameter points
-//! machine-check the ZX rewrite soundness the paper argues
-//! diagrammatically.
+//! sampling statistics (the Hellinger oracle of `tests/common` against
+//! the exact Born distribution). Random problem graphs and random
+//! parameter points machine-check the ZX rewrite soundness the paper
+//! argues diagrammatically.
 
+mod common;
+
+use common::{assert_born, born_distribution};
 use mbqao::core::cache;
 use mbqao::prelude::*;
 use mbqao::problems::{generators, maxcut, mis, Qubo};
 use mbqao_core::{verify_equivalence_three_way, MixerKind, ZxBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Chi-squared statistic of `samples` against exact probabilities.
-fn chi_squared(samples: &[u64], probs: &[f64]) -> f64 {
-    let shots = samples.len() as f64;
-    let mut counts = vec![0usize; probs.len()];
-    for &x in samples {
-        counts[x as usize] += 1;
-    }
-    probs
-        .iter()
-        .zip(&counts)
-        .filter(|&(&p, _)| p * shots > 1e-9)
-        .map(|(&p, &c)| {
-            let expected = p * shots;
-            (c as f64 - expected).powi(2) / expected
-        })
-        .sum()
-}
-
-/// Exact Born distribution of a backend's prepared state, indexed by the
-/// lsb-first variable convention of `Backend::sample`.
-fn born_distribution(backend: &dyn Backend, params: &[f64]) -> Vec<f64> {
-    let st = backend.prepare(params);
-    let order = backend.variable_wires();
-    let aligned = st.aligned(&order);
-    let n = order.len();
-    let mut probs = vec![0.0f64; 1 << n];
-    for (msb_idx, amp) in aligned.iter().enumerate() {
-        let mut x = 0usize;
-        for v in 0..n {
-            if (msb_idx >> (n - 1 - v)) & 1 == 1 {
-                x |= 1 << v;
-            }
-        }
-        probs[x] += amp.norm_sqr();
-    }
-    probs
-}
 
 #[test]
 fn three_backends_agree_on_random_graphs_and_parameters() {
@@ -280,11 +245,8 @@ fn zx_sampling_matches_gate_born_distribution_chi_squared() {
     let shots = 6000;
     let samples = exec.sample(&params, shots, 9);
     assert_eq!(samples.len(), shots);
-    // 8 outcomes → 7 degrees of freedom; χ²₀.₉₉₉(7) ≈ 24.3. A fixed
-    // seed keeps this deterministic, the generous quantile keeps it
-    // meaningful (a wrong distribution blows past it immediately).
-    let chi2 = chi_squared(&samples, &probs);
-    assert!(chi2 < 24.3, "chi-squared {chi2} too large for the Born law");
+    // The bound is the χ²₀.₉₉₉ quantile of the Freeman–Tukey statistic.
+    assert_born("zx", &samples, &probs);
 
     // The same draw drives `sampled_expectation`.
     let est = exec.sampled_expectation(&params, shots, 9);
