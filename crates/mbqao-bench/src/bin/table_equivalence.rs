@@ -11,13 +11,13 @@
 //! worker subprocesses. The three-way equivalence assert runs wherever
 //! the row is rendered.
 
-use mbqao_bench::sweep::{run_in_process, shards_flag, SweepOutput, Workload};
+use mbqao_bench::sweep::{run_in_process, table_shards, SweepOutput, Workload};
 use mbqao_bench::tables::EquivalenceSpec;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let shards = table_shards("table_equivalence");
     let workload = Workload::EquivalenceTable(EquivalenceSpec::full());
-    let output = run_in_process(&workload, shards_flag(&args));
+    let output = run_in_process(&workload, shards);
     let SweepOutput::Table { text, .. } = output else {
         unreachable!("equivalence workload assembles to a table");
     };

@@ -11,15 +11,15 @@
 //! the same workload as worker subprocesses). Per-row asserts (paper
 //! bounds, gflow determinism) run wherever the row is rendered.
 
-use mbqao_bench::sweep::{run_in_process, shards_flag, SweepOutput, Workload};
+use mbqao_bench::sweep::{run_in_process, table_shards, SweepOutput, Workload};
 use mbqao_bench::tables::ResourcesSpec;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let shards = table_shards("table_resources");
     let spec = ResourcesSpec::full();
     let expects_savings = spec.expects_dense_savings();
     let workload = Workload::ResourceTable(spec);
-    let output = run_in_process(&workload, shards_flag(&args));
+    let output = run_in_process(&workload, shards);
     let SweepOutput::Table {
         text,
         dense_savings,

@@ -354,9 +354,8 @@ impl Scheduler {
             let Some(req) = self.waiting.pop_front() else {
                 return;
             };
-            let work: Vec<Attempt> = Shard::partition(req.workload.total(), req.shards)
-                .into_iter()
-                .filter(|s| !s.is_empty())
+            let work: Vec<Attempt> = Shard::parts(req.workload.total(), req.shards)
+                .take_while(|s| !s.is_empty())
                 .map(|s| {
                     let fault = req.faults.iter().find(|(i, _)| *i == s.index);
                     Attempt::first(s, fault.map(|(_, f)| *f))

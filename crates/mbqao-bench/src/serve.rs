@@ -103,7 +103,6 @@ pub fn spawn_pool(exe: &Path, config: &ServeConfig) -> WorkerPool {
     let pool = PoolConfig {
         cap: config.cap,
         job_deadline: config.straggler_deadline,
-        ..PoolConfig::default()
     };
     WorkerPool::new(WorkerCommand::new(exe, &["--worker"]), pool)
 }
@@ -550,15 +549,8 @@ impl SubmitRequest {
         let id = v.field("id")?.as_uint()? as u64;
         let shards = match v.field("shards") {
             Err(_) => 2,
-            Ok(s) => s.as_uint()?,
+            Ok(s) => check_shards(s.as_uint()?)?,
         };
-        // More shards than items are empty, and past the item cap even
-        // the partition could not be allocated.
-        if shards == 0 || shards > MAX_JOB_ITEMS {
-            return Err(WireError(format!(
-                "\"shards\" must be between 1 and {MAX_JOB_ITEMS}, got {shards}"
-            )));
-        }
         let check = match v.field("check") {
             Err(_) => false,
             Ok(c) => c.as_bool()?,
@@ -584,6 +576,18 @@ impl SubmitRequest {
             check,
         })
     }
+}
+
+/// Checks a partition width read from a submit or a journal header:
+/// more shards than items are empty, and past the item cap even the
+/// partition could not be built.
+fn check_shards(shards: usize) -> Result<usize, WireError> {
+    if shards == 0 || shards > MAX_JOB_ITEMS {
+        return Err(WireError(format!(
+            "\"shards\" must be between 1 and {MAX_JOB_ITEMS}, got {shards}"
+        )));
+    }
+    Ok(shards)
 }
 
 /// One request frame.
@@ -699,6 +703,11 @@ pub struct JournalReplay {
     pub results: Vec<ShardResult<Payload>>,
 }
 
+/// Bound on a replayed partial's shard count (`of`), far above real
+/// journals (a split or resume adds a few indices per item), so the
+/// fresh shards a resume numbers above it never overflow the wire.
+const MAX_REPLAYED_SHARDS: usize = 1 << 32;
+
 /// Parses a journal written by [`JobJournal`]. A torn **final** line
 /// (crash mid-append) is tolerated — that shard simply re-runs; a
 /// malformed line anywhere else is corruption and errors out.
@@ -725,8 +734,14 @@ fn read_journal(path: &Path) -> Result<JournalReplay, (Option<u64>, WireError)> 
                     v.field("type")?.as_str()?
                 )));
             }
+            let provenance = Provenance::from_wire(v.field("provenance")?)?;
+            let of = provenance.shard.of;
+            if of > MAX_REPLAYED_SHARDS {
+                let e = format!("shard count {of} past the bound of {MAX_REPLAYED_SHARDS}");
+                return Err(WireError(e));
+            }
             Ok(ShardResult {
-                provenance: Provenance::from_wire(v.field("provenance")?)?,
+                provenance,
                 payload: Payload::from_wire(v.field("payload")?)?,
             })
         });
@@ -755,7 +770,7 @@ fn journal_header(line: Option<&str>) -> Result<JournalReplay, WireError> {
     }
     Ok(JournalReplay {
         id: header.field("id")?.as_uint()? as u64,
-        shards: header.field("shards")?.as_uint()?,
+        shards: check_shards(header.field("shards")?.as_uint()?)?,
         workload: Workload::from_wire(header.field("workload")?)?,
         results: Vec::new(),
     })

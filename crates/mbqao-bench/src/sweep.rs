@@ -44,6 +44,7 @@ use mbqao_qaoa::landscape::{p1_axes, scan_p1_slice_with, Landscape};
 use mbqao_qaoa::optimize::{grid_search_range, grid_total, GridBest, OptResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::num::NonZeroUsize;
 use std::path::Path;
 use std::time::Duration;
 
@@ -1315,19 +1316,20 @@ pub fn monolithic(workload: &Workload) -> SweepOutput {
     assemble(workload, vec![run_shard(workload, shard)])
 }
 
-/// Parses `--shards N` from CLI arguments (default 1 when absent) —
-/// the one flag the table binaries share.
-///
-/// # Panics
-/// Panics when `--shards` is present without a parseable value.
-pub fn shards_flag(args: &[String]) -> usize {
-    match args.iter().position(|a| a == "--shards") {
-        None => 1,
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .expect("--shards needs a shard count"),
-    }
+/// Reads the table binaries' command line, `[--shards N]` with `N ≥ 1`
+/// (default 1). Anything else, `--shards 0` included, prints a usage
+/// line naming `bin` and exits with code 2.
+pub fn table_shards(bin: &str) -> usize {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let shards = match &args[..] {
+        [] => Ok(NonZeroUsize::MIN),
+        [flag] | [flag, _] if flag == "--shards" => flag_value(flag, args.get(1)),
+        _ => Err(format!("unknown arguments {args:?}")),
+    };
+    shards.map(NonZeroUsize::get).unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}\nusage: {bin} [--shards N]");
+        std::process::exit(2)
+    })
 }
 
 /// Runs a workload in-process with `shards` shards in canonical

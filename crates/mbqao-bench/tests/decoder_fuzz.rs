@@ -317,6 +317,39 @@ proptest! {
 }
 
 #[test]
+fn journal_indices_past_their_bounds_are_errors() {
+    let w = Workload::Landscape {
+        family: FamilyRef {
+            seed: 7,
+            name: "square".into(),
+        },
+        backend: BackendKind::Gate,
+        steps: 2,
+        gamma: (0.0, 1.0),
+        beta: (0.0, 1.0),
+    };
+    let req = SubmitRequest {
+        id: 3,
+        workload: w,
+        shards: 2,
+        faults: Vec::new(),
+        check: false,
+    };
+    let text = String::from_utf8(journal(&req, &[])).unwrap();
+    for shards in ["0", "1048577", "9223372036854775807"] {
+        let hostile = text.replace("\"shards\":2", &format!("\"shards\":{shards}"));
+        let path = scratch_file(hostile.as_bytes());
+        let err = load_journal(&path).unwrap_err();
+        let _ = std::fs::remove_file(path);
+        assert!(
+            err.0.contains("\"shards\" must be between 1 and"),
+            "{}",
+            err.0
+        );
+    }
+}
+
+#[test]
 fn deep_nesting_is_an_error_not_a_crash() {
     for depth in [200, 100_000, 1_000_000] {
         let arrays = "[".repeat(depth) + &"]".repeat(depth);

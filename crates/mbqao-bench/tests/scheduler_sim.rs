@@ -1,18 +1,23 @@
-//! A seeded simulator of the job scheduler on virtual time.
+//! A seeded simulator of the job scheduler and the pool supervisor on
+//! virtual time.
 //!
-//! It drives the sans-IO [`Scheduler`] with a fake pool of `cap`
-//! virtual workers. The fake pool decodes every attempt with
-//! `job_from_json` and computes it with `run_shard`, and it plays the
-//! real [`Fault`]s in virtual time: a `Stall` advances the clock
-//! instead of sleeping, `Panic` and `FailUntil` become a worker death,
-//! and `Corrupt` goes through `corrupt_f64_payload`. On top of those it
-//! injects straggler deadline kills, workers that cannot be spawned, a
-//! breaker trip, failed journal appends and slow checks, and it sends
-//! submits at random times, duplicate ids, queue overflow and shutdown
-//! included. Nothing sleeps, so `PROPTEST_CASES` scales the search
-//! freely.
+//! It drives the sans-IO [`Scheduler`] over the real sans-IO
+//! [`PoolCore`], whose [`Workers`] are virtual processes on one
+//! timeline. A virtual worker beats every [`HEARTBEAT`], decodes each
+//! job with `job_from_json` and computes it with `run_shard`, and plays
+//! the real [`Fault`]s in virtual time: a `Stall` advances the clock
+//! instead of sleeping (the worker keeps beating), `Panic` and
+//! `FailUntil` become a death with a stderr excerpt, `DieAfter(n)` a
+//! clean exit after `n` results, and `Corrupt` goes through
+//! `corrupt_f64_payload`. On top of those it injects hung workers (they
+//! stop beating), workers that cannot be spawned, sick-host bursts in
+//! which no spawn succeeds (so the breaker trips by its own death
+//! count), straggler deadlines, failed journal appends and slow checks,
+//! and it sends submits at random times, duplicate ids, queue overflow
+//! and shutdown included. Nothing sleeps, so `PROPTEST_CASES` scales
+//! the search freely.
 //!
-//! Every case checks the core's contract:
+//! Every case checks the scheduler's contract:
 //!
 //! 1. every admitted job ends in exactly one terminal frame: a `done`
 //!    bit-identical to `monolithic()` (with holes exactly at its
@@ -32,6 +37,25 @@
 //! stall (7), a WAL cut after any append resumes bit-identically and
 //! re-runs only the missing ranges (8), and a pending check holds up no
 //! other tenant.
+//!
+//! Every step of the pool core, here and in a pool-only harness with
+//! random opaque jobs, checks the pool's contract against a model
+//! built from what the virtual workers saw:
+//!
+//! 9. every submitted `PoolJob` gets exactly one `PoolOutcome`, and an
+//!    `Ok` one carries the result its live worker sent; a frame from a
+//!    reaped generation never produces one (it is counted in
+//!    `stale_frames`);
+//! 10. at most `cap` workers are live at any virtual instant;
+//! 11. timing is exact: no job reaches a worker before its `delay` has
+//!     run; a worker silent for [`LIVENESS`] is killed at that instant,
+//!     idle or busy, and never earlier; a job still running at
+//!     `job_deadline` is killed at that instant, with `timed_out` set;
+//! 12. the breaker trips on the ninth breaker-relevant death (a crash,
+//!     a liveness kill or a spawn failure, never a deadline kill)
+//!     inside any [`RESTART_WINDOW`], and not otherwise;
+//! 13. the FIFO head is bypassed by at most [`AFFINITY_STREAK_BOUND`]
+//!     consecutive affinity picks.
 
 use mbqao_bench::scheduler::{Action, Input, JournalOp, Scheduler};
 use mbqao_bench::serve::{Event, JournalReplay, Request, ServeConfig, SubmitRequest};
@@ -40,29 +64,523 @@ use mbqao_bench::sweep::{
     run_shard, BackendKind, FamilyRef, Fault, Payload, SweepOutput, Workload,
 };
 use mbqao_core::engine::shard::{
-    PoolJob, PoolOutcome, RetryPolicy, Shard, ShardError, ShardResult,
+    PoolConfig, PoolCore, PoolInput, PoolJob, PoolOutcome, RetryPolicy, Shard, ShardError,
+    ShardResult, Workers, AFFINITY_STREAK_BOUND, HEARTBEAT, LIVENESS, MAX_RESTARTS, RESTART_WINDOW,
 };
+use mbqao_core::engine::wire::{PoolFrame, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Virtual milliseconds one shard's work takes on a worker.
 const WORK_MS: u64 = 1;
+
+/// The pool's shutdown grace, in virtual milliseconds.
+const GRACE_MS: u64 = 500;
+
+fn ms(d: Duration) -> u64 {
+    d.as_millis() as u64
+}
 
 /// Something that happens at a virtual instant.
 enum Ev {
     /// A client request or a resume reaches the scheduler.
     Client(Input),
-    /// The worker running attempt `tag` reports.
-    Done(u64),
-    /// A backoff delay may have run out.
-    Wake,
     /// A check verdict comes back.
     Checked(u64, bool),
-    /// The pool's circuit breaker trips.
-    Trip,
+    /// A job, a worker's frame or end, or a shutdown reaches the pool.
+    Pool(PoolInput),
+    /// Worker `(slot, gen)` beats, if it still runs and is not hung.
+    Beat(usize, u64),
+}
+
+/// What a virtual worker does with one job body.
+enum Fate {
+    /// Answers with this body; `Some(n)` exits cleanly once it has
+    /// answered `n` jobs.
+    Answer(String, Option<u32>),
+    /// Dies: stdout closes, and stderr holds the panic.
+    Die,
+    /// Stops beating and never answers.
+    Hang,
+}
+
+/// A virtual worker process.
+struct Proc {
+    gen: u64,
+    /// When it was spawned or last sent a frame the pool read.
+    last_frame: u64,
+    /// `(since, until)` of the job it holds.
+    busy: Option<(u64, u64)>,
+    hung: bool,
+    /// Its stdout will close (it dies, exits or saw EOF).
+    leaving: bool,
+    /// Its stdout closed: the pool read its `Gone`.
+    exited: bool,
+    stderr: &'static str,
+    answered: u32,
+}
+
+/// What the pool core asked of the virtual workers, in order.
+enum Io {
+    /// A spawn succeeded, leaving this many workers live.
+    Spawned(usize),
+    SpawnFailed,
+    /// `(slot, body)`: a job frame went to the worker in `slot`.
+    Sent(usize, String),
+    Killed(usize, Proc),
+}
+
+/// The virtual processes behind a [`PoolCore`], and the timeline
+/// everything travels on.
+struct World {
+    rng: StdRng,
+    now: u64,
+    seq: u64,
+    timeline: BTreeMap<(u64, u64), Ev>,
+    procs: Vec<Option<Proc>>,
+    /// How a worker handles one job body.
+    work: fn(&str) -> (u64, Fate),
+    /// Chance that a spawn fails.
+    spawn_fail: f64,
+    /// Chance that a worker hangs, at its spawn or on a job.
+    hang: f64,
+    /// A sick-host burst `[from, to)`: no spawn succeeds.
+    sick: Option<(u64, u64)>,
+    /// A spawn failed or a worker hung.
+    injected: bool,
+    io: Vec<Io>,
+}
+
+impl World {
+    fn at(&mut self, t: u64, ev: Ev) {
+        self.seq += 1;
+        self.timeline.insert((t, self.seq), ev);
+    }
+}
+
+impl Workers for World {
+    fn spawn(&mut self, slot: usize, gen: u64) -> Result<(), String> {
+        let sick = self
+            .sick
+            .is_some_and(|(from, to)| (from..to).contains(&self.now));
+        if sick || self.rng.gen_bool(self.spawn_fail) {
+            self.injected = true;
+            self.io.push(Io::SpawnFailed);
+            return Err("spawning pool worker: injected".into());
+        }
+        assert!(
+            self.procs[slot].is_none(),
+            "slot {slot} spawned over a live worker"
+        );
+        let hung = self.rng.gen_bool(self.hang);
+        self.injected |= hung;
+        self.procs[slot] = Some(Proc {
+            gen,
+            last_frame: self.now,
+            busy: None,
+            hung,
+            leaving: false,
+            exited: false,
+            stderr: "",
+            answered: 0,
+        });
+        self.io
+            .push(Io::Spawned(self.procs.iter().flatten().count()));
+        self.at(self.now + ms(HEARTBEAT), Ev::Beat(slot, gen));
+        Ok(())
+    }
+
+    fn send(&mut self, slot: usize, line: String) {
+        let frame = Value::parse(&line).and_then(|v| PoolFrame::from_wire(&v));
+        let Ok(PoolFrame::Job { gen, body }) = frame else {
+            panic!("the core sends job frames: {line}");
+        };
+        let now = self.now;
+        let hang = self.rng.gen_bool(self.hang);
+        let p = self.procs[slot].as_mut().expect("jobs go to live workers");
+        assert_eq!(gen, p.gen, "a job frame for another generation");
+        assert!(p.busy.is_none(), "a busy worker got a second job");
+        let (work_ms, fate) = (self.work)(&body);
+        self.io.push(Io::Sent(slot, body));
+        p.busy = Some((now, now + work_ms));
+        if p.hung || p.leaving {
+            return; // it never reads the job
+        }
+        let fate = if hang { Fate::Hang } else { fate };
+        let gone = PoolInput::Gone(slot, gen, "worker stdout closed".into());
+        match fate {
+            Fate::Hang => {
+                p.hung = true;
+                self.injected = true;
+            }
+            Fate::Die => {
+                (p.stderr, p.leaving) = ("injected fault: worker panics", true);
+                self.at(now + work_ms, Ev::Pool(gone));
+            }
+            Fate::Answer(body, exit_after) => {
+                p.answered += 1;
+                let exits = exit_after.is_some_and(|n| p.answered >= n);
+                p.leaving = exits;
+                let result = PoolFrame::Result { gen, body };
+                self.at(now + work_ms, Ev::Pool(PoolInput::Frame(slot, gen, result)));
+                if exits {
+                    self.at(now + work_ms, Ev::Pool(gone));
+                }
+            }
+        }
+    }
+
+    fn close(&mut self, slot: usize) {
+        let now = self.now;
+        let p = self.procs[slot]
+            .as_mut()
+            .expect("closes go to live workers");
+        if p.hung || p.leaving {
+            return;
+        }
+        // It sees EOF once its job, if any, is answered.
+        p.leaving = true;
+        let at = p.busy.map_or(now, |(_, until)| until.max(now));
+        let gone = PoolInput::Gone(slot, p.gen, "worker stdout closed".into());
+        self.at(at, Ev::Pool(gone));
+    }
+
+    fn kill(&mut self, slot: usize) -> String {
+        let p = self.procs[slot].take().expect("kills go to live workers");
+        let stderr = p.stderr.to_string();
+        self.io.push(Io::Killed(slot, p));
+        stderr
+    }
+}
+
+/// A [`PoolCore`] over a [`World`], checking properties 9–13 against a
+/// model after every step.
+struct Pool {
+    core: PoolCore,
+    world: World,
+    origin: Instant,
+    cap: usize,
+    deadline: Option<u64>,
+    /// Queued jobs by input (unique among them) → tag.
+    tags: HashMap<String, u64>,
+    /// Tag → the earliest instant it may reach a worker.
+    due: HashMap<u64, u64>,
+    /// The ready jobs, in the core's FIFO order.
+    fifo: VecDeque<u64>,
+    /// Delayed jobs by (due, arrival).
+    delayed: BTreeMap<(u64, u64), u64>,
+    arrivals: u64,
+    /// Consecutive dispatches that bypassed the FIFO head.
+    streak: usize,
+    /// Slot → the tag its worker holds.
+    running: HashMap<usize, u64>,
+    /// Tags without a verdict.
+    open: HashSet<u64>,
+    /// Breaker-relevant death instants.
+    deaths: Vec<u64>,
+    /// Frames delivered from reaped generations.
+    late: usize,
+    /// When shutdown reached the core.
+    closing: Option<u64>,
+}
+
+impl Pool {
+    fn new(config: PoolConfig, work: fn(&str) -> (u64, Fate), seed: u64) -> Pool {
+        let (cap, deadline) = (config.cap, config.job_deadline.map(ms));
+        Pool {
+            core: PoolCore::new(config),
+            world: World {
+                rng: StdRng::seed_from_u64(seed),
+                now: 0,
+                seq: 0,
+                timeline: BTreeMap::new(),
+                procs: (0..cap).map(|_| None).collect(),
+                work,
+                spawn_fail: 0.0,
+                hang: 0.0,
+                sick: None,
+                injected: false,
+                io: Vec::new(),
+            },
+            origin: Instant::now(),
+            cap,
+            deadline,
+            tags: HashMap::new(),
+            due: HashMap::new(),
+            fifo: VecDeque::new(),
+            delayed: BTreeMap::new(),
+            arrivals: 0,
+            streak: 0,
+            running: HashMap::new(),
+            open: HashSet::new(),
+            deaths: Vec::new(),
+            late: 0,
+            closing: None,
+        }
+    }
+
+    /// The next event: the earliest on the timeline, or a wake when the
+    /// core's own timer runs out first.
+    fn next(&mut self) -> Option<(u64, Ev)> {
+        let wake = self.core.next_wake().map(|at| ms(at - self.origin));
+        let first = self.world.timeline.keys().next().map(|&(t, _)| t);
+        match (wake, first) {
+            (Some(w), f) if f.is_none_or(|f| w < f) => Some((w, Ev::Pool(PoolInput::Wake))),
+            _ => self.world.timeline.pop_first().map(|((t, _), ev)| (t, ev)),
+        }
+    }
+
+    /// A beat of worker `(slot, gen)`, if it still runs.
+    fn beat(&mut self, now: u64, slot: usize, gen: u64) -> Result<Vec<PoolOutcome>, TestCaseError> {
+        // Now and then a worker hangs between beats, idle or busy.
+        let hangs = self.world.rng.gen_bool(self.world.hang / 20.0);
+        let Some(p) = self.world.procs[slot].as_mut().filter(|p| p.gen == gen) else {
+            return Ok(Vec::new());
+        };
+        p.hung |= hangs;
+        self.world.injected |= hangs;
+        if p.hung {
+            return Ok(Vec::new());
+        }
+        let busy = p.busy.is_some();
+        self.world.at(now + ms(HEARTBEAT), Ev::Beat(slot, gen));
+        let frame = PoolFrame::Heartbeat { gen, busy };
+        self.step(now, PoolInput::Frame(slot, gen, frame))
+    }
+
+    /// One step of the core at `now`, checked against the model.
+    fn step(&mut self, now: u64, input: PoolInput) -> Result<Vec<PoolOutcome>, TestCaseError> {
+        self.world.now = now;
+        let tripped = self.core.stats().tripped;
+        let mut answers = HashMap::new();
+        match &input {
+            PoolInput::Job(job) => {
+                prop_assert!(self.open.insert(job.tag), "tag {} submitted twice", job.tag);
+                if !tripped && self.closing.is_none() {
+                    let fresh = self.tags.insert(job.input.clone(), job.tag).is_none();
+                    prop_assert!(fresh, "two queued jobs share an input");
+                    self.due.insert(job.tag, now + ms(job.delay));
+                    if job.delay.is_zero() {
+                        self.fifo.push_back(job.tag);
+                    } else {
+                        self.arrivals += 1;
+                        let key = (now + ms(job.delay), self.arrivals);
+                        self.delayed.insert(key, job.tag);
+                    }
+                }
+            }
+            PoolInput::Frame(slot, gen, frame) => {
+                let live = self.world.procs[*slot].as_mut().filter(|p| p.gen == *gen);
+                match live {
+                    Some(p) => {
+                        p.last_frame = now;
+                        if let PoolFrame::Result { body, .. } = frame {
+                            p.busy = None;
+                            let tag = self.running.remove(slot).expect("a result for a job");
+                            answers.insert(tag, body.clone());
+                        }
+                    }
+                    None => self.late += 1,
+                }
+            }
+            PoolInput::Gone(slot, gen, _) => {
+                let live = self.world.procs[*slot].as_mut().filter(|p| p.gen == *gen);
+                if let Some(p) = live {
+                    p.exited = true;
+                    if self.closing.is_none() {
+                        self.deaths.push(now); // a crash
+                    }
+                }
+            }
+            PoolInput::Wake => {}
+            PoolInput::Shutdown => {
+                self.closing.get_or_insert(now);
+                self.fifo.clear();
+                self.delayed.clear();
+            }
+        }
+        while let Some(entry) = self.delayed.first_entry() {
+            if entry.key().0 > now || self.closing.is_some() {
+                break;
+            }
+            self.fifo.push_back(entry.remove());
+        }
+
+        let outcomes = self.core.step(
+            self.origin + Duration::from_millis(now),
+            input,
+            &mut self.world,
+        );
+
+        let stats = self.core.stats();
+        let tripped_now = stats.tripped && !tripped;
+        let verdict = |tag: u64| outcomes.iter().find(|o| o.tag == tag);
+        for io in std::mem::take(&mut self.world.io) {
+            match io {
+                Io::Spawned(live) => {
+                    prop_assert!(live <= self.cap, "{} workers live, cap {}", live, self.cap);
+                }
+                Io::SpawnFailed => {
+                    self.deaths.push(now);
+                    let head = self.fifo.pop_front();
+                    let failed = head.and_then(verdict).is_some_and(|o| o.result.is_err());
+                    prop_assert!(failed, "a spawn failure must fail the FIFO head");
+                }
+                Io::Sent(slot, body) => {
+                    let tag = self.tags.remove(&body);
+                    prop_assert!(tag.is_some(), "an unknown job reached a worker");
+                    let tag = tag.unwrap();
+                    // Property 11: no job before its delay.
+                    prop_assert!(now >= self.due[&tag], "job {tag} sent before its delay ran");
+                    // Property 13: the head is bypassed a bounded number of times.
+                    let pos = self.fifo.iter().position(|&t| t == tag);
+                    prop_assert!(pos.is_some(), "job {tag} sent while not ready");
+                    let pos = pos.unwrap();
+                    self.streak = if pos == 0 { 0 } else { self.streak + 1 };
+                    prop_assert!(
+                        self.streak <= AFFINITY_STREAK_BOUND,
+                        "the FIFO head was bypassed {} times in a row",
+                        self.streak
+                    );
+                    self.fifo.remove(pos);
+                    self.running.insert(slot, tag);
+                }
+                Io::Killed(slot, p) => {
+                    let tag = self.running.remove(&slot);
+                    let liveness = now == p.last_frame + ms(LIVENESS);
+                    let deadline = p.busy.zip(self.deadline);
+                    let deadline = deadline.is_some_and(|((since, _), d)| now == since + d);
+                    let grace = self.closing.is_some_and(|t| now == t + GRACE_MS);
+                    match tag.and_then(verdict) {
+                        _ if p.exited => {} // reaped after its stdout closed
+                        Some(o) if o.circuit_open => prop_assert!(tripped_now),
+                        Some(o) if o.timed_out => {
+                            prop_assert!(
+                                deadline,
+                                "job {} killed at {} before its deadline",
+                                o.tag,
+                                now
+                            );
+                        }
+                        Some(o) if is_err_with(o, "no heartbeat") => {
+                            prop_assert!(
+                                liveness,
+                                "a worker killed at {now} for silence since {}",
+                                p.last_frame
+                            );
+                            self.deaths.push(now);
+                        }
+                        Some(o) if is_err_with(o, "shut down") => prop_assert!(grace),
+                        Some(o) => prop_assert!(false, "unexplained kill: {:?}", o),
+                        None if liveness => self.deaths.push(now),
+                        None => prop_assert!(
+                            grace || tripped_now,
+                            "an idle worker killed at {now}, silent since {}",
+                            p.last_frame
+                        ),
+                    }
+                }
+            }
+        }
+        if stats.tripped {
+            self.fifo.clear();
+            self.delayed.clear();
+        }
+
+        // Property 9: one verdict per job; a live result is its body.
+        for o in &outcomes {
+            prop_assert!(
+                self.open.remove(&o.tag),
+                "job {} got a second verdict",
+                o.tag
+            );
+            if let Ok(body) = &o.result {
+                let sent = answers.remove(&o.tag);
+                prop_assert!(
+                    sent.as_ref() == Some(body),
+                    "job {} got a result no live worker sent",
+                    o.tag
+                );
+            }
+        }
+        prop_assert!(answers.is_empty(), "live results without a verdict");
+        prop_assert_eq!(stats.stale_frames, self.late);
+        // Property 10.
+        prop_assert!(stats.max_live <= self.cap);
+        // Property 11: nothing overdue survives a step.
+        for p in self.world.procs.iter().flatten() {
+            prop_assert!(!p.exited, "a closed worker was not reaped");
+            if self.closing.is_none() {
+                let silent_until = p.last_frame + ms(LIVENESS);
+                prop_assert!(
+                    now < silent_until,
+                    "a worker silent since {} lives at {now}",
+                    p.last_frame
+                );
+                if let (Some((since, _)), Some(d)) = (p.busy, self.deadline) {
+                    prop_assert!(
+                        now < since + d,
+                        "a job sent at {since} runs past its deadline at {now}"
+                    );
+                }
+            }
+        }
+        // Property 12: nine deaths inside one window, and only then.
+        let window = ms(RESTART_WINDOW);
+        let expected = self
+            .deaths
+            .windows(MAX_RESTARTS + 1)
+            .any(|w| w[MAX_RESTARTS] - w[0] <= window);
+        prop_assert_eq!(stats.tripped, expected, "deaths at {:?}", self.deaths);
+        Ok(outcomes)
+    }
+
+    /// Once the core has finished: every job had its verdict.
+    fn check_end(&self) -> Result<(), TestCaseError> {
+        prop_assert!(self.core.finished());
+        prop_assert!(
+            self.open.is_empty(),
+            "jobs {:?} never got a verdict",
+            self.open
+        );
+        Ok(())
+    }
+}
+
+fn is_err_with(o: &PoolOutcome, text: &str) -> bool {
+    matches!(&o.result, Err(ShardError::Worker { reason, .. }) if reason.contains(text))
+}
+
+/// How a virtual worker handles a sweep job: it plays the job's fault.
+fn sweep_work(body: &str) -> (u64, Fate) {
+    let (workload, shard, fault, attempt) =
+        job_from_json(body).expect("the scheduler sends decodable jobs");
+    let death = match fault {
+        Some(Fault::Panic) => attempt == 0,
+        Some(Fault::FailUntil(k)) => attempt < k,
+        _ => false,
+    };
+    if death {
+        return (WORK_MS, Fate::Die);
+    }
+    let stall = match fault {
+        Some(Fault::Stall(ms)) if attempt == 0 => ms,
+        _ => 0,
+    };
+    let json = result_to_json(&run_shard(&workload, shard));
+    let body = match fault {
+        Some(Fault::Truncate) if attempt == 0 => json[..json.len() / 2].to_string(),
+        Some(Fault::Corrupt) if attempt == 0 => corrupt_f64_payload(&json),
+        _ => json,
+    };
+    let exit_after = match fault {
+        Some(Fault::DieAfter(n)) => Some(n),
+        _ => None,
+    };
+    (WORK_MS + stall, Fate::Answer(body, exit_after))
 }
 
 /// What the simulation saw, in order.
@@ -77,7 +595,7 @@ enum Log {
         range: (usize, usize),
         ok: bool,
     },
-    /// An attempt started on a worker (a job is known by its cache key,
+    /// An attempt went to the pool (a job is known by its cache key,
     /// unique per submit here).
     Dispatch {
         key: String,
@@ -90,45 +608,13 @@ enum Log {
     Check { step: usize, id: u64, ok: bool },
 }
 
-/// A pool of virtual workers with the real pool's process policy: FIFO
-/// dispatch, backoff delays, straggler deadlines, spawn failures and a
-/// breaker that fails everything once tripped. Cache affinity is left
-/// out: it orders work, and no property depends on that order.
-struct FakePool {
-    cap: usize,
-    deadline: Option<u64>,
-    /// Chance that an attempt finds no worker to spawn.
-    spawn_fail: f64,
-    queue: VecDeque<PoolJob>,
-    delayed: Vec<(u64, PoolJob)>,
-    /// Attempts on a worker: tag → (job key, the outcome it reports).
-    busy: HashMap<u64, (String, PoolOutcome)>,
-    tripped: bool,
-}
-
-/// How a tripped or refusing pool answers attempt `tag` at `shard`.
-fn circuit_open(tag: u64, shard: usize) -> PoolOutcome {
-    PoolOutcome {
-        tag,
-        shard_index: shard,
-        result: Err(ShardError::Worker {
-            shard,
-            reason: "worker pool circuit breaker open".into(),
-        }),
-        elapsed: Duration::ZERO,
-        timed_out: false,
-        circuit_open: true,
-    }
-}
-
 struct Sim {
-    rng: StdRng,
     now: u64,
     step: usize,
-    seq: u64,
-    timeline: BTreeMap<(u64, u64), Ev>,
     core: Scheduler,
-    pool: FakePool,
+    pool: Pool,
+    /// Tag → cache key of every attempt handed to the pool.
+    keys: HashMap<u64, String>,
     append_fail: f64,
     /// Check verdicts take up to this many virtual milliseconds…
     max_check_ms: u64,
@@ -140,15 +626,17 @@ struct Sim {
 }
 
 impl Sim {
-    fn new(config: &ServeConfig, pool: FakePool, seed: u64) -> Sim {
+    fn new(config: &ServeConfig, seed: u64) -> Sim {
+        let pool = PoolConfig {
+            cap: config.cap,
+            job_deadline: config.straggler_deadline,
+        };
         Sim {
-            rng: StdRng::seed_from_u64(seed),
             now: 0,
             step: 0,
-            seq: 0,
-            timeline: BTreeMap::new(),
             core: Scheduler::new(config),
-            pool,
+            pool: Pool::new(pool, sweep_work, seed),
+            keys: HashMap::new(),
             append_fail: 0.0,
             max_check_ms: 0,
             check_ms: None,
@@ -158,8 +646,7 @@ impl Sim {
     }
 
     fn at(&mut self, t: u64, ev: Ev) {
-        self.seq += 1;
-        self.timeline.insert((t, self.seq), ev);
+        self.pool.world.at(t, ev);
     }
 
     fn submit(&mut self, t: u64, req: SubmitRequest) {
@@ -171,77 +658,74 @@ impl Sim {
         self.at(t, Ev::Client(Input::Request(Ok(Request::Shutdown))));
     }
 
-    /// Runs until the core has finished.
+    /// Runs until the scheduler has finished and the pool, shut down
+    /// after it as the service does, is gone.
     fn run(&mut self) -> Result<(), TestCaseError> {
-        while !self.core.finished() {
-            let Some(((t, _), ev)) = self.timeline.pop_first() else {
+        loop {
+            if self.core.finished() {
+                if self.pool.closing.is_none() {
+                    let verdicts = self.pool.step(self.now, PoolInput::Shutdown)?;
+                    prop_assert!(verdicts.is_empty(), "attempts outlived the scheduler");
+                }
+                if self.pool.core.finished() {
+                    return self.pool.check_end();
+                }
+            }
+            let Some((t, ev)) = self.pool.next() else {
                 return Err(TestCaseError::fail(
                     "the scheduler waits for an event that never comes",
                 ));
             };
-            prop_assert!(self.step < 100_000, "runaway simulation");
+            prop_assert!(t < 3_600_000, "runaway simulation");
             self.now = t;
             self.step += 1;
-            match ev {
+            let verdicts = match ev {
                 Ev::Client(input) => {
                     if let Input::Request(Ok(Request::Submit(req))) = &input {
                         let (step, req) = (self.step, (**req).clone());
                         self.log.push(Log::Submit { step, req });
                     }
-                    self.feed(input);
+                    self.feed(vec![input])?;
+                    continue;
                 }
-                Ev::Done(tag) => {
-                    // Gone when a breaker trip already failed it.
-                    if let Some((key, outcome)) = self.pool.busy.remove(&tag) {
-                        if outcome.result.is_err() && !outcome.timed_out && !outcome.circuit_open {
-                            let shard = outcome.shard_index;
-                            self.log.push(Log::Death { key, shard });
-                        }
-                        self.feed(Input::Outcome(outcome));
-                    }
+                Ev::Checked(id, bit_identical) => {
+                    self.feed(vec![Input::Checked(id, bit_identical)])?;
+                    continue;
                 }
-                Ev::Wake => {}
-                Ev::Checked(id, bit_identical) => self.feed(Input::Checked(id, bit_identical)),
-                Ev::Trip => {
-                    self.pool.tripped = true;
-                    let queued = self.pool.queue.drain(..);
-                    let delayed = self.pool.delayed.drain(..).map(|(_, job)| job);
-                    let mut failed: Vec<(u64, usize)> = queued
-                        .chain(delayed)
-                        .map(|job| (job.tag, job.shard_index))
-                        .collect();
-                    let busy = self
-                        .pool
-                        .busy
-                        .drain()
-                        .map(|(tag, (_, o))| (tag, o.shard_index));
-                    failed.extend(busy);
-                    failed.sort_unstable();
-                    for (tag, shard) in failed {
-                        self.feed(Input::Outcome(circuit_open(tag, shard)));
-                    }
-                }
-            }
-            self.start_work();
+                Ev::Beat(slot, gen) => self.pool.beat(t, slot, gen)?,
+                Ev::Pool(input) => self.pool.step(t, input)?,
+            };
+            self.feed(verdicts.into_iter().map(Input::Outcome).collect())?;
         }
-        Ok(())
     }
 
-    /// One step: the input, then every journal answer and pool refusal
-    /// at once, as the real driver does.
-    fn feed(&mut self, input: Input) {
-        let mut answers = VecDeque::from([input]);
+    /// One step: the inputs, then every journal answer and every
+    /// verdict the pool gives at once, as the real driver does.
+    fn feed(&mut self, inputs: Vec<Input>) -> Result<(), TestCaseError> {
+        let mut answers = VecDeque::from(inputs);
         while let Some(input) = answers.pop_front() {
+            if let Input::Outcome(o) = &input {
+                if o.result.is_err() && !o.timed_out && !o.circuit_open {
+                    let key = self.keys[&o.tag].clone();
+                    self.log.push(Log::Death {
+                        key,
+                        shard: o.shard_index,
+                    });
+                }
+            }
             for action in self.core.step(input) {
                 match action {
-                    Action::Submit(job) if self.pool.tripped => {
-                        answers.push_back(Input::Outcome(circuit_open(job.tag, job.shard_index)));
-                    }
-                    Action::Submit(job) if job.delay.is_zero() => self.pool.queue.push_back(job),
                     Action::Submit(job) => {
-                        let due = self.now + job.delay.as_millis() as u64;
-                        self.pool.delayed.push((due, job));
-                        self.at(due, Ev::Wake);
+                        let (_, shard, _, _) =
+                            job_from_json(&job.input).expect("the scheduler sends decodable jobs");
+                        self.log.push(Log::Dispatch {
+                            key: job.cache_key.clone(),
+                            shard: shard.index,
+                            range: (shard.start, shard.end),
+                        });
+                        self.keys.insert(job.tag, job.cache_key.clone());
+                        let verdicts = self.pool.step(self.now, PoolInput::Job(job))?;
+                        answers.extend(verdicts.into_iter().map(Input::Outcome));
                     }
                     Action::Journal(id, op) => {
                         let result = self.journal(id, op);
@@ -253,7 +737,7 @@ impl Sim {
                         self.log.push(Log::Check { step, id, ok });
                         let delay = match self.check_ms {
                             Some(ms) => ms,
-                            None => self.rng.gen_range(0..=self.max_check_ms),
+                            None => self.pool.world.rng.gen_range(0..=self.max_check_ms),
                         };
                         self.at(self.now + delay, Ev::Checked(id, ok));
                     }
@@ -262,6 +746,7 @@ impl Sim {
                 }
             }
         }
+        Ok(())
     }
 
     fn frame(&mut self, event: Event) {
@@ -273,7 +758,7 @@ impl Sim {
         let JournalOp::Append(result) = op else {
             return Ok(());
         };
-        let ok = !self.rng.gen_bool(self.append_fail);
+        let ok = !self.pool.world.rng.gen_bool(self.append_fail);
         let shard = result.provenance.shard;
         let range = (shard.start, shard.end);
         self.log.push(Log::Append { id, range, ok });
@@ -282,75 +767,6 @@ impl Sim {
         }
         self.wal.entry(id).or_default().push(result);
         Ok(())
-    }
-
-    /// Puts due attempts on free workers.
-    fn start_work(&mut self) {
-        let now = self.now;
-        let (due, later) = std::mem::take(&mut self.pool.delayed)
-            .into_iter()
-            .partition(|(t, _)| *t <= now);
-        self.pool.delayed = later;
-        self.pool
-            .queue
-            .extend(due.into_iter().map(|(_, job): (u64, PoolJob)| job));
-        while !self.pool.tripped && self.pool.busy.len() < self.pool.cap {
-            let Some(job) = self.pool.queue.pop_front() else {
-                return;
-            };
-            let (ms, outcome) = self.work(&job);
-            self.pool.busy.insert(job.tag, (job.cache_key, outcome));
-            self.at(now + ms, Ev::Done(job.tag));
-        }
-    }
-
-    /// What a worker does with `job`, and how long it takes.
-    fn work(&mut self, job: &PoolJob) -> (u64, PoolOutcome) {
-        let (workload, shard, fault, attempt) =
-            job_from_json(&job.input).expect("the scheduler sends decodable jobs");
-        self.log.push(Log::Dispatch {
-            key: job.cache_key.clone(),
-            shard: shard.index,
-            range: (shard.start, shard.end),
-        });
-        let stall = match fault {
-            Some(Fault::Stall(ms)) if attempt == 0 => ms,
-            _ => 0,
-        };
-        let death = match fault {
-            Some(Fault::Panic) => attempt == 0,
-            Some(Fault::FailUntil(k)) => attempt < k,
-            _ => false,
-        };
-        let (ms, result, timed_out) = if self.rng.gen_bool(self.pool.spawn_fail) {
-            (0, Err("spawning pool worker: injected".to_string()), false)
-        } else if death {
-            let reason = "worker stdout closed; stderr: injected fault".to_string();
-            (WORK_MS, Err(reason), false)
-        } else if let Some(d) = self.pool.deadline.filter(|&d| WORK_MS + stall > d) {
-            let reason = format!("straggler killed after exceeding its {d} ms deadline");
-            (d, Err(reason), true)
-        } else {
-            let json = result_to_json(&run_shard(&workload, shard));
-            let body = match fault {
-                Some(Fault::Truncate) if attempt == 0 => json[..json.len() / 2].to_string(),
-                Some(Fault::Corrupt) if attempt == 0 => corrupt_f64_payload(&json),
-                _ => json,
-            };
-            (WORK_MS + stall, Ok(body), false)
-        };
-        let outcome = PoolOutcome {
-            tag: job.tag,
-            shard_index: shard.index,
-            result: result.map_err(|reason| ShardError::Worker {
-                shard: shard.index,
-                reason,
-            }),
-            elapsed: Duration::from_millis(ms),
-            timed_out,
-            circuit_open: false,
-        };
-        (ms, outcome)
     }
 
     /// The frames, in order.
@@ -362,16 +778,20 @@ impl Sim {
     }
 }
 
-fn fake_pool(cap: usize) -> FakePool {
-    FakePool {
-        cap,
-        deadline: None,
-        spawn_fail: 0.0,
-        queue: VecDeque::new(),
-        delayed: Vec::new(),
-        busy: HashMap::new(),
-        tripped: false,
-    }
+/// How a virtual worker handles a pool-only job `"<tag> <ms> <fate>"`.
+fn script_work(body: &str) -> (u64, Fate) {
+    let words: Vec<&str> = body.split(' ').collect();
+    let [tag, work_ms, fate] = words[..] else {
+        panic!("a pool-only job: {body}");
+    };
+    let work_ms = work_ms.parse().expect("a duration in milliseconds");
+    let answer = format!("{tag} answered");
+    let fate = match fate {
+        "die" => Fate::Die,
+        "exit" => Fate::Answer(answer, Some(1)),
+        _ => Fate::Answer(answer, None),
+    };
+    (work_ms, fate)
 }
 
 /// A small sweep; `seed` makes its cache key, hence its job, unique.
@@ -698,37 +1118,44 @@ proptest! {
         let config = ServeConfig {
             cap: rng.gen_range(1..=4),
             retry: RetryPolicy::new(rng.gen_range(1..=5), Duration::from_millis(rng.gen_range(0..=20))),
+            straggler_deadline: [None, Some(50), Some(200)][rng.gen_range(0..3usize)].map(Duration::from_millis),
             max_queue: rng.gen_range(0..=4),
             max_jobs: rng.gen_range(1..=3),
             quarantine_after: rng.gen_range(1..=4),
             allow_partial: rng.gen_bool(0.5),
             ..ServeConfig::default()
         };
-        let mut pool = fake_pool(config.cap);
-        pool.deadline = [None, Some(50), Some(200)][rng.gen_range(0..3usize)];
-        pool.spawn_fail = [0.0, 0.1][rng.gen_range(0..2usize)];
-        let spawn_fail = pool.spawn_fail;
-        let mut sim = Sim::new(&config, pool, rng.gen());
+        let mut sim = Sim::new(&config, rng.gen());
+        sim.pool.world.spawn_fail = [0.0, 0.1][rng.gen_range(0..2usize)];
+        sim.pool.world.hang = [0.0, 0.05][rng.gen_range(0..2usize)];
+        if rng.gen_bool(0.2) {
+            // A sick host: no spawn succeeds for a while, so deaths pile
+            // up until the breaker trips by its own count.
+            let from = rng.gen_range(0..=200);
+            sim.pool.world.sick = Some((from, from + rng.gen_range(100..=2_000u64)));
+        }
         sim.append_fail = [0.0, 0.1][rng.gen_range(0..2usize)];
         sim.max_check_ms = rng.gen_range(0..=300);
-        let mut t = 0;
+        let (mut t, mut exits) = (0, false);
         for n in 0..rng.gen_range(1..=7u64) {
             t += rng.gen_range(0..=30u64);
             // A few ids, so that some submits reuse a live one.
             let mut req = submit(rng.gen_range(0..4), random_workload(&mut rng, 100 + n), rng.gen_range(1..=5));
             for _ in 0..rng.gen_range(0..=2) {
-                req.faults.push((rng.gen_range(0..req.shards), random_fault(&mut rng)));
+                let fault = random_fault(&mut rng);
+                // A clean exit can take an attempt of another job with it.
+                exits |= matches!(fault, Fault::DieAfter(_));
+                req.faults.push((rng.gen_range(0..req.shards), fault));
             }
             req.check = rng.gen_bool(0.4);
             sim.submit(t, req);
         }
         sim.shutdown(t + rng.gen_range(0..=30u64));
-        let trip = rng.gen_bool(0.2);
-        if trip {
-            sim.at(rng.gen_range(0..=t + 100), Ev::Trip);
-        }
         sim.run()?;
-        let faultless = !trip && spawn_fail == 0.0 && sim.append_fail == 0.0;
+        let faultless = !sim.pool.core.stats().tripped
+            && !sim.pool.world.injected
+            && !exits
+            && sim.append_fail == 0.0;
         check_contract(&sim, &config, faultless)?;
     }
 
@@ -740,7 +1167,7 @@ proptest! {
     fn two_stalled_jobs_finish_within_one_stall(stall in 10u64..5_000) {
         let finish = |max_jobs: usize| -> Result<u64, TestCaseError> {
             let config = ServeConfig { cap: 2, max_jobs, ..ServeConfig::default() };
-            let mut sim = Sim::new(&config, fake_pool(2), stall);
+            let mut sim = Sim::new(&config, stall);
             for id in [1, 2] {
                 let mut req = submit(id, landscape(id, "square", 3), 1);
                 req.faults.push((0, Fault::Stall(stall)));
@@ -767,7 +1194,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let config = ServeConfig { cap: rng.gen_range(1..=3), ..ServeConfig::default() };
         let (workload, shards) = (random_workload(&mut rng, 7), rng.gen_range(1..=6));
-        let mut sim = Sim::new(&config, fake_pool(config.cap), rng.gen());
+        let mut sim = Sim::new(&config, rng.gen());
         sim.submit(0, submit(7, workload.clone(), shards));
         sim.shutdown(0);
         sim.run()?;
@@ -776,7 +1203,7 @@ proptest! {
         let kept = wal[..cut].to_vec();
         let replay = JournalReplay { id: 7, workload: workload.clone(), shards, results: kept.clone() };
 
-        let mut resumed = Sim::new(&config, fake_pool(config.cap), rng.gen());
+        let mut resumed = Sim::new(&config, rng.gen());
         resumed.at(0, Ev::Client(Input::Resume(replay, true)));
         resumed.shutdown(0);
         resumed.max_check_ms = 50;
@@ -823,7 +1250,7 @@ proptest! {
     #[test]
     fn a_pending_check_holds_up_no_other_tenant(check_ms in 100u64..10_000, shards in 1usize..5) {
         let config = ServeConfig { cap: 2, max_jobs: 2, ..ServeConfig::default() };
-        let mut sim = Sim::new(&config, fake_pool(2), check_ms);
+        let mut sim = Sim::new(&config, check_ms);
         sim.check_ms = Some(check_ms);
         let mut first = submit(1, landscape(1, "square", 3), shards);
         first.check = true;
@@ -858,5 +1285,84 @@ proptest! {
             Some(Event::Done { id: 1, bit_identical: Some(true), .. })
         );
         prop_assert!(checked_last, "the checked done must be the last frame: {:?}", last);
+    }
+
+    /// Admission builds exactly the non-empty shards of the partition,
+    /// however many more shards than items a submit asks for.
+    #[test]
+    fn admission_builds_exactly_the_non_empty_shards(steps in 2usize..7, exp in 0u32..=20, less in 0usize..3) {
+        let shards = (1usize << exp).saturating_sub(less).max(1);
+        let workload = landscape(1, "square", steps);
+        let config = ServeConfig { cap: 1 << 10, ..ServeConfig::default() };
+        let mut core = Scheduler::new(&config);
+        let request = Request::Submit(Box::new(submit(1, workload.clone(), shards)));
+        let mut actions = core.step(Input::Request(Ok(request)));
+        actions.extend(core.step(Input::Journaled(1, Ok(()))));
+        let built: Vec<Shard> = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Submit(job) => Some(job_from_json(&job.input).unwrap().1),
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<Shard> = Shard::partition(workload.total(), shards)
+            .into_iter()
+            .filter(|s| !s.is_empty())
+            .collect();
+        prop_assert_eq!(built, expected);
+    }
+
+    /// Properties 9–13 on the pool core alone: random opaque jobs, cache
+    /// keys, delays, durations, deaths, clean exits, hangs, spawn
+    /// failures, sick-host bursts and deadlines, and a shutdown at a
+    /// random instant.
+    #[test]
+    fn the_pool_core_keeps_its_contract_under_random_faults(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config = PoolConfig {
+            cap: rng.gen_range(1..=4),
+            job_deadline: rng.gen_bool(0.5).then(|| Duration::from_millis(rng.gen_range(50..=3_000))),
+        };
+        let mut pool = Pool::new(config, script_work, rng.gen());
+        pool.world.spawn_fail = [0.0, 0.05, 0.3][rng.gen_range(0..3usize)];
+        pool.world.hang = [0.0, 0.05][rng.gen_range(0..2usize)];
+        if rng.gen_bool(0.3) {
+            let from = rng.gen_range(0..=20_000);
+            pool.world.sick = Some((from, from + rng.gen_range(100..=5_000u64)));
+        }
+        let (keys, die) = (rng.gen_range(1..=3), [0.0, 0.1, 0.4][rng.gen_range(0..3usize)]);
+        // Jobs arrive in bursts, so queues build up behind busy workers;
+        // the slowest pace spreads deaths over several breaker windows.
+        let (pace, gap) = [(0.05, 1_000u64), (0.3, 4_000), (0.8, 12_000)][rng.gen_range(0..3usize)];
+        let mut t = 0;
+        for tag in 0..rng.gen_range(1..=40u64) {
+            if rng.gen_bool(pace) {
+                t += rng.gen_range(0..=gap);
+            }
+            // A few jobs outlast LIVENESS on a worker that keeps beating.
+            let work_ms: u64 = if rng.gen_bool(0.1) { rng.gen_range(5_000..=12_000) } else { rng.gen_range(1..=500) };
+            let fate = if rng.gen_bool(die) { "die" } else if rng.gen_bool(0.1) { "exit" } else { "ok" };
+            let delay = if rng.gen_bool(0.3) { rng.gen_range(1..=2_000) } else { 0 };
+            pool.world.at(t, Ev::Pool(PoolInput::Job(PoolJob {
+                tag,
+                shard_index: tag as usize,
+                input: format!("{tag} {work_ms} {fate}"),
+                cache_key: format!("k{}", rng.gen_range(0..keys)),
+                delay: Duration::from_millis(delay),
+            })));
+        }
+        pool.world.at(t + rng.gen_range(0..=20_000u64), Ev::Pool(PoolInput::Shutdown));
+        while !pool.core.finished() {
+            let Some((now, ev)) = pool.next() else {
+                return Err(TestCaseError::fail("the pool waits for an event that never comes"));
+            };
+            prop_assert!(now < 3_600_000, "runaway simulation");
+            match ev {
+                Ev::Pool(input) => pool.step(now, input)?,
+                Ev::Beat(slot, gen) => pool.beat(now, slot, gen)?,
+                Ev::Client(_) | Ev::Checked(..) => unreachable!("only the pool acts here"),
+            };
+        }
+        pool.check_end()?;
     }
 }

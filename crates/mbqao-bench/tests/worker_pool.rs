@@ -365,6 +365,64 @@ fn a_resume_that_fails_after_the_header_names_the_job() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A hostile journal ends `--resume` in a `job_error`, never a panic: a
+/// header whose `shards` is `i64::MAX`, and a real two-shard WAL whose
+/// first partial claims to be shard `i64::MAX - 1` of `i64::MAX`. Either
+/// once made the resume number a fresh shard past `i64` and panic while
+/// encoding its job.
+#[test]
+fn a_hostile_journal_ends_the_resume_in_a_job_error() {
+    let w = workload(BackendKind::Gate);
+    let dir = scratch("wal-hostile");
+    let mut journal = JobJournal::create(&dir, 9, &w, 2).expect("journal create");
+    for shard in Shard::partition(w.total(), 2) {
+        journal
+            .append(&run_shard(&w, shard))
+            .expect("journal append");
+    }
+    let path = journal.path().to_path_buf();
+    drop(journal);
+    let content = std::fs::read_to_string(&path).expect("journal readable");
+    let header = content.lines().next().expect("a header");
+    let huge_header = header.replace("\"shards\":2", "\"shards\":9223372036854775807");
+    let huge_index = content.replacen(
+        "\"index\":0,\"of\":2",
+        "\"index\":9223372036854775806,\"of\":9223372036854775807",
+        1,
+    );
+    assert_ne!(huge_index, content, "the first partial names shard 0 of 2");
+    for (name, text, reason) in [
+        (
+            "header",
+            format!("{huge_header}\n"),
+            "\"shards\" must be between 1 and",
+        ),
+        ("index", huge_index, "past the bound"),
+    ] {
+        let hostile = dir.join(format!("{name}.wal"));
+        std::fs::write(&hostile, text).expect("journal written");
+        let out = Command::new(serve_exe())
+            .arg("--resume")
+            .arg(&hostile)
+            .arg("--quiet")
+            .output()
+            .expect("resume run");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{name}: a failed resume exits 1"
+        );
+        let mut cursor = std::io::Cursor::new(&out.stdout[..]);
+        let frame = read_frame(&mut cursor)
+            .expect("one frame")
+            .expect("the frame parses");
+        assert_eq!(frame.field("type").unwrap().as_str().unwrap(), "job_error");
+        let got = frame.field("reason").unwrap().as_str().unwrap();
+        assert!(got.contains(reason), "{name}: {got}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The chaos acceptance test, binary flavour: one job carrying a
 /// panic, a 20 s stall (straggler), a clean worker death
 /// (`die_after`), and a first-attempt crash — the serving process is

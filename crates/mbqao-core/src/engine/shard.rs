@@ -26,9 +26,13 @@
 //! alive, sends each [`PoolJob`] to one of them as a [`PoolFrame`] over
 //! stdio (see [`super::wire`] — floats travel as exact bit patterns),
 //! and returns outcomes in *completion* order, so a straggler shard
-//! never delays the verdicts of shards that finished behind it. Job
-//! frames are written by a dedicated writer thread per worker, so an
-//! oversized job can never stall the scheduling loop. A worker that
+//! never delays the verdicts of shards that finished behind it. Its
+//! policy is the sans-IO [`PoolCore`], which is given the time with
+//! every event and reaches processes only through [`Workers`], so a
+//! simulator can run it on virtual time; the pool's one driver thread
+//! owns the processes and blocks exactly until the core's next timer.
+//! Job frames are written by a dedicated writer thread per worker, so
+//! an oversized job can never stall the driver. A worker that
 //! dies or emits a truncated stream surfaces as a
 //! [`ShardError::Worker`] naming the shard; the merger is never
 //! polluted by a failed shard, so retrying just that shard and
@@ -43,7 +47,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,24 +77,28 @@ impl Shard {
     /// # Panics
     /// Panics when `shards == 0`.
     pub fn partition(total: usize, shards: usize) -> Vec<Shard> {
+        Shard::parts(total, shards).collect()
+    }
+
+    /// [`Shard::partition`], one shard at a time: the empty shards are
+    /// the trailing ones, so a caller that wants only the non-empty
+    /// shards stops at the first empty one and builds no more.
+    ///
+    /// # Panics
+    /// Panics when `shards == 0`.
+    pub fn parts(total: usize, shards: usize) -> impl Iterator<Item = Shard> {
         assert!(shards > 0, "need at least one shard");
-        let base = total / shards;
-        let extra = total % shards;
-        let mut start = 0usize;
-        (0..shards)
-            .map(|index| {
-                let len = base + usize::from(index < extra);
-                let s = Shard {
-                    index,
-                    of: shards,
-                    total,
-                    start,
-                    end: start + len,
-                };
-                start += len;
-                s
-            })
-            .collect()
+        let (base, extra) = (total / shards, total % shards);
+        (0..shards).map(move |index| {
+            let start = index * base + index.min(extra);
+            Shard {
+                index,
+                of: shards,
+                total,
+                start,
+                end: start + base + usize::from(index < extra),
+            }
+        })
     }
 
     /// A synthetic shard for work created *after* the original
@@ -504,21 +511,22 @@ fn stderr_excerpt(stderr: &str) -> String {
 pub struct RetryPolicy {
     /// Total attempts per shard (≥ 1), the first execution included.
     pub max_attempts: u32,
-    /// Delay before the first retry.
+    /// Delay before the first retry; each further retry doubles it, up
+    /// to 64 × `base`.
     pub base: Duration,
-    /// Multiplier applied per further retry (exponential backoff).
-    pub factor: u32,
-    /// Ceiling on any single backoff delay.
-    pub max: Duration,
 }
+
+/// Multiplier [`RetryPolicy::backoff`] applies per further retry.
+const BACKOFF_FACTOR: u32 = 2;
+
+/// Ceiling on any single backoff delay, in multiples of the base.
+const BACKOFF_CAP: u32 = 64;
 
 impl RetryPolicy {
     /// No retries: every shard gets exactly one attempt.
     pub const NONE: RetryPolicy = RetryPolicy {
         max_attempts: 1,
         base: Duration::ZERO,
-        factor: 2,
-        max: Duration::ZERO,
     };
 
     /// `max_attempts` attempts with doubling backoff starting at
@@ -527,8 +535,6 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
             base,
-            factor: 2,
-            max: base.saturating_mul(64),
         }
     }
 
@@ -537,8 +543,9 @@ impl RetryPolicy {
     /// `backoff(1) = base`).
     pub fn backoff(&self, retry: u32) -> Duration {
         let exp = retry.saturating_sub(1).min(16);
-        let mult = self.factor.saturating_pow(exp);
-        self.base.saturating_mul(mult).min(self.max)
+        let mult = BACKOFF_FACTOR.saturating_pow(exp);
+        let cap = self.base.saturating_mul(BACKOFF_CAP);
+        self.base.saturating_mul(mult).min(cap)
     }
 }
 
@@ -550,56 +557,61 @@ pub fn default_worker_cap() -> usize {
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
 /// Every mutex in this module protects state that stays structurally
-/// valid across a panic (a stderr buffer, the pid list, the outcome
-/// receiver) — there is no invariant a half-finished critical section
-/// could have broken. Propagating the poison would instead cascade one
-/// worker's panic across every thread that touches the lock afterwards,
-/// which is exactly the blast radius the pool design bounds to a single
-/// shard.
+/// valid across a panic (a stderr buffer, the published stats, the
+/// outcome receiver) — there is no invariant a half-finished critical
+/// section could have broken. Propagating the poison would instead
+/// cascade one worker's panic across every thread that touches the
+/// lock afterwards, which is exactly the blast radius the pool design
+/// bounds to a single shard.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 // ---------------------------------------------- supervised worker pool
 
-/// Supervision knobs for a [`WorkerPool`].
+/// Interval at which pool workers beat (passed to each worker as
+/// `--heartbeat-ms`).
+pub const HEARTBEAT: Duration = Duration::from_millis(100);
+
+/// A worker that sends **no frame at all** (heartbeat or result) for
+/// this long is sick — hung, stopped, deadlocked — and is killed and
+/// replaced, idle or busy. It comfortably exceeds [`HEARTBEAT`] plus a
+/// worker's startup time.
+pub const LIVENESS: Duration = Duration::from_secs(5);
+
+/// Circuit breaker: a breaker-relevant death (a crash, a liveness kill
+/// or a spawn failure, never a deadline kill) that finds more than this
+/// many inside the trailing [`RESTART_WINDOW`], itself included, trips
+/// the pool.
+pub const MAX_RESTARTS: usize = 8;
+
+/// Sliding window of the circuit breaker.
+pub const RESTART_WINDOW: Duration = Duration::from_secs(30);
+
+/// How long a shut-down pool waits for its workers to exit once their
+/// stdin is closed before it kills them.
+const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
+
+/// The two settings of a [`WorkerPool`]; the supervision timings are
+/// the constants [`HEARTBEAT`], [`LIVENESS`], [`MAX_RESTARTS`] and
+/// [`RESTART_WINDOW`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Maximum simultaneously live worker processes.
     pub cap: usize,
-    /// Interval at which workers are told to beat (passed to the
-    /// worker as `--heartbeat-ms`).
-    pub heartbeat: Duration,
-    /// A worker that produces **no frame at all** (heartbeat or
-    /// result) for this long is sick — hung, stopped, deadlocked — and
-    /// is killed and restarted. Must comfortably exceed `heartbeat`
-    /// plus worker startup time.
-    pub liveness: Duration,
     /// Optional per-job straggler deadline: a worker still computing
     /// one job past this is killed and the job reported with
     /// `timed_out = true` (the orchestrator's cue to re-partition).
-    /// Distinct from `liveness`: a straggler still beats; a sick
+    /// Distinct from [`LIVENESS`]: a straggler still beats; a sick
     /// worker doesn't.
     pub job_deadline: Option<Duration>,
-    /// Circuit breaker: more than this many unexpected worker deaths
-    /// inside `restart_window` trips the pool — every queued and
-    /// in-flight job fails fast with `circuit_open = true` and further
-    /// submissions are refused, so a systemically crashing worker
-    /// binary fails its jobs fast instead of fork-bombing the host.
-    pub max_restarts: usize,
-    /// Sliding window for `max_restarts`.
-    pub restart_window: Duration,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
             cap: default_worker_cap(),
-            heartbeat: Duration::from_millis(100),
-            liveness: Duration::from_secs(5),
             job_deadline: None,
-            max_restarts: 8,
-            restart_window: Duration::from_secs(30),
         }
     }
 }
@@ -637,7 +649,7 @@ pub struct PoolOutcome {
     pub shard_index: usize,
     /// The worker's raw result body, or the failure naming the shard.
     pub result: Result<String, ShardError>,
-    /// Wall-clock from dispatch to verdict.
+    /// Time from dispatch to verdict.
     pub elapsed: Duration,
     /// The worker was killed by the per-job straggler deadline.
     pub timed_out: bool,
@@ -647,7 +659,7 @@ pub struct PoolOutcome {
 }
 
 /// Pool-lifetime counters (monotonic; safe to snapshot and diff).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Worker processes ever spawned.
     pub spawned: usize,
@@ -669,161 +681,194 @@ pub struct PoolStats {
     pub tripped: bool,
 }
 
-#[derive(Default)]
-struct PoolShared {
-    spawned: AtomicUsize,
-    restarts: AtomicUsize,
-    live: AtomicUsize,
-    max_live: AtomicUsize,
-    stale_frames: AtomicUsize,
-    heartbeats: AtomicUsize,
-    affinity_hits: AtomicUsize,
-    jobs_done: AtomicUsize,
-    tripped: AtomicBool,
-    pids: Mutex<Vec<(usize, u32)>>,
-}
-
-/// Supervisor-loop inbox: everything that can happen to the pool
-/// funnels through one channel, so slot state is owned by exactly one
-/// thread and needs no locking.
-enum SupMsg {
+/// One event the [`PoolCore`] reacts to.
+#[derive(Debug)]
+pub enum PoolInput {
+    /// A submitted job.
     Job(PoolJob),
-    Frame {
-        slot: usize,
-        gen: u64,
-        frame: PoolFrame,
-    },
-    Gone {
-        slot: usize,
-        gen: u64,
-        reason: String,
-    },
+    /// `(slot, gen, frame)`: a frame read from the worker spawned as
+    /// generation `gen` into `slot`.
+    Frame(usize, u64, PoolFrame),
+    /// `(slot, gen, reason)`: that worker's stdout closed, or stopped
+    /// decoding.
+    Gone(usize, u64, String),
+    /// A timer may have run out (see [`PoolCore::next_wake`]).
+    Wake,
+    /// Fail what has not started, close every worker's stdin and stop
+    /// once they are gone.
     Shutdown,
 }
 
-enum SlotState {
-    /// No live worker (initial, or after a death/shutdown).
-    Vacant,
-    /// Worker alive, waiting for a job.
-    Idle,
-    /// Worker computing `Slot::job`.
-    Busy,
+/// The worker processes a [`PoolCore`] supervises, one per slot. The
+/// core reaches processes only through these four calls: the process
+/// driver inside [`WorkerPool`] implements them with real children,
+/// pipes and pump threads, and a simulator with virtual workers.
+pub trait Workers {
+    /// Starts generation `gen` of the worker in `slot`, told to beat
+    /// every [`HEARTBEAT`]; its frames and its end come back as
+    /// [`PoolInput::Frame`] and [`PoolInput::Gone`].
+    fn spawn(&mut self, slot: usize, gen: u64) -> Result<(), String>;
+    /// Writes one newline-terminated frame to the worker's stdin.
+    fn send(&mut self, slot: usize, line: String);
+    /// Closes the worker's stdin, its cue to exit.
+    fn close(&mut self, slot: usize);
+    /// Kills the worker, waits for it, and returns the excerpt of its
+    /// stderr.
+    fn kill(&mut self, slot: usize) -> String;
 }
 
-/// Why a worker is being reaped — decides which counters the death
-/// feeds.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum DeathKind {
-    /// Unexpected exit / protocol corruption: counts toward the
-    /// circuit breaker.
-    Crash,
-    /// Killed for missing the liveness deadline: same accounting as a
-    /// crash — a hung worker is a sick worker.
-    Liveness,
-    /// Killed by the per-job straggler deadline: a *policy* kill. The
-    /// job reports `timed_out` (re-partition cue); the death counts as
-    /// a restart but does not feed the breaker.
-    Deadline,
-}
-
-struct Slot {
-    /// Generation of the worker currently (or last) occupying the
-    /// slot. Frames carrying any other generation are stale.
+/// A live worker as the core sees it.
+struct Worker {
+    /// Frames carrying any other generation are stale.
     gen: u64,
-    state: SlotState,
-    child: Option<Child>,
-    /// Feeds the dedicated stdin writer thread; dropping it closes the
-    /// worker's stdin (its cue for a clean exit).
-    job_tx: Option<mpsc::Sender<String>>,
-    stderr: Arc<Mutex<Vec<u8>>>,
-    pumps: Vec<JoinHandle<()>>,
+    /// When the worker was spawned or last sent a frame.
     last_seen: Instant,
-    busy_since: Instant,
     /// `cache_key` of the last job this worker completed.
     last_key: Option<String>,
-    /// The in-flight job (state == Busy).
-    job: Option<PoolJob>,
+    /// The job in flight and when it was sent.
+    job: Option<(Instant, PoolJob)>,
 }
-
-impl Slot {
-    fn vacant() -> Slot {
-        Slot {
-            gen: 0,
-            state: SlotState::Vacant,
-            child: None,
-            job_tx: None,
-            stderr: Arc::new(Mutex::new(Vec::new())),
-            pumps: Vec::new(),
-            last_seen: Instant::now(),
-            busy_since: Instant::now(),
-            last_key: None,
-            job: None,
-        }
-    }
-}
-
-/// Cap on the retained stderr of a live pool worker (only an excerpt
-/// is ever reported; an endlessly chatty worker must not grow memory).
-const POOL_STDERR_CAP: usize = 64 * 1024;
 
 /// Fairness bound of the pool's slot dispatch, the one cache-affinity
 /// policy in the stack (jobs are admitted FIFO): at most this many
 /// *consecutive* picks may bypass the FIFO head for a warm cache key
 /// before the head runs unconditionally. A sustained stream of one key
 /// therefore delays any other tenant by at most
-/// `AFFINITY_STREAK_BOUND` picks instead of forever.
+/// `AFFINITY_STREAK_BOUND` picks instead of forever; property 13 of
+/// `crates/mbqao-bench/tests/scheduler_sim.rs` checks the bound.
 pub const AFFINITY_STREAK_BOUND: usize = 4;
 
-struct PoolSupervisor {
-    cmd: WorkerCommand,
+/// The pool supervisor's whole policy as a sans-IO state machine: it
+/// is given the time with every event, reaches processes only through
+/// [`Workers`], and holds no clock, thread, process or pipe.
+///
+/// * **Dispatch** (once a job's `delay` has run): affinity first,
+///   bounded by [`AFFINITY_STREAK_BOUND`]; then a fresh spawn into a
+///   vacant slot (never evict a warm cache while capacity remains),
+///   whose failure fails the head job; then any idle worker.
+/// * **Kills**: a worker silent for [`LIVENESS`] since its spawn or last
+///   frame, idle or busy, and a job still running at `job_deadline`
+///   (reported `timed_out`), each at that instant.
+/// * **Generations**: frames from any but a slot's live generation are
+///   dropped and counted in `stale_frames`.
+/// * **Breaker**: see [`MAX_RESTARTS`]. A tripped pool kills every
+///   worker and fails every queued, delayed, in-flight and later job
+///   once, with `circuit_open`.
+/// * **Shutdown** fails what has not started, closes every worker's
+///   stdin, reaps each on its [`PoolInput::Gone`], and kills what is
+///   left after a 500 ms grace.
+#[derive(Default)]
+pub struct PoolCore {
     config: PoolConfig,
-    slots: Vec<Slot>,
+    slots: Vec<Option<Worker>>,
     queue: VecDeque<PoolJob>,
-    delayed: Vec<(Instant, PoolJob)>,
-    /// Consecutive affinity-routed (non-FIFO-head) picks; bounded by
-    /// [`AFFINITY_STREAK_BOUND`] so a warm cache key can never starve
-    /// the rest of the queue.
+    /// Backoff-delayed jobs by (due, arrival).
+    delayed: BTreeMap<(Instant, u64), PoolJob>,
+    arrivals: u64,
+    /// Consecutive affinity-routed (non-FIFO-head) picks.
     affinity_streak: usize,
-    /// Timestamps of breaker-relevant deaths inside `restart_window`.
+    /// Times of the breaker-relevant deaths inside the window.
     breaker: VecDeque<Instant>,
     next_gen: u64,
-    out_tx: mpsc::Sender<PoolOutcome>,
-    sup_tx: mpsc::Sender<SupMsg>,
-    shared: Arc<PoolShared>,
+    live: usize,
+    stats: PoolStats,
+    /// When the shutdown grace runs out, once shutdown began.
+    grace: Option<Instant>,
+    outcomes: Vec<PoolOutcome>,
 }
 
-impl PoolSupervisor {
-    fn run(mut self, sup_rx: mpsc::Receiver<SupMsg>) {
-        // The tick drives liveness checks, straggler deadlines, and
-        // delayed (backoff) dispatch; every worker frame also wakes
-        // the loop, so a healthy pool ticks at heartbeat rate anyway.
-        let tick = Duration::from_millis(10);
-        loop {
-            match sup_rx.recv_timeout(tick) {
-                Ok(SupMsg::Job(job)) => self.on_job(job),
-                Ok(SupMsg::Frame { slot, gen, frame }) => self.on_frame(slot, gen, frame),
-                Ok(SupMsg::Gone { slot, gen, reason }) => self.on_gone(slot, gen, &reason),
-                Ok(SupMsg::Shutdown) | Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
+impl PoolCore {
+    /// An idle pool of `config.cap` vacant slots (at least one).
+    pub fn new(config: PoolConfig) -> PoolCore {
+        PoolCore {
+            slots: (0..config.cap.max(1)).map(|_| None).collect(),
+            config,
+            ..PoolCore::default()
+        }
+    }
+
+    /// Takes one event at `now` and returns the verdicts it settles, in
+    /// order. Every submitted job gets exactly one verdict.
+    pub fn step(
+        &mut self,
+        now: Instant,
+        input: PoolInput,
+        workers: &mut dyn Workers,
+    ) -> Vec<PoolOutcome> {
+        match input {
+            PoolInput::Job(job) if self.stats.tripped || self.grace.is_some() => {
+                self.fail(job, None, false);
             }
-            self.tick_deadlines();
-            self.dispatch();
+            PoolInput::Job(job) if job.delay.is_zero() => self.queue.push_back(job),
+            PoolInput::Job(job) => {
+                self.arrivals += 1;
+                self.delayed.insert((now + job.delay, self.arrivals), job);
+            }
+            PoolInput::Frame(slot, gen, frame) => self.on_frame(now, slot, gen, frame, workers),
+            PoolInput::Gone(slot, gen, reason)
+                if self.slots[slot].as_ref().is_some_and(|w| w.gen == gen) =>
+            {
+                match self.grace {
+                    Some(_) => self.reap(slot, workers),
+                    None => self.die(now, slot, &reason, false, workers),
+                }
+            }
+            PoolInput::Gone(..) | PoolInput::Wake => {}
+            PoolInput::Shutdown => {
+                self.grace.get_or_insert(now + SHUTDOWN_GRACE);
+                self.fail_waiting();
+                for slot in self.live_slots() {
+                    workers.close(slot);
+                }
+            }
         }
-        self.shutdown_workers();
+        self.expire(now, workers);
+        self.dispatch(now, workers);
+        std::mem::take(&mut self.outcomes)
     }
 
-    fn on_job(&mut self, job: PoolJob) {
-        if self.shared.tripped.load(Ordering::SeqCst) {
-            self.fail_job(job, None, false, true);
-        } else if job.delay.is_zero() {
-            self.queue.push_back(job);
-        } else {
-            self.delayed.push((Instant::now() + job.delay, job));
+    /// When the next timer runs out: a delayed job's dispatch, a
+    /// worker's liveness or job deadline, or the shutdown grace. `None`
+    /// when nothing can happen without an event.
+    pub fn next_wake(&self) -> Option<Instant> {
+        if let Some(grace) = self.grace {
+            return (self.live > 0).then_some(grace);
         }
+        let workers = self.slots.iter().flatten().flat_map(|w| {
+            let deadline = w.job.as_ref().zip(self.config.job_deadline);
+            [
+                Some(w.last_seen + LIVENESS),
+                deadline.map(|((since, _), limit)| *since + limit),
+            ]
+        });
+        let delayed = self.delayed.keys().next().map(|(due, _)| *due);
+        workers.flatten().chain(delayed).min()
     }
 
-    fn on_frame(&mut self, slot: usize, gen: u64, frame: PoolFrame) {
-        let s = &mut self.slots[slot];
+    /// Snapshot of the pool-lifetime counters.
+    pub fn stats(&self) -> PoolStats {
+        self.stats
+    }
+
+    /// Shutdown began and every worker is gone.
+    pub fn finished(&self) -> bool {
+        self.grace.is_some() && self.live == 0
+    }
+
+    fn live_slots(&self) -> Vec<usize> {
+        (0..self.slots.len())
+            .filter(|&slot| self.slots[slot].is_some())
+            .collect()
+    }
+
+    fn on_frame(
+        &mut self,
+        now: Instant,
+        slot: usize,
+        gen: u64,
+        frame: PoolFrame,
+        workers: &mut dyn Workers,
+    ) {
         // Two-level staleness guard: the reader thread tags frames
         // with the generation it was spawned for, and the frame body
         // echoes the generation the worker was told. Either mismatch
@@ -834,157 +879,149 @@ impl PoolSupervisor {
             | PoolFrame::Heartbeat { gen, .. }
             | PoolFrame::Result { gen, .. } => *gen,
         };
-        if gen != s.gen || frame_gen != s.gen || s.child.is_none() {
-            self.shared.stale_frames.fetch_add(1, Ordering::Relaxed);
+        let current = self.slots[slot].as_mut();
+        let Some(w) = current.filter(|w| w.gen == gen && frame_gen == gen) else {
+            self.stats.stale_frames += 1;
             return;
-        }
-        s.last_seen = Instant::now();
+        };
+        w.last_seen = now;
         match frame {
-            PoolFrame::Heartbeat { .. } => {
-                self.shared.heartbeats.fetch_add(1, Ordering::Relaxed);
-            }
-            PoolFrame::Result { body, .. } => match s.job.take() {
-                Some(job) => {
-                    s.state = SlotState::Idle;
-                    s.last_key = Some(job.cache_key.clone());
-                    let elapsed = s.busy_since.elapsed();
-                    self.shared.jobs_done.fetch_add(1, Ordering::Relaxed);
-                    let _ = self.out_tx.send(PoolOutcome {
+            PoolFrame::Heartbeat { .. } => self.stats.heartbeats += 1,
+            PoolFrame::Result { body, .. } => match w.job.take() {
+                Some((since, job)) => {
+                    self.stats.jobs_done += 1;
+                    self.outcomes.push(PoolOutcome {
                         tag: job.tag,
                         shard_index: job.shard_index,
                         result: Ok(body),
-                        elapsed,
+                        elapsed: now.duration_since(since),
                         timed_out: false,
                         circuit_open: false,
                     });
+                    w.last_key = Some(job.cache_key);
                 }
                 // A result with no job in flight is protocol
                 // corruption — kill the worker rather than guess.
-                None => self.reap(slot, DeathKind::Crash, "unsolicited result frame"),
+                None => self.die(now, slot, "unsolicited result frame", false, workers),
             },
-            PoolFrame::Job { .. } => self.reap(slot, DeathKind::Crash, "worker sent a job frame"),
+            PoolFrame::Job { .. } => self.die(now, slot, "worker sent a job frame", false, workers),
         }
     }
 
-    fn on_gone(&mut self, slot: usize, gen: u64, reason: &str) {
-        if self.slots[slot].gen != gen || self.slots[slot].child.is_none() {
-            return; // already reaped (or a stale pump's report)
-        }
-        self.reap(slot, DeathKind::Crash, reason);
-    }
-
-    fn tick_deadlines(&mut self) {
-        let now = Instant::now();
-        for i in 0..self.slots.len() {
-            if self.slots[i].child.is_none() {
-                continue;
-            }
-            if now.duration_since(self.slots[i].last_seen) > self.config.liveness {
-                let msg = format!("no heartbeat within {:?}", self.config.liveness);
-                self.reap(i, DeathKind::Liveness, &msg);
-            } else if let (SlotState::Busy, Some(deadline)) =
-                (&self.slots[i].state, self.config.job_deadline)
-            {
-                if self.slots[i].busy_since.elapsed() > deadline {
-                    let msg = format!("straggler killed after exceeding its {deadline:?} deadline");
-                    self.reap(i, DeathKind::Deadline, &msg);
+    /// Fires every timer due at `now`: the shutdown grace, delayed
+    /// jobs, liveness and job deadlines.
+    fn expire(&mut self, now: Instant, workers: &mut dyn Workers) {
+        if let Some(grace) = self.grace {
+            if now >= grace {
+                for slot in self.live_slots() {
+                    self.reap(slot, workers);
                 }
             }
+            return;
+        }
+        while let Some(entry) = self.delayed.first_entry() {
+            if entry.key().0 > now {
+                break;
+            }
+            self.queue.push_back(entry.remove());
+        }
+        for slot in self.live_slots() {
+            let Some(w) = &self.slots[slot] else {
+                continue; // killed by a breaker trip earlier in this loop
+            };
+            let deadline = w.job.as_ref().zip(self.config.job_deadline);
+            let overdue = deadline.filter(|((since, _), limit)| now >= *since + *limit);
+            if now >= w.last_seen + LIVENESS {
+                let reason = format!("no heartbeat within {LIVENESS:?}");
+                self.die(now, slot, &reason, false, workers);
+            } else if let Some((_, limit)) = overdue {
+                let reason = format!("straggler killed after exceeding its {limit:?} deadline");
+                self.die(now, slot, &reason, true, workers);
+            }
         }
     }
 
-    /// Kills and reaps the worker in `slot`, settles its in-flight job
-    /// per `kind`, and applies restart/breaker accounting.
-    fn reap(&mut self, slot: usize, kind: DeathKind, reason: &str) {
-        let s = &mut self.slots[slot];
-        let Some(mut child) = s.child.take() else {
-            return;
-        };
-        s.job_tx = None; // writer thread exits on the closed channel
-        let _ = child.kill();
-        let _ = child.wait();
-        for pump in s.pumps.drain(..) {
-            let _ = pump.join();
-        }
-        let excerpt = stderr_excerpt(&String::from_utf8_lossy(&lock_unpoisoned(&s.stderr)));
-        s.state = SlotState::Vacant;
-        s.last_key = None;
-        let job = s.job.take();
-        self.shared.live.fetch_sub(1, Ordering::SeqCst);
-        self.shared.restarts.fetch_add(1, Ordering::Relaxed);
-        lock_unpoisoned(&self.shared.pids).retain(|(i, _)| *i != slot);
-        let reason = if excerpt.is_empty() {
-            reason.to_string()
-        } else {
-            format!("{reason}; stderr: {excerpt}")
-        };
-        if kind != DeathKind::Deadline {
-            self.breaker_event();
-        }
+    /// Kills the worker in `slot`: its stderr excerpt and the job it
+    /// held.
+    fn kill(&mut self, slot: usize, workers: &mut dyn Workers) -> (String, Option<PoolJob>) {
+        let w = self.slots[slot].take().expect("a live worker");
+        self.live -= 1;
+        (workers.kill(slot), w.job.map(|(_, job)| job))
+    }
+
+    /// Kills the worker in `slot` after a crash, a liveness kill or (with
+    /// `timed_out`) its job's deadline, fails its job naming `reason`
+    /// and its stderr, and counts the death; only a deadline kill
+    /// spares the breaker.
+    fn die(
+        &mut self,
+        now: Instant,
+        slot: usize,
+        reason: &str,
+        timed_out: bool,
+        workers: &mut dyn Workers,
+    ) {
+        let (excerpt, job) = self.kill(slot, workers);
+        self.stats.restarts += 1;
         if let Some(job) = job {
-            self.fail_job(job, Some(&reason), kind == DeathKind::Deadline, false);
+            let reason = match excerpt.as_str() {
+                "" => reason.to_string(),
+                excerpt => format!("{reason}; stderr: {excerpt}"),
+            };
+            self.fail(job, Some(reason), timed_out);
+        }
+        if !timed_out {
+            self.breaker_event(now, workers);
+        }
+    }
+
+    /// Kills the worker in `slot` without counting a death, on a trip or
+    /// at shutdown; a job it still held fails.
+    fn reap(&mut self, slot: usize, workers: &mut dyn Workers) {
+        if let (_, Some(job)) = self.kill(slot, workers) {
+            self.fail(job, None, false);
         }
     }
 
     /// Records one breaker-relevant death; trips the breaker when the
     /// sliding window overflows.
-    fn breaker_event(&mut self) {
-        let now = Instant::now();
+    fn breaker_event(&mut self, now: Instant, workers: &mut dyn Workers) {
         self.breaker.push_back(now);
-        while let Some(front) = self.breaker.front() {
-            if now.duration_since(*front) > self.config.restart_window {
-                self.breaker.pop_front();
-            } else {
+        while let Some(&first) = self.breaker.front() {
+            if now.duration_since(first) <= RESTART_WINDOW {
                 break;
             }
+            self.breaker.pop_front();
         }
-        if self.breaker.len() > self.config.max_restarts {
-            self.trip();
-        }
-    }
-
-    /// Opens the circuit: kills every worker, fails every queued,
-    /// delayed, and in-flight job fast with `circuit_open = true`.
-    fn trip(&mut self) {
-        if self.shared.tripped.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        for i in 0..self.slots.len() {
-            let s = &mut self.slots[i];
-            if let Some(mut child) = s.child.take() {
-                s.job_tx = None;
-                let _ = child.kill();
-                let _ = child.wait();
-                for pump in s.pumps.drain(..) {
-                    let _ = pump.join();
-                }
-                s.state = SlotState::Vacant;
-                s.last_key = None;
-                self.shared.live.fetch_sub(1, Ordering::SeqCst);
-                if let Some(job) = s.job.take() {
-                    self.fail_job(job, None, false, true);
-                }
+        if self.breaker.len() > MAX_RESTARTS {
+            self.stats.tripped = true;
+            for slot in self.live_slots() {
+                self.reap(slot, workers);
             }
-        }
-        lock_unpoisoned(&self.shared.pids).clear();
-        for job in std::mem::take(&mut self.queue) {
-            self.fail_job(job, None, false, true);
-        }
-        for (_, job) in std::mem::take(&mut self.delayed) {
-            self.fail_job(job, None, false, true);
+            self.fail_waiting();
         }
     }
 
-    fn fail_job(&self, job: PoolJob, reason: Option<&str>, timed_out: bool, circuit_open: bool) {
-        let reason = match reason {
-            Some(r) => r.to_string(),
-            None if circuit_open => format!(
-                "worker pool circuit breaker open (> {} worker deaths within {:?})",
-                self.config.max_restarts, self.config.restart_window
+    /// Fails every job not yet sent to a worker.
+    fn fail_waiting(&mut self) {
+        let delayed = std::mem::take(&mut self.delayed).into_values();
+        for job in std::mem::take(&mut self.queue).into_iter().chain(delayed) {
+            self.fail(job, None, false);
+        }
+    }
+
+    /// Answers `job` with a failure: `reason`, or with no reason the
+    /// open circuit once the breaker has tripped and the shutdown
+    /// before.
+    fn fail(&mut self, job: PoolJob, reason: Option<String>, timed_out: bool) {
+        let circuit_open = reason.is_none() && self.stats.tripped;
+        let reason = reason.unwrap_or_else(|| match circuit_open {
+            true => format!(
+                "worker pool circuit breaker open (> {MAX_RESTARTS} worker deaths within {RESTART_WINDOW:?})"
             ),
-            None => "worker pool shut down".to_string(),
-        };
-        let _ = self.out_tx.send(PoolOutcome {
+            false => "worker pool shut down".into(),
+        });
+        self.outcomes.push(PoolOutcome {
             tag: job.tag,
             shard_index: job.shard_index,
             result: Err(ShardError::Worker {
@@ -997,112 +1034,102 @@ impl PoolSupervisor {
         });
     }
 
-    /// Assigns queued jobs to workers: affinity first (an idle worker
-    /// whose `last_key` matches a queued job's `cache_key`), then a
-    /// fresh spawn into a vacant slot (never evict a warm cache while
-    /// capacity remains), then any idle worker.
-    fn dispatch(&mut self) {
-        // Promote delayed (backoff) jobs whose time has come.
-        let now = Instant::now();
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].0 <= now {
-                let (_, job) = self.delayed.swap_remove(i);
-                self.queue.push_back(job);
-            } else {
-                i += 1;
-            }
-        }
-        loop {
-            if self.queue.is_empty() || self.shared.tripped.load(Ordering::SeqCst) {
-                return;
-            }
+    /// Assigns queued jobs to workers (see the type's docs for the
+    /// order).
+    fn dispatch(&mut self, now: Instant, workers: &mut dyn Workers) {
+        while !self.queue.is_empty() && !self.stats.tripped {
             let mut pick = None;
             // Affinity picks that bypass the FIFO head are bounded: a
             // sustained stream of one cache key must not starve queued
             // work behind it (the head itself matching counts as FIFO).
             if self.affinity_streak < AFFINITY_STREAK_BOUND {
-                'affinity: for (si, slot) in self.slots.iter().enumerate() {
-                    if let (SlotState::Idle, Some(key)) = (&slot.state, &slot.last_key) {
-                        if let Some(j) = self.queue.iter().position(|job| job.cache_key == *key) {
-                            pick = Some((si, j, true));
-                            break 'affinity;
-                        }
-                    }
-                }
+                pick = self.slots.iter().enumerate().find_map(|(slot, w)| {
+                    let key = w.as_ref().filter(|w| w.job.is_none())?.last_key.as_ref()?;
+                    let j = self.queue.iter().position(|job| job.cache_key == *key)?;
+                    Some((slot, j, true))
+                });
             }
             if pick.is_none() {
-                if let Some(si) = self
-                    .slots
-                    .iter()
-                    .position(|s| matches!(s.state, SlotState::Vacant))
-                {
-                    match self.spawn_slot(si) {
-                        Ok(()) => pick = Some((si, 0, false)),
-                        Err(reason) => {
-                            // A spawn failure is a pool-level fault:
-                            // fail the head job, feed the breaker (a
-                            // system that can't exec degrades fast).
-                            let job = self.queue.pop_front().expect("queue non-empty");
-                            self.fail_job(job, Some(&reason), false, false);
-                            self.breaker_event();
-                            continue;
-                        }
+                if let Some(slot) = self.slots.iter().position(Option::is_none) {
+                    self.next_gen += 1;
+                    if let Err(reason) = workers.spawn(slot, self.next_gen) {
+                        // A spawn failure is a pool-level fault: fail the
+                        // head job, feed the breaker (a system that can't
+                        // exec degrades fast).
+                        let job = self.queue.pop_front().expect("the queue is not empty");
+                        self.fail(job, Some(reason), false);
+                        self.breaker_event(now, workers);
+                        continue;
                     }
-                } else if let Some(si) = self
+                    self.slots[slot] = Some(Worker {
+                        gen: self.next_gen,
+                        last_seen: now,
+                        last_key: None,
+                        job: None,
+                    });
+                    self.live += 1;
+                    self.stats.spawned += 1;
+                    self.stats.max_live = self.stats.max_live.max(self.live);
+                    pick = Some((slot, 0, false));
+                } else if let Some(slot) = self
                     .slots
                     .iter()
-                    .position(|s| matches!(s.state, SlotState::Idle))
+                    .position(|w| w.as_ref().is_some_and(|w| w.job.is_none()))
                 {
-                    pick = Some((si, 0, false));
+                    pick = Some((slot, 0, false));
                 }
             }
-            let Some((si, j, affinity)) = pick else {
+            let Some((slot, j, affinity)) = pick else {
                 return; // every worker busy: wait for a verdict
             };
-            let job = self.queue.remove(j).expect("picked index is in range");
+            let mut job = self.queue.remove(j).expect("picked index is in range");
             if affinity {
-                self.shared.affinity_hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.affinity_hits += 1;
             }
             // Only picks that bypassed the head extend the streak; a
             // head pick (affinity or not) advances the FIFO and resets.
-            if affinity && j > 0 {
-                self.affinity_streak += 1;
+            self.affinity_streak = if affinity && j > 0 {
+                self.affinity_streak + 1
             } else {
-                self.affinity_streak = 0;
-            }
-            self.assign(si, job);
+                0
+            };
+            let w = self.slots[slot].as_mut().expect("picked slot is live");
+            let body = std::mem::take(&mut job.input);
+            let mut line = PoolFrame::Job { gen: w.gen, body }.to_wire().to_json();
+            line.push('\n'); // frames are newline-delimited
+            workers.send(slot, line);
+            w.job = Some((now, job));
         }
     }
+}
 
-    fn assign(&mut self, slot: usize, job: PoolJob) {
-        let s = &mut self.slots[slot];
-        let mut frame = PoolFrame::Job {
-            gen: s.gen,
-            body: job.input.clone(),
-        }
-        .to_wire()
-        .to_json();
-        frame.push('\n'); // frames are newline-delimited
-                          // A send failure means the writer thread (hence worker) is
-                          // already dead; leave the slot Busy holding the job — the Gone
-                          // event settles it through the normal death path.
-        if let Some(tx) = &s.job_tx {
-            let _ = tx.send(frame);
-        }
-        let now = Instant::now();
-        s.state = SlotState::Busy;
-        s.busy_since = now;
-        s.last_seen = now;
-        s.job = Some(job);
-    }
+/// Cap on the retained stderr of a live pool worker (only an excerpt
+/// is ever reported; an endlessly chatty worker must not grow memory).
+const POOL_STDERR_CAP: usize = 64 * 1024;
 
-    /// Spawns a fresh worker generation into `slot`.
-    fn spawn_slot(&mut self, slot: usize) -> Result<(), String> {
-        self.next_gen += 1;
-        let gen = self.next_gen;
+/// One live worker process and the threads that pump its pipes.
+struct Process {
+    pid: u32,
+    child: Child,
+    /// Feeds the stdin writer thread; dropping it closes the worker's
+    /// stdin.
+    stdin: Option<mpsc::Sender<String>>,
+    stderr: Arc<Mutex<Vec<u8>>>,
+    pumps: [JoinHandle<()>; 3],
+}
+
+/// The process driver's [`Workers`]: real children whose frames, and
+/// whose end, its pump threads send back into the driver's channel.
+struct Processes {
+    cmd: WorkerCommand,
+    tx: mpsc::Sender<PoolInput>,
+    procs: Vec<Option<Process>>,
+}
+
+impl Workers for Processes {
+    fn spawn(&mut self, slot: usize, gen: u64) -> Result<(), String> {
         let gen_s = gen.to_string();
-        let hb_ms = self.config.heartbeat.as_millis().max(1).to_string();
+        let hb_ms = HEARTBEAT.as_millis().to_string();
         let mut child = Command::new(&self.cmd.exe)
             .args(&self.cmd.args)
             .args(["--gen", gen_s.as_str(), "--heartbeat-ms", hb_ms.as_str()])
@@ -1111,133 +1138,86 @@ impl PoolSupervisor {
             .stderr(Stdio::piped())
             .spawn()
             .map_err(|e| format!("spawning pool worker: {e}"))?;
-        let pid = child.id();
-        let (job_tx, job_rx) = mpsc::channel::<String>();
+        // A dedicated writer per worker: an oversized job can never
+        // stall the driver.
+        let (stdin_tx, stdin_rx) = mpsc::channel::<String>();
         let mut stdin = child.stdin.take().expect("stdin was piped");
         let writer = std::thread::spawn(move || {
-            while let Ok(line) = job_rx.recv() {
+            for line in stdin_rx {
                 if stdin
                     .write_all(line.as_bytes())
                     .and_then(|()| stdin.flush())
                     .is_err()
                 {
-                    return; // worker gone: its Gone event handles the job
+                    return; // worker gone: its Gone event settles the job
                 }
             }
             // Channel closed: dropping stdin EOFs the worker (clean exit).
         });
         let out_pipe = child.stdout.take().expect("stdout was piped");
-        let sup_tx = self.sup_tx.clone();
+        let tx = self.tx.clone();
         let reader = std::thread::spawn(move || {
             let mut r = BufReader::new(out_pipe);
-            loop {
-                match read_frame(&mut r) {
-                    None => {
-                        let _ = sup_tx.send(SupMsg::Gone {
-                            slot,
-                            gen,
-                            reason: "worker stdout closed".into(),
-                        });
-                        return;
-                    }
-                    Some(Err(e)) => {
-                        let _ = sup_tx.send(SupMsg::Gone {
-                            slot,
-                            gen,
-                            reason: format!("worker protocol corruption: {e}"),
-                        });
-                        return;
-                    }
-                    Some(Ok(value)) => match PoolFrame::from_wire(&value) {
-                        Ok(frame) => {
-                            if sup_tx.send(SupMsg::Frame { slot, gen, frame }).is_err() {
-                                return;
-                            }
-                        }
-                        Err(e) => {
-                            let _ = sup_tx.send(SupMsg::Gone {
-                                slot,
-                                gen,
-                                reason: format!("worker protocol corruption: {e}"),
-                            });
-                            return;
-                        }
-                    },
+            let reason = loop {
+                match read_frame(&mut r).map(|v| v.and_then(|v| PoolFrame::from_wire(&v))) {
+                    None => break "worker stdout closed".to_string(),
+                    Some(Err(e)) => break format!("worker protocol corruption: {e}"),
+                    Some(Ok(frame)) => drop(tx.send(PoolInput::Frame(slot, gen, frame))),
                 }
-            }
+            };
+            let _ = tx.send(PoolInput::Gone(slot, gen, reason));
         });
         let mut err_pipe = child.stderr.take().expect("stderr was piped");
-        let stderr_buf = Arc::new(Mutex::new(Vec::new()));
-        let stderr_sink = Arc::clone(&stderr_buf);
-        let stderr = std::thread::spawn(move || {
+        let stderr = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&stderr);
+        let stderr_pump = std::thread::spawn(move || {
             let mut chunk = [0u8; 4096];
             while let Ok(n) = err_pipe.read(&mut chunk) {
                 if n == 0 {
                     return;
                 }
-                let mut buf = lock_unpoisoned(&stderr_sink);
+                let mut buf = lock_unpoisoned(&sink);
                 if buf.len() < POOL_STDERR_CAP {
                     buf.extend_from_slice(&chunk[..n]);
                 }
             }
         });
-        let s = &mut self.slots[slot];
-        s.gen = gen;
-        s.state = SlotState::Idle;
-        s.child = Some(child);
-        s.job_tx = Some(job_tx);
-        s.stderr = stderr_buf;
-        s.pumps = vec![writer, reader, stderr];
-        s.last_seen = Instant::now();
-        s.last_key = None;
-        s.job = None;
-        self.shared.spawned.fetch_add(1, Ordering::Relaxed);
-        let live = self.shared.live.fetch_add(1, Ordering::SeqCst) + 1;
-        self.shared.max_live.fetch_max(live, Ordering::SeqCst);
-        lock_unpoisoned(&self.shared.pids).push((slot, pid));
+        self.procs[slot] = Some(Process {
+            pid: child.id(),
+            child,
+            stdin: Some(stdin_tx),
+            stderr,
+            pumps: [writer, reader, stderr_pump],
+        });
         Ok(())
     }
 
-    /// Clean shutdown: close every worker's stdin (their cue to exit),
-    /// give them a grace period, then kill stragglers. In-flight jobs
-    /// (there are none in normal operation — callers drain first) fail
-    /// with a named shutdown error rather than hanging the caller.
-    fn shutdown_workers(&mut self) {
-        // Close every worker's stdin (via its writer thread) before
-        // waiting on any, so they all exit during one grace period.
-        for s in &mut self.slots {
-            s.job_tx = None;
+    fn send(&mut self, slot: usize, line: String) {
+        // A send failure means the writer thread (hence the worker) is
+        // already dead; the Gone event settles the job.
+        if let Some(stdin) = self.procs[slot].as_ref().and_then(|p| p.stdin.as_ref()) {
+            let _ = stdin.send(line);
         }
-        let deadline = Instant::now() + Duration::from_millis(500);
-        for i in 0..self.slots.len() {
-            let s = &mut self.slots[i];
-            let Some(mut child) = s.child.take() else {
-                continue;
-            };
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() >= deadline => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                    // A worker exits within about a millisecond of its
-                    // stdin closing; a coarser poll would dominate the
-                    // teardown of a short-lived private pool.
-                    Ok(None) => std::thread::sleep(Duration::from_micros(200)),
-                    Err(_) => break,
-                }
-            }
-            for pump in s.pumps.drain(..) {
-                let _ = pump.join();
-            }
-            self.shared.live.fetch_sub(1, Ordering::SeqCst);
-            if let Some(job) = s.job.take() {
-                self.fail_job(job, None, false, false);
-            }
+    }
+
+    fn close(&mut self, slot: usize) {
+        if let Some(p) = &mut self.procs[slot] {
+            p.stdin = None;
         }
-        lock_unpoisoned(&self.shared.pids).clear();
+    }
+
+    fn kill(&mut self, slot: usize) -> String {
+        let Some(mut p) = self.procs[slot].take() else {
+            return String::new();
+        };
+        p.stdin = None; // the writer thread exits on the closed channel
+        let _ = p.child.kill();
+        let _ = p.child.wait();
+        for pump in p.pumps {
+            let _ = pump.join();
+        }
+        let stderr = lock_unpoisoned(&p.stderr);
+        stderr_excerpt(&String::from_utf8_lossy(&stderr))
     }
 }
 
@@ -1249,114 +1229,110 @@ impl PoolSupervisor {
 /// `cache_key` affinity — so a worker's process-wide compile caches
 /// hit cross-shard and cross-job.
 ///
-/// The supervisor thread owns all worker state and provides the
-/// robustness layer:
-///
-/// * **heartbeats & liveness** — workers beat on a side thread even
-///   while computing; a worker silent past the liveness deadline is
-///   killed and replaced;
-/// * **generations** — every spawn gets a fresh generation counter and
-///   frames from any other generation are discarded, so late output
-///   from a killed worker can never corrupt a result;
-/// * **restart + circuit breaker** — dead workers are respawned
-///   lazily, but more than `max_restarts` deaths inside
-///   `restart_window` opens the circuit and fails everything fast
-///   (every outcome carries `circuit_open`, and the circuit stays
-///   open).
+/// Its policy is a [`PoolCore`]: heartbeats and liveness, straggler
+/// deadlines, generations that fence off late output from killed
+/// workers, lazy restarts and the circuit breaker. One driver thread
+/// owns the core and the processes: it blocks on one channel (jobs,
+/// frames read by each worker's pump thread, worker ends, shutdown)
+/// until the core's next timer, reads the clock once, steps the core,
+/// publishes a [`PoolStats`] snapshot and sends the verdicts.
 ///
 /// The pool tells jobs apart only by tag: retries, quarantine and
 /// merging belong to the submitter (`mbqao-bench`'s `Scheduler`).
 pub struct WorkerPool {
-    sup_tx: mpsc::Sender<SupMsg>,
+    tx: mpsc::Sender<PoolInput>,
     /// Behind a mutex so that one thread can wait for outcomes while
     /// another submits.
     outcomes: Mutex<mpsc::Receiver<PoolOutcome>>,
-    supervisor: Option<JoinHandle<()>>,
-    shared: Arc<PoolShared>,
+    driver: Option<JoinHandle<()>>,
+    /// The stats and live worker pids the driver published last.
+    published: Arc<Mutex<(PoolStats, Vec<u32>)>>,
 }
 
 impl WorkerPool {
-    /// Starts the supervisor (workers spawn lazily on demand). `cmd`
-    /// is the worker invocation *without* the supervision flags — the
+    /// Starts the driver (workers spawn lazily on demand). `cmd` is
+    /// the worker invocation *without* the supervision flags — the
     /// pool appends `--gen <g> --heartbeat-ms <ms>`.
     pub fn new(cmd: WorkerCommand, config: PoolConfig) -> WorkerPool {
-        let (sup_tx, sup_rx) = mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         let (out_tx, out_rx) = mpsc::channel();
-        let shared = Arc::new(PoolShared::default());
-        let supervisor = PoolSupervisor {
-            slots: (0..config.cap.max(1)).map(|_| Slot::vacant()).collect(),
+        let published = Arc::new(Mutex::new((PoolStats::default(), Vec::new())));
+        let mut core = PoolCore::new(config);
+        let mut workers = Processes {
             cmd,
-            config,
-            queue: VecDeque::new(),
-            delayed: Vec::new(),
-            affinity_streak: 0,
-            breaker: VecDeque::new(),
-            next_gen: 0,
-            out_tx,
-            sup_tx: sup_tx.clone(),
-            shared: Arc::clone(&shared),
+            tx: tx.clone(),
+            procs: core.slots.iter().map(|_| None).collect(),
         };
-        let handle = std::thread::spawn(move || supervisor.run(sup_rx));
+        let shared = Arc::clone(&published);
+        let driver = std::thread::spawn(move || {
+            let mut now = Instant::now();
+            while !core.finished() {
+                // The driver holds a sender itself, so the channel never
+                // disconnects.
+                let input = match core.next_wake() {
+                    None => rx.recv().unwrap_or(PoolInput::Shutdown),
+                    Some(at) => rx
+                        .recv_timeout(at.saturating_duration_since(now))
+                        .unwrap_or(PoolInput::Wake),
+                };
+                now = Instant::now();
+                let outcomes = core.step(now, input, &mut workers);
+                // Published before the verdicts go out, so a caller that
+                // has a verdict never reads older stats.
+                let pids = workers.procs.iter().flatten().map(|p| p.pid).collect();
+                *lock_unpoisoned(&shared) = (core.stats(), pids);
+                for outcome in outcomes {
+                    let _ = out_tx.send(outcome);
+                }
+            }
+        });
         WorkerPool {
-            sup_tx,
+            tx,
             outcomes: Mutex::new(out_rx),
-            supervisor: Some(handle),
-            shared,
+            driver: Some(driver),
+            published,
         }
     }
 
     /// Enqueues a job. Returns the job back if the pool cannot take it
-    /// (circuit open or supervisor gone); such a job was not run.
+    /// (circuit open or driver gone); such a job was not run.
     pub fn submit(&self, job: PoolJob) -> Result<(), PoolJob> {
-        if self.shared.tripped.load(Ordering::SeqCst) {
+        if self.stats().tripped {
             return Err(job);
         }
-        match self.sup_tx.send(SupMsg::Job(job)) {
-            Ok(()) => Ok(()),
-            Err(mpsc::SendError(SupMsg::Job(job))) => Err(job),
-            Err(_) => unreachable!("send returns the sent message"),
-        }
+        self.tx.send(PoolInput::Job(job)).map_err(|e| match e.0 {
+            PoolInput::Job(job) => job,
+            _ => unreachable!("send returns the sent message"),
+        })
     }
 
     /// The next outcome in completion order (blocking). `None` only if
-    /// the supervisor died.
+    /// the driver died.
     pub fn recv(&self) -> Option<PoolOutcome> {
         lock_unpoisoned(&self.outcomes).recv().ok()
     }
 
     /// Snapshot of the pool-lifetime counters.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            spawned: self.shared.spawned.load(Ordering::SeqCst),
-            restarts: self.shared.restarts.load(Ordering::SeqCst),
-            max_live: self.shared.max_live.load(Ordering::SeqCst),
-            stale_frames: self.shared.stale_frames.load(Ordering::SeqCst),
-            heartbeats: self.shared.heartbeats.load(Ordering::SeqCst),
-            affinity_hits: self.shared.affinity_hits.load(Ordering::SeqCst),
-            jobs_done: self.shared.jobs_done.load(Ordering::SeqCst),
-            tripped: self.shared.tripped.load(Ordering::SeqCst),
-        }
+        lock_unpoisoned(&self.published).0
     }
 
     /// OS pids of the currently live workers (for chaos tests that
     /// kill(-9) a worker mid-shard).
     pub fn live_pids(&self) -> Vec<u32> {
-        lock_unpoisoned(&self.shared.pids)
-            .iter()
-            .map(|(_, pid)| *pid)
-            .collect()
+        lock_unpoisoned(&self.published).1.clone()
     }
 
-    /// Stops the supervisor, shuts every worker down cleanly, and
-    /// returns the final counters.
+    /// Stops the driver, shuts every worker down cleanly, and returns
+    /// the final counters.
     pub fn shutdown(mut self) -> PoolStats {
-        self.join_supervisor();
+        self.join_driver();
         self.stats()
     }
 
-    fn join_supervisor(&mut self) {
-        let _ = self.sup_tx.send(SupMsg::Shutdown);
-        if let Some(handle) = self.supervisor.take() {
+    fn join_driver(&mut self) {
+        let _ = self.tx.send(PoolInput::Shutdown);
+        if let Some(handle) = self.driver.take() {
             let _ = handle.join();
         }
     }
@@ -1364,7 +1340,7 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.join_supervisor();
+        self.join_driver();
     }
 }
 
@@ -1618,19 +1594,15 @@ mod tests {
         assert_eq!(*guard, 42);
     }
 
-    // ---------------------------------------------- worker-pool tests
+    // ---------------------------------------------- pool policy tests
     //
-    // These sh(1) workers speak the pool protocol by hand: the pool
-    // appends `--gen <g> --heartbeat-ms <ms>` to the command, and
-    // `sh -c '<script>'` binds those as $0..$3, so the worker's
-    // generation is `$1`. None of them emit heartbeats, so every test
-    // that wants a long-lived worker sets a generous liveness deadline.
+    // The core on virtual time: `Recorder` stands in for the processes
+    // and `t0` is an arbitrary origin.
 
-    fn quiet_pool_config(cap: usize) -> PoolConfig {
+    fn pool_config(cap: usize) -> PoolConfig {
         PoolConfig {
             cap,
-            liveness: Duration::from_secs(60),
-            ..PoolConfig::default()
+            job_deadline: None,
         }
     }
 
@@ -1644,17 +1616,165 @@ mod tests {
         }
     }
 
-    /// Replies to every job frame with its own pid, echoing `$1` (its
-    /// generation) so the supervisor accepts the frame.
-    fn echo_pid_worker() -> WorkerCommand {
-        WorkerCommand::new(
-            "sh",
-            &[
-                "-c",
-                r#"while read -r line; do printf '{"type":"result","gen":%s,"body":"pid:%s"}\n' "$1" "$$"; done"#,
-            ],
-        )
+    /// Virtual workers that record what the core asks of them.
+    #[derive(Default)]
+    struct Recorder {
+        spawned: Vec<(usize, u64)>,
+        /// `(slot, gen)` of every job frame sent.
+        sent: Vec<(usize, u64)>,
+        killed: Vec<usize>,
     }
+
+    impl Workers for Recorder {
+        fn spawn(&mut self, slot: usize, gen: u64) -> Result<(), String> {
+            self.spawned.push((slot, gen));
+            Ok(())
+        }
+        fn send(&mut self, slot: usize, line: String) {
+            let frame = PoolFrame::from_wire(&Value::parse(&line).unwrap()).unwrap();
+            let PoolFrame::Job { gen, .. } = frame else {
+                panic!("the core sends only job frames");
+            };
+            self.sent.push((slot, gen));
+        }
+        fn close(&mut self, _slot: usize) {}
+        fn kill(&mut self, slot: usize) -> String {
+            self.killed.push(slot);
+            String::new()
+        }
+    }
+
+    fn result_frame(gen: u64) -> PoolFrame {
+        PoolFrame::Result {
+            gen,
+            body: "ok".into(),
+        }
+    }
+
+    #[test]
+    fn pool_reuses_workers_and_routes_by_cache_affinity() {
+        let (t0, mut workers) = (Instant::now(), Recorder::default());
+        let mut core = PoolCore::new(pool_config(2));
+        let mut slot_of_key = std::collections::HashMap::new();
+        for (tag, key) in ["alpha", "beta", "alpha", "beta"].iter().enumerate() {
+            let at = t0 + Duration::from_millis(tag as u64);
+            let job = PoolInput::Job(pool_job(tag as u64, tag, key));
+            assert!(core.step(at, job, &mut workers).is_empty());
+            let (slot, gen) = *workers.sent.last().expect("dispatched at once");
+            let done = core.step(
+                at,
+                PoolInput::Frame(slot, gen, result_frame(gen)),
+                &mut workers,
+            );
+            assert_eq!(done.len(), 1);
+            assert_eq!(done[0].tag, tag as u64);
+            match slot_of_key.get(*key) {
+                // Affinity: the same key lands on the same worker, so
+                // its in-process caches would hit.
+                Some(prev) => assert_eq!(*prev, slot, "key {key} routed to its warm worker"),
+                None => {
+                    slot_of_key.insert(key.to_string(), slot);
+                }
+            }
+        }
+        assert_ne!(
+            slot_of_key["alpha"], slot_of_key["beta"],
+            "two keys, two workers"
+        );
+        let stats = core.stats();
+        assert_eq!(stats.spawned, 2, "workers persisted across 4 jobs");
+        assert_eq!(stats.jobs_done, 4);
+        assert_eq!(
+            stats.affinity_hits, 2,
+            "second job of each key was affinity-routed"
+        );
+        assert_eq!(stats.max_live, 2);
+        assert_eq!(stats.restarts, 0);
+    }
+
+    #[test]
+    fn silent_worker_is_liveness_killed() {
+        let (t0, mut workers) = (Instant::now(), Recorder::default());
+        let mut core = PoolCore::new(pool_config(1));
+        assert!(core
+            .step(t0, PoolInput::Job(pool_job(0, 3, "k")), &mut workers)
+            .is_empty());
+        assert_eq!(workers.spawned, [(0, 1)]);
+        // A beat restarts the liveness clock; silence from then on
+        // kills at exactly LIVENESS, busy or not.
+        let beat = t0 + Duration::from_secs(1);
+        let hb = PoolFrame::Heartbeat { gen: 1, busy: true };
+        assert!(core
+            .step(beat, PoolInput::Frame(0, 1, hb), &mut workers)
+            .is_empty());
+        assert_eq!(core.next_wake(), Some(beat + LIVENESS));
+        let almost = beat + LIVENESS - Duration::from_millis(1);
+        assert!(core.step(almost, PoolInput::Wake, &mut workers).is_empty());
+        assert!(workers.killed.is_empty());
+        let outcomes = core.step(beat + LIVENESS, PoolInput::Wake, &mut workers);
+        match &outcomes[..] {
+            [PoolOutcome {
+                result: Err(ShardError::Worker { shard: 3, reason }),
+                timed_out: false,
+                circuit_open: false,
+                ..
+            }] => assert!(
+                reason.contains("no heartbeat"),
+                "liveness verdict: {reason}"
+            ),
+            other => panic!("expected a liveness kill, got {other:?}"),
+        }
+        assert_eq!(workers.killed, [0]);
+        assert_eq!(core.stats().restarts, 1);
+    }
+
+    #[test]
+    fn circuit_breaker_trips_after_the_restart_budget() {
+        let (t0, mut workers) = (Instant::now(), Recorder::default());
+        let mut core = PoolCore::new(pool_config(1));
+        let jobs = MAX_RESTARTS as u64 + 3;
+        for tag in 0..jobs {
+            core.step(
+                t0,
+                PoolInput::Job(pool_job(tag, tag as usize, "k")),
+                &mut workers,
+            );
+        }
+        // One crash a second, each worker on its job: the ninth crash
+        // inside the window trips the breaker.
+        let mut outcomes = Vec::new();
+        for death in 1..=MAX_RESTARTS as u64 + 1 {
+            assert!(!core.stats().tripped, "tripped before death {death}");
+            assert_eq!(workers.sent.last(), Some(&(0, death)));
+            let gone = PoolInput::Gone(0, death, "worker stdout closed".into());
+            outcomes.extend(core.step(t0 + Duration::from_secs(death), gone, &mut workers));
+        }
+        assert!(core.stats().tripped);
+        assert_eq!(outcomes.len() as u64, jobs, "every job got one verdict");
+        assert!(outcomes.iter().all(|o| o.result.is_err()));
+        let open: Vec<u64> = outcomes
+            .iter()
+            .filter(|o| o.circuit_open)
+            .map(|o| o.tag)
+            .collect();
+        assert_eq!(
+            open,
+            [jobs - 2, jobs - 1],
+            "jobs queued past the ninth death fail fast"
+        );
+        // An open circuit refuses new work at once.
+        let refused = core.step(t0, PoolInput::Job(pool_job(99, 9, "k")), &mut workers);
+        assert!(refused.len() == 1 && refused[0].circuit_open);
+        assert_eq!(core.stats().restarts, MAX_RESTARTS + 1);
+    }
+
+    // ---------------------------------------------- worker-pool tests
+    //
+    // Real processes through the driver. These sh(1) workers speak the
+    // pool protocol by hand: the pool appends `--gen <g>
+    // --heartbeat-ms <ms>` to the command, and `sh -c '<script>'` binds
+    // those as $0..$3, so the worker's generation is `$1`. None of them
+    // beat, so each test must finish well inside `LIVENESS`.
 
     /// Answers every job frame with a result frame carrying the job's
     /// own body: rewriting the frame's type tag keeps its generation
@@ -1672,39 +1792,31 @@ mod tests {
     }
 
     #[test]
-    fn pool_reuses_workers_and_routes_by_cache_affinity() {
-        let pool = WorkerPool::new(echo_pid_worker(), quiet_pool_config(2));
-        let mut pid_of_key = std::collections::HashMap::new();
-        for (tag, key) in ["alpha", "beta", "alpha", "beta"].iter().enumerate() {
-            pool.submit(pool_job(tag as u64, tag, key))
-                .expect("pool accepts");
-            let outcome = pool.recv().expect("supervisor alive");
-            assert_eq!(outcome.tag, tag as u64);
-            let pid = outcome.result.expect("echo worker succeeds");
-            match pid_of_key.get(*key) {
-                // Affinity: the same key lands on the same process, so
-                // its in-process caches would hit.
-                Some(prev) => assert_eq!(prev, &pid, "key {key} routed to its warm worker"),
-                None => {
-                    pid_of_key.insert(key.to_string(), pid);
-                }
-            }
-        }
-        assert_eq!(pid_of_key.len(), 2, "two keys → two distinct workers");
-        let stats = pool.shutdown();
-        assert_eq!(stats.spawned, 2, "workers persisted across 4 jobs");
-        assert_eq!(stats.jobs_done, 4);
+    fn a_tripped_pool_refuses_submit_synchronously() {
+        let pool = WorkerPool::new(crashing_worker(), pool_config(1));
+        let jobs = MAX_RESTARTS as u64 + 3;
+        let taken = (0..jobs)
+            .filter(|&tag| pool.submit(pool_job(tag, tag as usize, "k")).is_ok())
+            .count();
+        let outcomes: Vec<PoolOutcome> = (0..taken).map(|_| pool.recv().expect("alive")).collect();
+        assert!(outcomes.iter().all(|o| o.result.is_err()));
+        let crashes = outcomes.iter().filter(|o| !o.circuit_open).count();
         assert_eq!(
-            stats.affinity_hits, 2,
-            "second job of each key was affinity-routed"
+            crashes,
+            MAX_RESTARTS + 1,
+            "the ninth crash trips the breaker"
         );
-        assert!(stats.max_live <= 2);
-        assert_eq!(stats.restarts, 0);
+        assert!(pool.stats().tripped);
+        // An open circuit refuses new work synchronously.
+        assert!(pool.submit(pool_job(99, 99, "k")).is_err());
+        let stats = pool.shutdown();
+        assert!(stats.tripped);
+        assert_eq!(stats.restarts, MAX_RESTARTS + 1);
     }
 
     #[test]
     fn dead_worker_failure_names_shard_and_pool_restarts() {
-        let pool = WorkerPool::new(crashing_worker(), quiet_pool_config(1));
+        let pool = WorkerPool::new(crashing_worker(), pool_config(1));
         for (tag, shard_index) in [(0u64, 5usize), (1, 6)] {
             pool.submit(pool_job(tag, shard_index, "k"))
                 .expect("pool accepts");
@@ -1736,7 +1848,7 @@ mod tests {
         // deaths arrive in whichever order they happen: each outcome,
         // drained as it completes, must still name its own shard.
         let failer = WorkerCommand::new("sh", &["-c", "read -r line; echo boom >&2; exit 3"]);
-        let pool = WorkerPool::new(failer, quiet_pool_config(2));
+        let pool = WorkerPool::new(failer, pool_config(2));
         let shard_of_tag = [(0u64, 0usize), (1, 1)];
         for (tag, shard_index) in shard_of_tag {
             pool.submit(pool_job(tag, shard_index, &format!("key{tag}")))
@@ -1762,64 +1874,8 @@ mod tests {
     }
 
     #[test]
-    fn circuit_breaker_trips_after_the_restart_budget() {
-        let config = PoolConfig {
-            max_restarts: 2,
-            ..quiet_pool_config(1)
-        };
-        let pool = WorkerPool::new(crashing_worker(), config);
-        for tag in 0..5u64 {
-            // Every death feeds the breaker.
-            pool.submit(pool_job(tag, tag as usize, "k"))
-                .expect("pool accepts");
-        }
-        let outcomes: Vec<PoolOutcome> = (0..5).map(|_| pool.recv().expect("alive")).collect();
-        assert!(outcomes.iter().all(|o| o.result.is_err()));
-        assert!(
-            outcomes.iter().any(|o| o.circuit_open),
-            "jobs queued past the third death fail fast with circuit_open"
-        );
-        assert!(pool.stats().tripped);
-        // An open circuit refuses new work synchronously: a tripped
-        // pool takes no further jobs.
-        assert!(pool.submit(pool_job(9, 9, "k")).is_err());
-        let stats = pool.shutdown();
-        assert!(stats.tripped);
-        assert!(
-            stats.restarts >= 3,
-            "the budget of 2 was exceeded: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn silent_worker_is_liveness_killed() {
-        let config = PoolConfig {
-            liveness: Duration::from_millis(150),
-            heartbeat: Duration::from_millis(25),
-            ..quiet_pool_config(1)
-        };
-        // Accepts the job, then goes catatonic: no heartbeat, no result.
-        let catatonic = WorkerCommand::new("sh", &["-c", "read -r line; exec sleep 60"]);
-        let pool = WorkerPool::new(catatonic, config);
-        pool.submit(pool_job(0, 3, "k")).expect("pool accepts");
-        let outcome = pool.recv().expect("supervisor alive");
-        match outcome.result {
-            Err(ShardError::Worker { shard, reason }) => {
-                assert_eq!(shard, 3);
-                assert!(
-                    reason.contains("no heartbeat"),
-                    "liveness verdict: {reason}"
-                );
-            }
-            other => panic!("expected a liveness kill, got {other:?}"),
-        }
-        let stats = pool.shutdown();
-        assert_eq!(stats.restarts, 1);
-    }
-
-    #[test]
     fn pool_bounds_live_workers_and_echoes_every_job() {
-        let pool = WorkerPool::new(echo_body_worker(), quiet_pool_config(2));
+        let pool = WorkerPool::new(echo_body_worker(), pool_config(2));
         let jobs = 7usize;
         for tag in 0..jobs {
             pool.submit(PoolJob {
@@ -1853,7 +1909,7 @@ mod tests {
         // 1 MiB ≫ any pipe buffer: the per-worker writer thread makes
         // submission O(1) however long the worker takes to read it.
         let big = "x".repeat(1 << 20);
-        let pool = WorkerPool::new(echo_body_worker(), quiet_pool_config(2));
+        let pool = WorkerPool::new(echo_body_worker(), pool_config(2));
         let t0 = Instant::now();
         for tag in 0..3u64 {
             pool.submit(PoolJob {
@@ -1877,8 +1933,8 @@ mod tests {
     #[test]
     fn straggler_deadline_kills_and_flags_timeout() {
         let config = PoolConfig {
+            cap: 1,
             job_deadline: Some(Duration::from_millis(50)),
-            ..quiet_pool_config(1)
         };
         // Accepts the job, then computes "forever" (exec: the kill
         // reaches the sleeping process itself).
