@@ -32,11 +32,10 @@
 //!   '{"type":"shutdown"}' | mbqao-serve --cap 2
 //! ```
 
-use mbqao_bench::serve::{resume_job, serve, spawn_pool, Event, ServeConfig};
+use mbqao_bench::serve::{resume_job, serve, spawn_service, write_event, Event, ServeConfig};
 use mbqao_bench::sweep::{flag_value, worker_entry};
 use mbqao_core::engine::shard::RetryPolicy;
-use mbqao_core::engine::wire::write_frame;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 const USAGE: &str = "usage: mbqao-serve [--cap N] [--max-jobs N] [--retries N] [--backoff-ms MS] \
@@ -112,7 +111,12 @@ fn main() {
     });
     let exe = std::env::current_exe().expect("current_exe");
     if let Some(path) = resume_path {
-        resume(&exe, &path, check, &config);
+        // Finish the journaled job; exit 1 unless it completes.
+        let mut out = std::io::stdout();
+        let mut emit = |event: Event| write_event(&mut out, config.log, &event);
+        if !resume_job(&spawn_service(&exe, &config), &path, check, &mut emit) {
+            std::process::exit(1);
+        }
         return;
     }
     if config.log {
@@ -136,30 +140,10 @@ fn main() {
     }
 }
 
-/// `--resume PATH`: replay the journal, re-run only the missing
-/// ranges, emit the usual event frames plus the final `done` (with
-/// `bit_identical` when `--check` is given), and exit nonzero on
-/// failure.
-fn resume(exe: &Path, path: &Path, check: bool, config: &ServeConfig) {
-    let mut out = std::io::stdout();
-    let log = config.log;
-    let mut emit = |event: Event| {
-        if log {
-            eprintln!("serve: {}", event.log_line());
-        }
-        let _ = write_frame(&mut out, &event.to_wire());
-    };
-    let pool = spawn_pool(exe, config);
-    let completed = resume_job(&pool, path, config, check, &mut emit);
-    pool.shutdown();
-    if !completed {
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn parse(line: &str) -> Result<Args, String> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();

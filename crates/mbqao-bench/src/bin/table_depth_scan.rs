@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    mbqao_bench::sweep::table_args("table_depth_scan", false);
     println!("# E14: approximation ratio vs. p (MaxCut)\n");
     let mut rng = StdRng::seed_from_u64(41);
     let instances = vec![

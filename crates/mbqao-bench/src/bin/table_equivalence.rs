@@ -11,11 +11,11 @@
 //! worker subprocesses. The three-way equivalence assert runs wherever
 //! the row is rendered.
 
-use mbqao_bench::sweep::{run_in_process, table_shards, SweepOutput, Workload};
+use mbqao_bench::sweep::{run_in_process, table_args, SweepOutput, Workload};
 use mbqao_bench::tables::EquivalenceSpec;
 
 fn main() {
-    let shards = table_shards("table_equivalence");
+    let shards = table_args("table_equivalence", true);
     let workload = Workload::EquivalenceTable(EquivalenceSpec::full());
     let output = run_in_process(&workload, shards);
     let SweepOutput::Table { text, .. } = output else {

@@ -15,6 +15,7 @@ fn check(d: &Diagram, f: impl FnOnce(&mut Diagram) -> bool) -> (bool, bool) {
 }
 
 fn main() {
+    mbqao_bench::sweep::table_args("table_fig1_rules", false);
     println!("# E1: Fig. 1 rewrite rules, scalar-exact\n");
     println!("| rule | instance | fired | semantics preserved |");
     println!("|---|---|---|---|");

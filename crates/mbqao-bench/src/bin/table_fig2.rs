@@ -7,6 +7,7 @@ use mbqao_sim::State;
 use mbqao_zx::circuit_import::circuit_to_diagram;
 
 fn main() {
+    mbqao_bench::sweep::table_args("table_fig2", false);
     println!("# E2: Fig. 2 — QAOA on 3 qubits\n");
     // Fig. 2 shows a line-style interaction: H column, RZ(γ)-coupled
     // phase separator, RX(β) mixer column.

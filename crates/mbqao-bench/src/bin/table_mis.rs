@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    mbqao_bench::sweep::table_args("table_mis", false);
     println!("# E12: MIS with hard constraints (Sec. IV)\n");
 
     // ZH identity (the paper's diagrammatic derivation, checked tensor-

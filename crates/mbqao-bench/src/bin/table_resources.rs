@@ -11,11 +11,11 @@
 //! the same workload as worker subprocesses). Per-row asserts (paper
 //! bounds, gflow determinism) run wherever the row is rendered.
 
-use mbqao_bench::sweep::{run_in_process, table_shards, SweepOutput, Workload};
+use mbqao_bench::sweep::{run_in_process, table_args, SweepOutput, Workload};
 use mbqao_bench::tables::ResourcesSpec;
 
 fn main() {
-    let shards = table_shards("table_resources");
+    let shards = table_args("table_resources", true);
     let spec = ResourcesSpec::full();
     let expects_savings = spec.expects_dense_savings();
     let workload = Workload::ResourceTable(spec);

@@ -8,6 +8,7 @@ use mbqao_mbqc::resources::stats;
 use mbqao_mbqc::schedule::{just_in_time, resource_state_first};
 
 fn main() {
+    mbqao_bench::sweep::table_args("table_reuse", false);
     println!("# E11: qubit reuse ablation (mid-circuit measurement + reset, [51])\n");
     println!("| graph | p | N_Q total | live (resource-state-first) | live (JIT reuse) | reduction | rounds |");
     println!("|---|---|---|---|---|---|---|");

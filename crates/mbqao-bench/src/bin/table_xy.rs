@@ -8,6 +8,7 @@ use mbqao_problems::{generators, maxcut};
 use mbqao_qaoa::{InitialState, Mixer, QaoaAnsatz, QaoaRunner};
 
 fn main() {
+    mbqao_bench::sweep::table_args("table_xy", false);
     println!("# E13: XY mixers (Sec. V)\n");
 
     // Equivalence of the compiled XY-ring ansatz with the gate model.

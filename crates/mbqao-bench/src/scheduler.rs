@@ -1,10 +1,13 @@
 //! The job scheduler behind every sharded job: one sans-IO state
 //! machine that takes events and returns actions. It holds no clock,
 //! thread, pipe or file, so one policy drives `mbqao-serve`, the
-//! single-job entry points and the batch sweep driver alike (the
-//! drivers in [`crate::serve`] only execute its actions), and a
+//! single-job entry points and the batch sweep driver alike, and a
 //! simulator checks it under virtual time
 //! (`crates/mbqao-bench/tests/scheduler_sim.rs`).
+//!
+//! It is the [`Jobs`] layer of the service's pool
+//! ([`crate::serve::Service`]); its [`Action`]s go to the thread that
+//! owns the pool.
 //!
 //! The policy, stated once:
 //!
@@ -38,7 +41,7 @@ use crate::sweep::{
     Workload,
 };
 use mbqao_core::engine::shard::{
-    Merger, PoolJob, PoolOutcome, Provenance, Shard, ShardError, ShardResult,
+    Jobs, Merger, PoolJob, PoolOutcome, PoolStats, Provenance, Shard, ShardError, ShardResult,
 };
 use mbqao_core::engine::wire::WireError;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -54,10 +57,6 @@ pub enum Input {
     Request(Result<Request, WireError>),
     /// Finish the job of a loaded journal; `true` asks for a check.
     Resume(JournalReplay, bool),
-    /// The pool's verdict on one submitted attempt.
-    Outcome(PoolOutcome),
-    /// The pool's supervisor is gone, and every attempt in flight with it.
-    PoolGone,
     /// `(id, result)`: how job `id`'s oldest unanswered
     /// [`Action::Journal`] went (`Err` carries the I/O error).
     Journaled(u64, Result<(), String>),
@@ -65,12 +64,9 @@ pub enum Input {
     Checked(u64, bool),
 }
 
-/// What the scheduler asks of its driver, in order.
+/// What the scheduler asks of its owner, in order.
 #[derive(Debug)]
 pub enum Action {
-    /// Hand one attempt to the worker pool. A pool that refuses it
-    /// answers with a circuit-open [`Input::Outcome`].
-    Submit(PoolJob),
     /// Write one frame to the client.
     Emit(Event),
     /// Journal job `id`, then answer with [`Input::Journaled`]. A
@@ -261,7 +257,13 @@ pub struct Scheduler {
     rr: usize,
     shutdown: bool,
     stats: ServeStats,
+    /// The pool's counters as of this step, and as of each job's
+    /// `accepted` or `resumed` frame (its stats count their growth).
+    pool: PoolStats,
+    base: HashMap<u64, PoolStats>,
     actions: Vec<Action>,
+    /// Attempts for the pool.
+    attempts: Vec<PoolJob>,
 }
 
 impl Scheduler {
@@ -276,50 +278,6 @@ impl Scheduler {
             config,
             ..Scheduler::default()
         }
-    }
-
-    /// Takes one event and returns the actions it causes, in order.
-    pub fn step(&mut self, input: Input) -> Vec<Action> {
-        match input {
-            Input::Request(Ok(Request::Submit(req))) => self.submit(*req),
-            Input::Request(Ok(Request::Ping)) => self.actions.push(Action::Emit(Event::Pong)),
-            Input::Request(Ok(Request::Shutdown)) => self.shutdown = true,
-            Input::Request(Err(e)) => self.reject(None, e.to_string()),
-            Input::Resume(replay, check) => self.resume(replay, check),
-            Input::Outcome(outcome) => self.on_outcome(outcome),
-            Input::PoolGone => {
-                for (id, at) in std::mem::take(&mut self.flights).into_values() {
-                    let (shard, reason) = (at.shard.index, "the worker pool is gone".to_string());
-                    let job = self.running.iter_mut().find(|j| j.id == id);
-                    let job = job.expect("attempts in flight belong to running jobs");
-                    job.inflight -= 1;
-                    job.fail(shard, ShardError::Worker { shard, reason });
-                }
-            }
-            Input::Journaled(id, result) => self.on_journaled(id, result),
-            Input::Checked(id, bit_identical) => {
-                if let Some(done) = self.checking.remove(&id) {
-                    self.finish(id, Ok(done), Some(bit_identical));
-                }
-            }
-        }
-        self.reap();
-        self.admit();
-        self.dispatch();
-        std::mem::take(&mut self.actions)
-    }
-
-    /// Shutdown was requested and every job has ended.
-    pub fn finished(&self) -> bool {
-        self.shutdown
-            && self.waiting.is_empty()
-            && self.running.is_empty()
-            && self.checking.is_empty()
-    }
-
-    /// Jobs done, failed and rejected so far (the `bye` counts).
-    pub fn stats(&self) -> ServeStats {
-        self.stats
     }
 
     fn emit(&mut self, event: Event) {
@@ -398,6 +356,7 @@ impl Scheduler {
                 job.next_index += 1;
                 job.ready.push_back(Attempt::first(shard, None));
             }
+            self.base.insert(id, self.pool);
         }
         self.ids.insert(id);
         self.running.push(job);
@@ -518,6 +477,7 @@ impl Scheduler {
             (Some(Unacked::Create(work)), Ok(())) => {
                 let (total, shards) = (job.merger.total(), work.len());
                 job.ready.extend(work);
+                self.base.insert(id, self.pool);
                 Some(Event::Accepted { id, total, shards })
             }
             (Some(Unacked::Create(_)), Err(e)) => {
@@ -563,7 +523,12 @@ impl Scheduler {
         }
     }
 
-    fn finish(&mut self, id: u64, result: JobResult, bit_identical: Option<bool>) {
+    fn finish(&mut self, id: u64, mut result: JobResult, bit_identical: Option<bool>) {
+        if let (Ok((_, stats)), Some(base)) = (&mut result, self.base.remove(&id)) {
+            stats.spawned = self.pool.spawned - base.spawned;
+            stats.worker_restarts = self.pool.restarts - base.restarts;
+            stats.max_live = self.pool.max_live;
+        }
         if result.is_ok() {
             self.stats.done += 1;
         } else {
@@ -593,14 +558,58 @@ impl Scheduler {
             job.inflight += 1;
             let tag = self.next_tag;
             self.next_tag += 1;
-            self.actions.push(Action::Submit(PoolJob {
+            self.attempts.push(PoolJob {
                 tag,
                 shard_index: at.shard.index,
                 input: job_to_json_attempt(&job.workload, at.shard, at.fault, at.attempt),
                 cache_key: job.cache_key.clone(),
                 delay: at.delay,
-            }));
+            });
             self.flights.insert(tag, (job.id, at));
         }
+    }
+}
+
+impl Jobs for Scheduler {
+    type In = Input;
+    type Out = Action;
+
+    fn step(
+        &mut self,
+        input: Result<Input, PoolOutcome>,
+        pool: &PoolStats,
+        out: &mut Vec<Action>,
+    ) -> Vec<PoolJob> {
+        self.pool = *pool;
+        match input {
+            Ok(Input::Request(Ok(Request::Submit(req)))) => self.submit(*req),
+            Ok(Input::Request(Ok(Request::Ping))) => self.emit(Event::Pong),
+            Ok(Input::Request(Ok(Request::Shutdown))) => self.shutdown = true,
+            Ok(Input::Request(Err(e))) => self.reject(None, e.to_string()),
+            Ok(Input::Resume(replay, check)) => self.resume(replay, check),
+            Ok(Input::Journaled(id, result)) => self.on_journaled(id, result),
+            Ok(Input::Checked(id, bit_identical)) => {
+                if let Some(done) = self.checking.remove(&id) {
+                    self.finish(id, Ok(done), Some(bit_identical));
+                }
+            }
+            Err(outcome) => self.on_outcome(outcome),
+        }
+        self.reap();
+        self.admit();
+        self.dispatch();
+        if self.finished() {
+            self.emit(Event::Bye(self.stats));
+        }
+        out.append(&mut self.actions);
+        std::mem::take(&mut self.attempts)
+    }
+
+    /// Shutdown was requested and every job has ended.
+    fn finished(&self) -> bool {
+        self.shutdown
+            && self.waiting.is_empty()
+            && self.running.is_empty()
+            && self.checking.is_empty()
     }
 }

@@ -9,10 +9,12 @@
 //!
 //! Layering:
 //!
-//! * [`Scheduler`] is the whole job policy, a sans-IO state machine.
-//! * One driver loop executes its actions against a [`WorkerPool`],
-//!   the journals and check threads. [`serve`] feeds it request frames;
-//!   [`run_job`], [`run_job_with`], [`resume_job`] and the batch driver
+//! * [`Scheduler`] is the whole job policy, a sans-IO state machine
+//!   that a [`Service`]'s driver thread steps with the pool core.
+//! * The thread that owns the service journals, checks and writes
+//!   frames, so a slow disk or client never stalls the workers'
+//!   supervision. [`serve`] feeds it request frames; [`run_job`],
+//!   [`run_job_with`], [`resume_job`] and the batch driver
 //!   [`crate::sweep::drive_subprocess_capped`] feed it one job.
 //! * Every event is one wire frame on the response stream (and
 //!   optionally one human-readable line on stderr) — per-shard
@@ -27,15 +29,14 @@ use crate::sweep::{monolithic, Fault, Payload, SweepOutput, Workload, MAX_JOB_IT
 #[cfg(doc)]
 use mbqao_core::engine::shard::Merger;
 use mbqao_core::engine::shard::{
-    default_worker_cap, PoolConfig, PoolOutcome, PoolStats, Provenance, RetryPolicy, Shard,
-    ShardError, ShardResult, WorkerCommand, WorkerPool,
+    default_worker_cap, Jobs, PoolConfig, Provenance, RetryPolicy, Shard, ShardError, ShardResult,
+    WorkerCommand, WorkerPool,
 };
 use mbqao_core::engine::wire::{read_frame, write_frame, Value, WireError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs;
 use std::io::{BufRead, Seek, Write};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
 use std::time::Duration;
 
 // ---------------------------------------------------------------- config
@@ -95,16 +96,32 @@ impl Default for ServeConfig {
     }
 }
 
-/// Builds the persistent worker pool for a serve connection
-/// (re-invokes `exe --worker`, which the pool extends with
-/// `--gen N --heartbeat-ms M`). The serve cap and straggler deadline
-/// become the pool's cap and per-job deadline.
+/// Builds a plain persistent worker pool of `exe --worker` processes
+/// (the pool extends the command with `--gen N --heartbeat-ms M`). The
+/// serve cap and straggler deadline become the pool's cap and per-job
+/// deadline.
 pub fn spawn_pool(exe: &Path, config: &ServeConfig) -> WorkerPool {
+    start(exe, config, mbqao_core::engine::shard::Raw)
+}
+
+/// A worker pool whose layer is the job [`Scheduler`].
+pub type Service = WorkerPool<Scheduler>;
+
+/// [`spawn_pool`] for a [`Service`] that runs one job at a time,
+/// admitted whatever `config`'s queue bound.
+pub fn spawn_service(exe: &Path, config: &ServeConfig) -> Service {
+    let mut config = config.clone();
+    config.max_queue = config.max_queue.max(1);
+    start(exe, &config, Scheduler::new(&config))
+}
+
+/// Starts a pool of `exe --worker` processes under `jobs`.
+fn start<J: Jobs>(exe: &Path, config: &ServeConfig, jobs: J) -> WorkerPool<J> {
     let pool = PoolConfig {
         cap: config.cap,
         job_deadline: config.straggler_deadline,
     };
-    WorkerPool::new(WorkerCommand::new(exe, &["--worker"]), pool)
+    WorkerPool::with_jobs(WorkerCommand::new(exe, &["--worker"]), pool, jobs)
 }
 
 // ----------------------------------------------------------------- stats
@@ -288,15 +305,9 @@ pub enum Event {
     },
     /// Liveness reply to a `ping` frame.
     Pong,
-    /// The service is exiting (shutdown frame or input EOF).
-    Bye {
-        /// Jobs completed over the connection.
-        done: usize,
-        /// Jobs permanently failed.
-        failed: usize,
-        /// Requests rejected.
-        rejected: usize,
-    },
+    /// The service is exiting (shutdown frame or input EOF), with the
+    /// connection's counts.
+    Bye(ServeStats),
 }
 
 impl Event {
@@ -415,15 +426,11 @@ impl Event {
                 Value::obj(entries)
             }
             Event::Pong => Value::obj(vec![("type", Value::Str("pong".into()))]),
-            Event::Bye {
-                done,
-                failed,
-                rejected,
-            } => Value::obj(vec![
+            Event::Bye(stats) => Value::obj(vec![
                 ("type", Value::Str("bye".into())),
-                ("done", Value::uint(*done)),
-                ("failed", Value::uint(*failed)),
-                ("rejected", Value::uint(*rejected)),
+                ("done", Value::uint(stats.done)),
+                ("failed", Value::uint(stats.failed)),
+                ("rejected", Value::uint(stats.rejected)),
             ]),
         }
     }
@@ -485,11 +492,10 @@ impl Event {
                 None => format!("request rejected: {reason}"),
             },
             Event::Pong => "pong".into(),
-            Event::Bye {
-                done,
-                failed,
-                rejected,
-            } => format!("bye ({done} done, {failed} failed, {rejected} rejected)"),
+            Event::Bye(stats) => format!(
+                "bye ({} done, {} failed, {} rejected)",
+                stats.done, stats.failed, stats.rejected
+            ),
         }
     }
 }
@@ -832,138 +838,64 @@ impl Journals<'_> {
     }
 }
 
-/// The one driver loop: runs `core` until it has finished, executing
-/// its actions. Attempts go to `pool`, journal operations to
-/// `journals`, checks to threads of their own, and frames and finished
-/// jobs to `report`, with the pool's `spawned`, `max_live` and
-/// `worker_restarts` stamped into each job's stats. `feed` sends the
-/// requests from a thread of its own. The loop blocks, without a
-/// timeout, on one channel fed by `feed`, the pool's outcomes and the
-/// checks.
-fn drive(
-    core: &mut Scheduler,
-    pool: &WorkerPool,
-    journals: &mut Journals<'_>,
-    feed: impl FnOnce(&mpsc::Sender<Input>) + Send,
-    report: &mut dyn FnMut(Action),
-) {
-    let (tx, rx) = mpsc::channel();
-    // One credit per attempt the pool took: the forwarder waits for
-    // exactly that many outcomes, so it never blocks past the last one
-    // on a pool its caller keeps using.
-    let (credit_tx, credit_rx) = mpsc::channel::<()>();
-    let mut base: HashMap<u64, PoolStats> = HashMap::new();
+/// The owner's loop over `service`'s actions until `report`, which gets
+/// the frames and finished jobs, returns `true` or the driver ends;
+/// journal operations run on `wal`.
+fn own(service: &Service, wal: &mut Journals<'_>, report: &mut dyn FnMut(Action) -> bool) {
     std::thread::scope(|s| {
-        let feed_tx = tx.clone();
-        s.spawn(move || feed(&feed_tx));
-        let pool_tx = tx.clone();
-        s.spawn(move || {
-            for () in credit_rx {
-                let input = pool.recv().map_or(Input::PoolGone, Input::Outcome);
-                let gone = matches!(input, Input::PoolGone);
-                if pool_tx.send(input).is_err() || gone {
-                    return;
+        while let Some(action) = service.recv() {
+            match action {
+                Action::Journal(id, op) => {
+                    let _ = service.submit(Input::Journaled(id, wal.run(id, op)));
                 }
-            }
-        });
-        // Journal answers and refused submits go back in before the
-        // next event is read.
-        let mut answers = VecDeque::new();
-        while !core.finished() {
-            let input = answers.pop_front();
-            let input = input.unwrap_or_else(|| rx.recv().expect("the loop holds a sender"));
-            for mut action in core.step(input) {
-                match action {
-                    Action::Submit(job) => match pool.submit(job) {
-                        Ok(()) => {
-                            let _ = credit_tx.send(());
-                        }
-                        Err(job) => answers.push_back(Input::Outcome(PoolOutcome {
-                            tag: job.tag,
-                            shard_index: job.shard_index,
-                            result: Err(ShardError::Worker {
-                                shard: job.shard_index,
-                                reason: "worker pool circuit breaker open".into(),
-                            }),
-                            elapsed: Duration::ZERO,
-                            timed_out: false,
-                            circuit_open: true,
-                        })),
-                    },
-                    Action::Journal(id, op) => {
-                        answers.push_back(Input::Journaled(id, journals.run(id, op)));
+                Action::Check(id, workload, output) => {
+                    let send = service.sender();
+                    s.spawn(move || {
+                        let ok = output.bit_identical(&monolithic(&workload));
+                        let _ = send(Input::Checked(id, ok));
+                    });
+                }
+                action => {
+                    if let (Action::Finish(id, ..), Journals::Dir(_, open)) = (&action, &mut *wal) {
+                        open.remove(id);
                     }
-                    Action::Check(id, workload, output) => {
-                        let tx = tx.clone();
-                        s.spawn(move || {
-                            let bit_identical = output.bit_identical(&monolithic(&workload));
-                            let _ = tx.send(Input::Checked(id, bit_identical));
-                        });
+                    if report(action) {
+                        return;
                     }
-                    Action::Emit(Event::Accepted { id, .. } | Event::Resumed { id, .. }) => {
-                        base.insert(id, pool.stats());
-                        report(action);
-                    }
-                    Action::Finish(id, ref mut result, _) => {
-                        if let Journals::Dir(_, open) = journals {
-                            open.remove(&id);
-                        }
-                        if let (Ok((_, stats)), Some(base)) = (result, base.remove(&id)) {
-                            let now = pool.stats();
-                            stats.spawned += now.spawned.saturating_sub(base.spawned);
-                            stats.worker_restarts += now.restarts.saturating_sub(base.restarts);
-                            stats.max_live = stats.max_live.max(now.max_live);
-                        }
-                        report(action);
-                    }
-                    Action::Emit(_) => report(action),
                 }
             }
         }
-        drop(credit_tx);
     });
 }
 
-/// Drives the one job `start` begins on `pool` to its end: every frame
+/// Runs the one job `start` begins on `service` to its end: every frame
 /// but the terminal one goes to `emit`, and the job's result and check
 /// verdict come back.
 fn run_one(
-    pool: &WorkerPool,
-    config: &ServeConfig,
+    service: &Service,
     journal: Option<&mut JobJournal>,
     start: Input,
     emit: &mut dyn FnMut(Event),
 ) -> (JobResult, Option<bool>) {
-    // A private core that admits its one job whatever the queue bound.
-    let mut core = Scheduler::new(&ServeConfig {
-        max_queue: 1,
-        ..config.clone()
-    });
-    let feed = |tx: &mpsc::Sender<Input>| {
-        let _ = tx.send(start);
-        let _ = tx.send(Input::Request(Ok(Request::Shutdown)));
-    };
+    let _ = service.submit(start);
     let mut end = None;
-    drive(
-        &mut core,
-        pool,
-        &mut Journals::One(journal),
-        feed,
-        &mut |action| match action {
+    own(service, &mut Journals::One(journal), &mut |action| {
+        match action {
             Action::Emit(event) => emit(event),
             Action::Finish(_, result, bit_identical) => end = Some((result, bit_identical)),
             _ => {}
-        },
-    );
-    end.expect("the core finishes after its one job")
+        }
+        end.is_some()
+    });
+    end.expect("the service finishes every job it took")
 }
 
 /// Executes one job end to end with streaming merge, retry + backoff,
 /// and straggler re-partition; emits an [`Event`] for every scheduling
-/// decision. Runs on a private one-job [`WorkerPool`] of
-/// `exe --worker` processes. Returns the assembled output (bit-exact
-/// vs. the monolithic run — the fault harness and the serve tests pin
-/// this) plus the job's counters.
+/// decision. Runs on a private [`Service`] of `exe --worker`
+/// processes. Returns the assembled output (bit-exact vs. the
+/// monolithic run — the fault harness and the serve tests pin this)
+/// plus the job's counters.
 pub fn run_job(
     exe: &Path,
     id: u64,
@@ -973,27 +905,22 @@ pub fn run_job(
     config: &ServeConfig,
     emit: &mut dyn FnMut(Event),
 ) -> Result<(SweepOutput, JobStats), ShardError> {
-    let pool = spawn_pool(exe, config);
     let spec = JobSpec {
         id,
         workload,
         shards,
         faults,
     };
-    let result = run_job_with(&pool, &spec, config, None, emit);
-    pool.shutdown();
-    result
+    run_job_with(&spawn_service(exe, config), &spec, None, emit)
 }
 
-/// [`run_job`] against a caller-owned (typically connection-scoped)
-/// [`WorkerPool`] — affinity routing then keeps compiled-pattern
-/// caches warm **across** jobs — and an optional crash-safe journal,
-/// already created, that records every landed partial before it is
-/// merged.
+/// [`run_job`] on a caller-owned [`Service`] — affinity routing then
+/// keeps compiled-pattern caches warm **across** jobs — with its
+/// configuration, and an optional crash-safe journal, already created,
+/// that records every landed partial before it is merged.
 pub fn run_job_with(
-    pool: &WorkerPool,
+    service: &Service,
     spec: &JobSpec<'_>,
-    config: &ServeConfig,
     journal: Option<&mut JobJournal>,
     emit: &mut dyn FnMut(Event),
 ) -> Result<(SweepOutput, JobStats), ShardError> {
@@ -1005,7 +932,7 @@ pub fn run_job_with(
         check: false,
     };
     let start = Input::Request(Ok(Request::Submit(Box::new(request))));
-    run_one(pool, config, journal, start, emit).0
+    run_one(service, journal, start, emit).0
 }
 
 /// Resumes a crashed or interrupted job from its journal: replays
@@ -1018,9 +945,8 @@ pub fn run_job_with(
 /// included; a `job_error` names the job once the journal header has
 /// been read (0 before). Returns whether the job completed.
 pub fn resume_job(
-    pool: &WorkerPool,
+    service: &Service,
     path: &Path,
-    config: &ServeConfig,
     check: bool,
     emit: &mut dyn FnMut(Event),
 ) -> bool {
@@ -1036,10 +962,8 @@ pub fn resume_job(
                 (replay.id, failed(reason), None)
             }
             Ok(mut journal) => {
-                let id = replay.id;
-                let start = Input::Resume(replay, check);
-                let (result, bit_identical) =
-                    run_one(pool, config, Some(&mut journal), start, emit);
+                let (id, start) = (replay.id, Input::Resume(replay, check));
+                let (result, bit_identical) = run_one(service, Some(&mut journal), start, emit);
                 (id, result, bit_identical)
             }
         },
@@ -1054,6 +978,16 @@ pub fn resume_job(
 }
 
 // ------------------------------------------------------------ the server
+
+/// Writes `event` as one frame, mirrored on stderr when `log` is set.
+pub fn write_event(writer: &mut impl Write, log: bool, event: &Event) {
+    if log {
+        eprintln!("serve: {}", event.log_line());
+    }
+    // A vanished client is not an error the service can answer; keep
+    // running (remaining events will fail the same way).
+    let _ = write_frame(writer, &event.to_wire());
+}
 
 /// Connection counters returned by [`serve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1071,63 +1005,52 @@ pub struct ServeStats {
 /// the queue is drained gracefully and a `bye` frame closes the
 /// stream).
 ///
-/// A reader thread parses each frame as it arrives and hands it to the
-/// [`Scheduler`], which answers `ping`, admits or rejects a `submit`
-/// at once, and runs up to `max_jobs` jobs concurrently over one
-/// shared pool. A `check:true` job's monolithic run happens on its own
-/// thread, so it never holds up another tenant.
-pub fn serve<R, W>(reader: R, mut writer: W, exe: &Path, config: &ServeConfig) -> ServeStats
+/// A reader thread sends each frame, as it arrives, to the
+/// [`Scheduler`], which answers `ping`, admits or rejects a `submit` at
+/// once and runs up to `max_jobs` jobs concurrently over one shared
+/// pool. The calling thread journals, writes and runs each check on a
+/// thread of its own, so a check never holds up another tenant.
+pub fn serve<R, W>(mut reader: R, mut writer: W, exe: &Path, config: &ServeConfig) -> ServeStats
 where
     R: BufRead + Send,
     W: Write,
 {
-    let mut write = |event: Event| {
-        if config.log {
-            eprintln!("serve: {}", event.log_line());
-        }
-        // A vanished client is not an error the service can answer;
-        // keep running (remaining events will fail the same way).
-        let _ = write_frame(&mut writer, &event.to_wire());
-    };
-    let read_requests = |tx: &mpsc::Sender<Input>| {
-        let mut reader = reader;
-        while let Some(frame) = read_frame(&mut reader) {
-            let request = frame.and_then(|v| parse_request(&v));
-            let shutdown = matches!(request, Ok(Request::Shutdown));
-            if tx.send(Input::Request(request)).is_err() || shutdown {
-                return;
-            }
-        }
-        let _ = tx.send(Input::Request(Ok(Request::Shutdown)));
-    };
     let mut journals = match &config.journal_dir {
         Some(dir) => Journals::Dir(dir, HashMap::new()),
         None => Journals::One(None),
     };
-    let mut core = Scheduler::new(config);
     // One persistent pool per connection: affinity routing keeps
     // compiled-pattern caches warm across jobs sharing a cache key. A
     // tripped pool is not respawned into the same systemic failure:
     // every later job fails naming the breaker.
-    let pool = spawn_pool(exe, config);
-    drive(
-        &mut core,
-        &pool,
-        &mut journals,
-        read_requests,
-        &mut |action| match action {
-            Action::Emit(event) => write(event),
-            Action::Finish(id, result, bit) => write(Event::finished(id, result, bit)),
-            _ => {}
-        },
-    );
-    pool.shutdown();
-    let stats = core.stats();
-    write(Event::Bye {
-        done: stats.done,
-        failed: stats.failed,
-        rejected: stats.rejected,
+    let service = start(exe, config, Scheduler::new(config));
+    let send = service.sender();
+    let mut stats = ServeStats::default();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            while let Some(frame) = read_frame(&mut reader) {
+                let request = frame.and_then(|v| parse_request(&v));
+                let shutdown = matches!(request, Ok(Request::Shutdown));
+                if send(Input::Request(request)).is_err() || shutdown {
+                    return;
+                }
+            }
+            let _ = send(Input::Request(Ok(Request::Shutdown)));
+        });
+        own(&service, &mut journals, &mut |action| {
+            let event = match action {
+                Action::Emit(event) => event,
+                Action::Finish(id, result, bit) => Event::finished(id, result, bit),
+                _ => return false,
+            };
+            if let Event::Bye(counts) = event {
+                stats = counts;
+            }
+            write_event(&mut writer, config.log, &event);
+            false
+        });
     });
+    service.shutdown();
     stats
 }
 

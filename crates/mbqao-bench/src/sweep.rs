@@ -195,15 +195,14 @@ fn family_from_wire(v: &Value) -> Result<FamilyRef, WireError> {
     })
 }
 
-/// Decodes a steps-per-axis field: a scan needs both ends of an axis.
-fn steps_from_wire(v: &Value, key: &str) -> Result<usize, WireError> {
-    let steps = v.field(key)?.as_uint()?;
-    if steps < 2 {
-        return Err(WireError(format!(
-            "{key:?} must be at least 2, got {steps}"
-        )));
+/// Decodes a count that must be at least 2: steps per axis (a scan
+/// needs both ends of an axis) or spins (an SK instance needs a pair).
+fn at_least_two(v: &Value, key: &str) -> Result<usize, WireError> {
+    let n = v.field(key)?.as_uint()?;
+    if n < 2 {
+        return Err(WireError(format!("{key:?} must be at least 2, got {n}")));
     }
-    Ok(steps)
+    Ok(n)
 }
 
 /// Most items one job may sweep: far above any sweep the repository
@@ -425,7 +424,7 @@ impl Workload {
         };
         match v.field("kind")?.as_str()? {
             "landscape" => {
-                let steps = steps_from_wire(v, "steps")?;
+                let steps = at_least_two(v, "steps")?;
                 check_job_items(steps.checked_mul(steps), "steps")?;
                 Ok(Workload::Landscape {
                     family: family_from_wire(v)?,
@@ -443,7 +442,7 @@ impl Workload {
             }
             "grid" => {
                 let p = v.field("p")?.as_uint()?;
-                let steps = steps_from_wire(v, "steps")?;
+                let steps = at_least_two(v, "steps")?;
                 let lo = v.field("lo")?.as_f64_array()?;
                 let hi = v.field("hi")?.as_f64_array()?;
                 for (key, corner) in [("lo", &lo), ("hi", &hi)] {
@@ -501,12 +500,12 @@ impl Workload {
             }
             "disorder" => {
                 let p = v.field("p")?.as_uint()?;
-                let grid_steps = steps_from_wire(v, "grid_steps")?;
+                let grid_steps = at_least_two(v, "grid_steps")?;
                 check_grid_size(grid_steps, p.saturating_mul(2), "grid_steps")?;
                 let instances = v.field("instances")?.as_uint()?;
                 check_job_items(Some(instances), "instances")?;
                 Ok(Workload::Disorder(DisorderSpec {
-                    n: v.field("n")?.as_uint()?,
+                    n: at_least_two(v, "n")?,
                     instances,
                     base_seed: seed_from_wire(v.field("base_seed")?)?,
                     p,
@@ -1316,18 +1315,19 @@ pub fn monolithic(workload: &Workload) -> SweepOutput {
     assemble(workload, vec![run_shard(workload, shard)])
 }
 
-/// Reads the table binaries' command line, `[--shards N]` with `N ≥ 1`
-/// (default 1). Anything else, `--shards 0` included, prints a usage
-/// line naming `bin` and exits with code 2.
-pub fn table_shards(bin: &str) -> usize {
+/// Reads a table binary's command line: `[--shards N]`, N ≥ 1 and by
+/// default 1, if it is `sharded`, and nothing otherwise. Anything else
+/// prints a usage line naming `bin` and exits with code 2.
+pub fn table_args(bin: &str, sharded: bool) -> usize {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let shards = match &args[..] {
         [] => Ok(NonZeroUsize::MIN),
-        [flag] | [flag, _] if flag == "--shards" => flag_value(flag, args.get(1)),
+        [flag] | [flag, _] if sharded && flag == "--shards" => flag_value(flag, args.get(1)),
         _ => Err(format!("unknown arguments {args:?}")),
     };
     shards.map(NonZeroUsize::get).unwrap_or_else(|e| {
-        eprintln!("{bin}: {e}\nusage: {bin} [--shards N]");
+        let usage = if sharded { " [--shards N]" } else { "" };
+        eprintln!("{bin}: {e}\nusage: {bin}{usage}");
         std::process::exit(2)
     })
 }

@@ -1,9 +1,14 @@
 //! A seeded simulator of the job scheduler and the pool supervisor on
 //! virtual time.
 //!
-//! It drives the sans-IO [`Scheduler`] over the real sans-IO
-//! [`PoolCore`], whose [`Workers`] are virtual processes on one
-//! timeline. A virtual worker beats every [`HEARTBEAT`], decodes each
+//! It runs the service's own composition, [`step_both`] of the
+//! [`Scheduler`] layer over the real [`PoolCore`], one event at a time,
+//! as the pool's driver thread does; the core's [`Workers`] are virtual
+//! processes on one timeline. The simulator also plays the thread that
+//! owns the service: it answers each journal operation, in order, after
+//! a random virtual delay of up to twice [`LIVENESS`] (a slow disk or a
+//! stalled client), answers each check after its own delay, and logs
+//! the frames. A virtual worker beats every [`HEARTBEAT`], decodes each
 //! job with `job_from_json` and computes it with `run_shard`, and plays
 //! the real [`Fault`]s in virtual time: a `Stall` advances the clock
 //! instead of sleeping (the worker keeps beating), `Panic` and
@@ -22,7 +27,8 @@
 //! 1. every admitted job ends in exactly one terminal frame: a `done`
 //!    bit-identical to `monolithic()` (with holes exactly at its
 //!    quarantined ranges under `allow_partial`), or a `job_error`
-//!    naming the shard; the `bye` counts match;
+//!    naming the shard; one `bye` frame comes last, and its counts
+//!    match;
 //! 2. per job, frames run `accepted` → (`partial` | `requeue` |
 //!    `quarantined`)\* → `done`/`job_error`, with `covered` strictly
 //!    increasing;
@@ -30,17 +36,18 @@
 //! 4. no stat is counted twice;
 //! 5. a shard is quarantined after exactly K deaths and never
 //!    dispatched again;
-//! 6. `accepted` frames follow submit order, and a submit that finds a
-//!    free job slot is accepted in the same step;
+//! 6. a submit that finds a free job slot is admitted in the same step
+//!    (admission is the job's journal header), and jobs are admitted,
+//!    then `accepted`, in submit order;
 //!
 //! and three scenarios pin the rest: two stalled jobs finish within one
 //! stall (7), a WAL cut after any append resumes bit-identically and
 //! re-runs only the missing ranges (8), and a pending check holds up no
 //! other tenant.
 //!
-//! Every step of the pool core, here and in a pool-only harness with
-//! random opaque jobs, checks the pool's contract against a model
-//! built from what the virtual workers saw:
+//! Every composed step, and every step of the pool core in a pool-only
+//! harness with random opaque jobs, checks the pool's contract against
+//! a model built from what the virtual workers saw:
 //!
 //! 9. every submitted `PoolJob` gets exactly one `PoolOutcome`, and an
 //!    `Ok` one carries the result its live worker sent; a frame from a
@@ -49,8 +56,9 @@
 //! 10. at most `cap` workers are live at any virtual instant;
 //! 11. timing is exact: no job reaches a worker before its `delay` has
 //!     run; a worker silent for [`LIVENESS`] is killed at that instant,
-//!     idle or busy, and never earlier; a job still running at
-//!     `job_deadline` is killed at that instant, with `timed_out` set;
+//!     idle or busy, and never earlier (so never one that beats while
+//!     the owner is slow); a job still running at `job_deadline` is
+//!     killed at that instant, with `timed_out` set;
 //! 12. the breaker trips on the ninth breaker-relevant death (a crash,
 //!     a liveness kill or a spawn failure, never a deadline kill)
 //!     inside any [`RESTART_WINDOW`], and not otherwise;
@@ -64,8 +72,9 @@ use mbqao_bench::sweep::{
     run_shard, BackendKind, FamilyRef, Fault, Payload, SweepOutput, Workload,
 };
 use mbqao_core::engine::shard::{
-    PoolConfig, PoolCore, PoolInput, PoolJob, PoolOutcome, RetryPolicy, Shard, ShardError,
-    ShardResult, Workers, AFFINITY_STREAK_BOUND, HEARTBEAT, LIVENESS, MAX_RESTARTS, RESTART_WINDOW,
+    step_both, Jobs, PoolConfig, PoolCore, PoolInput, PoolJob, PoolOutcome, PoolStats, RetryPolicy,
+    Shard, ShardError, ShardResult, Workers, AFFINITY_STREAK_BOUND, HEARTBEAT, LIVENESS,
+    MAX_RESTARTS, RESTART_WINDOW,
 };
 use mbqao_core::engine::wire::{PoolFrame, Value};
 use proptest::prelude::*;
@@ -86,11 +95,11 @@ fn ms(d: Duration) -> u64 {
 
 /// Something that happens at a virtual instant.
 enum Ev {
-    /// A client request or a resume reaches the scheduler.
-    Client(Input),
-    /// A check verdict comes back.
-    Checked(u64, bool),
-    /// A job, a worker's frame or end, or a shutdown reaches the pool.
+    /// A message from its owner reaches the scheduler: a client
+    /// request, a resume, a journal answer or a check verdict.
+    Owner(Input),
+    /// A worker's frame or end reaches the pool, or (pool-only) a job
+    /// or a shutdown.
     Pool(PoolInput),
     /// Worker `(slot, gen)` beats, if it still runs and is not hung.
     Beat(usize, u64),
@@ -285,6 +294,8 @@ struct Pool {
     late: usize,
     /// When shutdown reached the core.
     closing: Option<u64>,
+    /// Tag → the result body its live worker sent, until its verdict.
+    answers: HashMap<u64, String>,
 }
 
 impl Pool {
@@ -319,44 +330,58 @@ impl Pool {
             deaths: Vec::new(),
             late: 0,
             closing: None,
+            answers: HashMap::new(),
         }
     }
 
     /// The next event: the earliest on the timeline, or a wake when the
-    /// core's own timer runs out first.
+    /// core's own timer runs out first or at the same instant (so no
+    /// step, even one the core takes no part in, starts with a timer
+    /// overdue).
     fn next(&mut self) -> Option<(u64, Ev)> {
         let wake = self.core.next_wake().map(|at| ms(at - self.origin));
         let first = self.world.timeline.keys().next().map(|&(t, _)| t);
         match (wake, first) {
-            (Some(w), f) if f.is_none_or(|f| w < f) => Some((w, Ev::Pool(PoolInput::Wake))),
+            (Some(w), f) if f.is_none_or(|f| w <= f) => Some((w, Ev::Pool(PoolInput::Wake))),
             _ => self.world.timeline.pop_first().map(|((t, _), ev)| (t, ev)),
         }
     }
 
-    /// A beat of worker `(slot, gen)`, if it still runs.
-    fn beat(&mut self, now: u64, slot: usize, gen: u64) -> Result<Vec<PoolOutcome>, TestCaseError> {
+    /// The heartbeat frame of worker `(slot, gen)`, if it still runs
+    /// and is not hung.
+    fn beat(&mut self, now: u64, slot: usize, gen: u64) -> Option<PoolInput> {
         // Now and then a worker hangs between beats, idle or busy.
         let hangs = self.world.rng.gen_bool(self.world.hang / 20.0);
-        let Some(p) = self.world.procs[slot].as_mut().filter(|p| p.gen == gen) else {
-            return Ok(Vec::new());
-        };
+        let p = self.world.procs[slot].as_mut().filter(|p| p.gen == gen)?;
         p.hung |= hangs;
         self.world.injected |= hangs;
         if p.hung {
-            return Ok(Vec::new());
+            return None;
         }
         let busy = p.busy.is_some();
         self.world.at(now + ms(HEARTBEAT), Ev::Beat(slot, gen));
-        let frame = PoolFrame::Heartbeat { gen, busy };
-        self.step(now, PoolInput::Frame(slot, gen, frame))
+        Some(PoolInput::Frame(
+            slot,
+            gen,
+            PoolFrame::Heartbeat { gen, busy },
+        ))
     }
 
-    /// One step of the core at `now`, checked against the model.
+    /// One step of the core alone at `now`, checked against the model.
     fn step(&mut self, now: u64, input: PoolInput) -> Result<Vec<PoolOutcome>, TestCaseError> {
         self.world.now = now;
         let tripped = self.core.stats().tripped;
-        let mut answers = HashMap::new();
-        match &input {
+        self.expect(now, &input, tripped)?;
+        let at = self.origin + Duration::from_millis(now);
+        let outcomes = self.core.step(at, input, &mut self.world);
+        self.check(now, tripped, &outcomes)?;
+        Ok(outcomes)
+    }
+
+    /// Updates the model for one input the core takes at `now`;
+    /// `tripped` is the breaker's state before the checked step.
+    fn expect(&mut self, now: u64, input: &PoolInput, tripped: bool) -> Result<(), TestCaseError> {
+        match input {
             PoolInput::Job(job) => {
                 prop_assert!(self.open.insert(job.tag), "tag {} submitted twice", job.tag);
                 if !tripped && self.closing.is_none() {
@@ -380,7 +405,7 @@ impl Pool {
                         if let PoolFrame::Result { body, .. } = frame {
                             p.busy = None;
                             let tag = self.running.remove(slot).expect("a result for a job");
-                            answers.insert(tag, body.clone());
+                            self.answers.insert(tag, body.clone());
                         }
                     }
                     None => self.late += 1,
@@ -398,8 +423,6 @@ impl Pool {
             PoolInput::Wake => {}
             PoolInput::Shutdown => {
                 self.closing.get_or_insert(now);
-                self.fifo.clear();
-                self.delayed.clear();
             }
         }
         while let Some(entry) = self.delayed.first_entry() {
@@ -408,13 +431,18 @@ impl Pool {
             }
             self.fifo.push_back(entry.remove());
         }
+        Ok(())
+    }
 
-        let outcomes = self.core.step(
-            self.origin + Duration::from_millis(now),
-            input,
-            &mut self.world,
-        );
-
+    /// Checks what the core did at `now` since the last check, and the
+    /// `outcomes` it gave, against the model; `tripped` is the breaker's
+    /// state before.
+    fn check(
+        &mut self,
+        now: u64,
+        tripped: bool,
+        outcomes: &[PoolOutcome],
+    ) -> Result<(), TestCaseError> {
         let stats = self.core.stats();
         let tripped_now = stats.tripped && !tripped;
         let verdict = |tag: u64| outcomes.iter().find(|o| o.tag == tag);
@@ -485,20 +513,20 @@ impl Pool {
                 }
             }
         }
-        if stats.tripped {
+        if stats.tripped || self.closing.is_some() {
             self.fifo.clear();
             self.delayed.clear();
         }
 
         // Property 9: one verdict per job; a live result is its body.
-        for o in &outcomes {
+        for o in outcomes {
             prop_assert!(
                 self.open.remove(&o.tag),
                 "job {} got a second verdict",
                 o.tag
             );
             if let Ok(body) = &o.result {
-                let sent = answers.remove(&o.tag);
+                let sent = self.answers.remove(&o.tag);
                 prop_assert!(
                     sent.as_ref() == Some(body),
                     "job {} got a result no live worker sent",
@@ -506,7 +534,7 @@ impl Pool {
                 );
             }
         }
-        prop_assert!(answers.is_empty(), "live results without a verdict");
+        prop_assert!(self.answers.is_empty(), "live results without a verdict");
         prop_assert_eq!(stats.stale_frames, self.late);
         // Property 10.
         prop_assert!(stats.max_live <= self.cap);
@@ -535,7 +563,7 @@ impl Pool {
             .windows(MAX_RESTARTS + 1)
             .any(|w| w[MAX_RESTARTS] - w[0] <= window);
         prop_assert_eq!(stats.tripped, expected, "deaths at {:?}", self.deaths);
-        Ok(outcomes)
+        Ok(())
     }
 
     /// Once the core has finished: every job had its verdict.
@@ -585,9 +613,12 @@ fn sweep_work(body: &str) -> (u64, Fate) {
 
 /// What the simulation saw, in order.
 enum Log {
-    /// A submit reached the core at `step`.
+    /// A submit reached the scheduler at `step`.
     Submit { step: usize, req: SubmitRequest },
-    /// A frame the core emitted.
+    /// The scheduler admitted job `id` at `step`: it asked for the
+    /// job's journal header.
+    Admit { step: usize, id: u64 },
+    /// A frame the scheduler emitted.
     Frame { step: usize, at: u64, event: Event },
     /// A journal append and whether it succeeded.
     Append {
@@ -608,14 +639,58 @@ enum Log {
     Check { step: usize, id: u64, ok: bool },
 }
 
+/// The library's scheduler layer, with what crosses it recorded in
+/// order.
+struct Recorded(Scheduler);
+
+/// What crossed the layer in one step.
+enum Rec {
+    /// A verdict it took, and whether it had finished before.
+    Verdict(PoolOutcome, bool),
+    /// An action for its owner.
+    Action(Action),
+    /// A job it handed the pool.
+    Job(PoolJob),
+}
+
+impl Jobs for Recorded {
+    type In = Input;
+    type Out = Rec;
+
+    fn step(
+        &mut self,
+        input: Result<Input, PoolOutcome>,
+        pool: &PoolStats,
+        out: &mut Vec<Rec>,
+    ) -> Vec<PoolJob> {
+        if let Err(verdict) = &input {
+            out.push(Rec::Verdict(verdict.clone(), self.0.finished()));
+        }
+        let mut actions = Vec::new();
+        let jobs = self.0.step(input, pool, &mut actions);
+        out.extend(actions.into_iter().map(Rec::Action));
+        out.extend(jobs.iter().cloned().map(Rec::Job));
+        jobs
+    }
+
+    fn finished(&self) -> bool {
+        self.0.finished()
+    }
+}
+
 struct Sim {
     now: u64,
     step: usize,
-    core: Scheduler,
+    layer: Recorded,
     pool: Pool,
     /// Tag → cache key of every attempt handed to the pool.
     keys: HashMap<u64, String>,
     append_fail: f64,
+    /// Journal answers take up to this many virtual milliseconds, in
+    /// order…
+    max_journal_ms: u64,
+    /// …and the last one is due then.
+    journal_at: u64,
     /// Check verdicts take up to this many virtual milliseconds…
     max_check_ms: u64,
     /// …or exactly this many.
@@ -634,10 +709,12 @@ impl Sim {
         Sim {
             now: 0,
             step: 0,
-            core: Scheduler::new(config),
+            layer: Recorded(Scheduler::new(config)),
             pool: Pool::new(pool, sweep_work, seed),
             keys: HashMap::new(),
             append_fail: 0.0,
+            max_journal_ms: 0,
+            journal_at: 0,
             max_check_ms: 0,
             check_ms: None,
             log: Vec::new(),
@@ -651,26 +728,17 @@ impl Sim {
 
     fn submit(&mut self, t: u64, req: SubmitRequest) {
         let request = Request::Submit(Box::new(req));
-        self.at(t, Ev::Client(Input::Request(Ok(request))));
+        self.at(t, Ev::Owner(Input::Request(Ok(request))));
     }
 
     fn shutdown(&mut self, t: u64) {
-        self.at(t, Ev::Client(Input::Request(Ok(Request::Shutdown))));
+        self.at(t, Ev::Owner(Input::Request(Ok(Request::Shutdown))));
     }
 
-    /// Runs until the scheduler has finished and the pool, shut down
-    /// after it as the service does, is gone.
+    /// Runs until the pool, shut down by the composition once the
+    /// scheduler has finished, is gone.
     fn run(&mut self) -> Result<(), TestCaseError> {
-        loop {
-            if self.core.finished() {
-                if self.pool.closing.is_none() {
-                    let verdicts = self.pool.step(self.now, PoolInput::Shutdown)?;
-                    prop_assert!(verdicts.is_empty(), "attempts outlived the scheduler");
-                }
-                if self.pool.core.finished() {
-                    return self.pool.check_end();
-                }
-            }
+        while !self.pool.core.finished() {
             let Some((t, ev)) = self.pool.next() else {
                 return Err(TestCaseError::fail(
                     "the scheduler waits for an event that never comes",
@@ -679,74 +747,100 @@ impl Sim {
             prop_assert!(t < 3_600_000, "runaway simulation");
             self.now = t;
             self.step += 1;
-            let verdicts = match ev {
-                Ev::Client(input) => {
+            let event = match ev {
+                Ev::Owner(input) => {
                     if let Input::Request(Ok(Request::Submit(req))) = &input {
                         let (step, req) = (self.step, (**req).clone());
                         self.log.push(Log::Submit { step, req });
                     }
-                    self.feed(vec![input])?;
-                    continue;
+                    Ok(input)
                 }
-                Ev::Checked(id, bit_identical) => {
-                    self.feed(vec![Input::Checked(id, bit_identical)])?;
-                    continue;
-                }
-                Ev::Beat(slot, gen) => self.pool.beat(t, slot, gen)?,
-                Ev::Pool(input) => self.pool.step(t, input)?,
+                Ev::Pool(input) => Err(input),
+                Ev::Beat(slot, gen) => match self.pool.beat(t, slot, gen) {
+                    Some(frame) => Err(frame),
+                    None => continue,
+                },
             };
-            self.feed(verdicts.into_iter().map(Input::Outcome).collect())?;
+            self.step_both(event)?;
         }
+        self.pool.check_end()
     }
 
-    /// One step: the inputs, then every journal answer and every
-    /// verdict the pool gives at once, as the real driver does.
-    fn feed(&mut self, inputs: Vec<Input>) -> Result<(), TestCaseError> {
-        let mut answers = VecDeque::from(inputs);
-        while let Some(input) = answers.pop_front() {
-            if let Input::Outcome(o) = &input {
-                if o.result.is_err() && !o.timed_out && !o.circuit_open {
-                    let key = self.keys[&o.tag].clone();
-                    self.log.push(Log::Death {
-                        key,
-                        shard: o.shard_index,
-                    });
+    /// One composed step of the scheduler and the pool core at `now`;
+    /// then properties 9–13 are checked, and the owner acts.
+    fn step_both(&mut self, event: Result<Input, PoolInput>) -> Result<(), TestCaseError> {
+        let (now, pool) = (self.now, &mut self.pool);
+        pool.world.now = now;
+        let tripped = pool.core.stats().tripped;
+        if let Err(input) = &event {
+            pool.expect(now, input, tripped)?;
+        }
+        let mut out = Vec::new();
+        let at = pool.origin + Duration::from_millis(now);
+        step_both(
+            &mut pool.core,
+            &mut self.layer,
+            at,
+            event,
+            &mut pool.world,
+            &mut out,
+        );
+        let mut verdicts = Vec::new();
+        for rec in out {
+            match rec {
+                Rec::Verdict(o, finished) => {
+                    prop_assert!(!finished, "attempts outlived the scheduler");
+                    if o.result.is_err() && !o.timed_out && !o.circuit_open {
+                        let key = self.keys[&o.tag].clone();
+                        let shard = o.shard_index;
+                        self.log.push(Log::Death { key, shard });
+                    }
+                    verdicts.push(o);
                 }
-            }
-            for action in self.core.step(input) {
-                match action {
-                    Action::Submit(job) => {
-                        let (_, shard, _, _) =
-                            job_from_json(&job.input).expect("the scheduler sends decodable jobs");
-                        self.log.push(Log::Dispatch {
-                            key: job.cache_key.clone(),
-                            shard: shard.index,
-                            range: (shard.start, shard.end),
-                        });
-                        self.keys.insert(job.tag, job.cache_key.clone());
-                        let verdicts = self.pool.step(self.now, PoolInput::Job(job))?;
-                        answers.extend(verdicts.into_iter().map(Input::Outcome));
-                    }
-                    Action::Journal(id, op) => {
-                        let result = self.journal(id, op);
-                        answers.push_back(Input::Journaled(id, result));
-                    }
-                    Action::Check(id, workload, output) => {
-                        let ok = output.bit_identical(&monolithic(&workload));
-                        let step = self.step;
-                        self.log.push(Log::Check { step, id, ok });
-                        let delay = match self.check_ms {
-                            Some(ms) => ms,
-                            None => self.pool.world.rng.gen_range(0..=self.max_check_ms),
-                        };
-                        self.at(self.now + delay, Ev::Checked(id, ok));
-                    }
-                    Action::Emit(event) => self.frame(event),
-                    Action::Finish(id, result, bit) => self.frame(Event::finished(id, result, bit)),
+                Rec::Action(action) => self.act(action),
+                Rec::Job(job) => {
+                    let (_, shard, _, _) =
+                        job_from_json(&job.input).expect("the scheduler sends decodable jobs");
+                    self.log.push(Log::Dispatch {
+                        key: job.cache_key.clone(),
+                        shard: shard.index,
+                        range: (shard.start, shard.end),
+                    });
+                    self.keys.insert(job.tag, job.cache_key.clone());
+                    self.pool.expect(now, &PoolInput::Job(job), tripped)?;
                 }
             }
         }
-        Ok(())
+        if self.layer.finished() {
+            self.pool.expect(now, &PoolInput::Shutdown, tripped)?;
+        }
+        self.pool.check(now, tripped, &verdicts)
+    }
+
+    /// The owner executes one action: journal operations are answered
+    /// in order after their delays, checks after theirs, and frames are
+    /// logged.
+    fn act(&mut self, action: Action) {
+        match action {
+            Action::Journal(id, op) => {
+                let result = self.journal(id, op);
+                let delay = self.pool.world.rng.gen_range(0..=self.max_journal_ms);
+                self.journal_at = self.journal_at.max(self.now + delay);
+                self.at(self.journal_at, Ev::Owner(Input::Journaled(id, result)));
+            }
+            Action::Check(id, workload, output) => {
+                let ok = output.bit_identical(&monolithic(&workload));
+                let step = self.step;
+                self.log.push(Log::Check { step, id, ok });
+                let delay = match self.check_ms {
+                    Some(ms) => ms,
+                    None => self.pool.world.rng.gen_range(0..=self.max_check_ms),
+                };
+                self.at(self.now + delay, Ev::Owner(Input::Checked(id, ok)));
+            }
+            Action::Emit(event) => self.frame(event),
+            Action::Finish(id, result, bit) => self.frame(Event::finished(id, result, bit)),
+        }
     }
 
     fn frame(&mut self, event: Event) {
@@ -756,6 +850,8 @@ impl Sim {
 
     fn journal(&mut self, id: u64, op: JournalOp) -> Result<(), String> {
         let JournalOp::Append(result) = op else {
+            let step = self.step;
+            self.log.push(Log::Admit { step, id });
             return Ok(());
         };
         let ok = !self.pool.world.rng.gen_bool(self.append_fail);
@@ -897,8 +993,10 @@ fn check_contract(sim: &Sim, config: &ServeConfig, faultless: bool) -> Result<()
     let k = config.quarantine_after;
     // The admission model: waiting submits, live ids, occupied slots.
     let mut waiting: VecDeque<SubmitRequest> = VecDeque::new();
+    let mut admitted: VecDeque<SubmitRequest> = VecDeque::new();
     let mut live: HashSet<u64> = HashSet::new();
     let mut occupied = 0usize;
+    let mut bye = None;
     let mut predicted_rejects: Vec<u64> = Vec::new();
     let mut open: HashMap<u64, Inst> = HashMap::new();
     let mut deaths: HashMap<(String, usize), u32> = HashMap::new();
@@ -919,7 +1017,10 @@ fn check_contract(sim: &Sim, config: &ServeConfig, faultless: bool) -> Result<()
     };
     for entry in &sim.log {
         let entry_step = match entry {
-            Log::Submit { step, .. } | Log::Frame { step, .. } | Log::Check { step, .. } => *step,
+            Log::Submit { step, .. }
+            | Log::Admit { step, .. }
+            | Log::Frame { step, .. }
+            | Log::Check { step, .. } => *step,
             _ => step,
         };
         if entry_step != step {
@@ -934,6 +1035,20 @@ fn check_contract(sim: &Sim, config: &ServeConfig, faultless: bool) -> Result<()
                     live.insert(req.id);
                     waiting.push_back(req.clone());
                 }
+            }
+            Log::Admit { id, .. } => {
+                prop_assert!(
+                    occupied < config.max_jobs,
+                    "job {id} admitted past the slots"
+                );
+                // Property 6: FIFO.
+                let req = waiting.pop_front();
+                prop_assert!(
+                    req.as_ref().is_some_and(|r| r.id == *id),
+                    "job {id} admitted out of submit order"
+                );
+                admitted.push_back(req.unwrap());
+                occupied += 1;
             }
             Log::Append { id, range, ok } => {
                 let inst = open.get_mut(id).expect("appends belong to an admitted job");
@@ -952,6 +1067,9 @@ fn check_contract(sim: &Sim, config: &ServeConfig, faultless: bool) -> Result<()
             Log::Check { id, ok, .. } => {
                 open.get_mut(id).expect("checks belong to a job").verdict = Some(*ok);
             }
+            Log::Frame { event, .. } if bye.is_some() => {
+                prop_assert!(false, "a frame after the bye: {event:?}");
+            }
             Log::Frame { event, .. } => match event {
                 Event::Rejected { id, reason } => {
                     rejected += 1;
@@ -961,12 +1079,8 @@ fn check_contract(sim: &Sim, config: &ServeConfig, faultless: bool) -> Result<()
                     predicted_rejects.remove(pos.unwrap());
                 }
                 Event::Accepted { id, total, shards } => {
-                    prop_assert!(
-                        occupied < config.max_jobs,
-                        "job {id} admitted past the slots"
-                    );
-                    // Property 6: FIFO.
-                    let req = waiting.pop_front();
+                    // Property 6: accepted in admission order.
+                    let req = admitted.pop_front();
                     prop_assert!(
                         req.as_ref().is_some_and(|r| r.id == *id),
                         "job {id} accepted out of submit order"
@@ -974,7 +1088,6 @@ fn check_contract(sim: &Sim, config: &ServeConfig, faultless: bool) -> Result<()
                     let req = req.unwrap();
                     prop_assert_eq!(*total, req.workload.total());
                     prop_assert!(!open.contains_key(id), "job {} admitted twice", id);
-                    occupied += 1;
                     let inst = Inst {
                         req,
                         shards: *shards,
@@ -1095,6 +1208,7 @@ fn check_contract(sim: &Sim, config: &ServeConfig, faultless: bool) -> Result<()
                         "job {id} failed with nothing injected: {reason}"
                     );
                 }
+                Event::Bye(stats) => bye = Some((stats.done, stats.failed, stats.rejected)),
                 other => prop_assert!(false, "unexpected frame {other:?}"),
             },
         }
@@ -1102,11 +1216,7 @@ fn check_contract(sim: &Sim, config: &ServeConfig, faultless: bool) -> Result<()
     step_ends(occupied, &waiting, &predicted_rejects)?;
     prop_assert!(open.is_empty(), "jobs {:?} never ended", open.keys());
     prop_assert!(waiting.is_empty(), "jobs never admitted");
-    let stats = sim.core.stats();
-    prop_assert_eq!(
-        (stats.done, stats.failed, stats.rejected),
-        (done, failed, rejected)
-    );
+    prop_assert_eq!(bye, Some((done, failed, rejected)));
     Ok(())
 }
 
@@ -1135,6 +1245,7 @@ proptest! {
             sim.pool.world.sick = Some((from, from + rng.gen_range(100..=2_000u64)));
         }
         sim.append_fail = [0.0, 0.1][rng.gen_range(0..2usize)];
+        sim.max_journal_ms = [0, 50, 2 * ms(LIVENESS)][rng.gen_range(0..3usize)];
         sim.max_check_ms = rng.gen_range(0..=300);
         let (mut t, mut exits) = (0, false);
         for n in 0..rng.gen_range(1..=7u64) {
@@ -1204,7 +1315,7 @@ proptest! {
         let replay = JournalReplay { id: 7, workload: workload.clone(), shards, results: kept.clone() };
 
         let mut resumed = Sim::new(&config, rng.gen());
-        resumed.at(0, Ev::Client(Input::Resume(replay, true)));
+        resumed.at(0, Ev::Owner(Input::Resume(replay, true)));
         resumed.shutdown(0);
         resumed.max_check_ms = 50;
         resumed.run()?;
@@ -1214,8 +1325,8 @@ proptest! {
             matches!(events.first(), Some(Event::Resumed { id: 7, replayed, covered: c, .. }) if *replayed == cut && *c == covered),
             "the resume must announce {} replayed partials: {:?}", cut, events.first()
         );
-        let Some(Event::Done { output, stats, bit_identical, .. }) = events.last() else {
-            return Err(TestCaseError::fail("the resumed job must finish"));
+        let [.., Event::Done { output, stats, bit_identical, .. }, Event::Bye { .. }] = events[..] else {
+            return Err(TestCaseError::fail("the resumed job must finish, then say bye"));
         };
         prop_assert!(output.bit_identical(&monolithic(&workload)));
         prop_assert_eq!(*bit_identical, Some(true));
@@ -1279,12 +1390,12 @@ proptest! {
         prop_assert!(done2 <= accepted3 && accepted3 < done1, "job 3 took job 1's slot");
         prop_assert!(done1 >= check_ms);
         prop_assert!(at("rejected", 1).is_some_and(|t| t < done1), "id 1 was free before its done");
-        let last = sim.frames().last().map(|(_, _, e)| e);
+        let frames: Vec<&Event> = sim.frames().map(|(_, _, e)| e).collect();
         let checked_last = matches!(
-            last,
-            Some(Event::Done { id: 1, bit_identical: Some(true), .. })
+            frames[..],
+            [.., Event::Done { id: 1, bit_identical: Some(true), .. }, Event::Bye { .. }]
         );
-        prop_assert!(checked_last, "the checked done must be the last frame: {:?}", last);
+        prop_assert!(checked_last, "the checked done must be the last frame before the bye: {:?}", frames.last());
     }
 
     /// Admission builds exactly the non-empty shards of the partition,
@@ -1294,17 +1405,11 @@ proptest! {
         let shards = (1usize << exp).saturating_sub(less).max(1);
         let workload = landscape(1, "square", steps);
         let config = ServeConfig { cap: 1 << 10, ..ServeConfig::default() };
-        let mut core = Scheduler::new(&config);
+        let (mut core, pool, mut out) = (Scheduler::new(&config), PoolStats::default(), Vec::new());
         let request = Request::Submit(Box::new(submit(1, workload.clone(), shards)));
-        let mut actions = core.step(Input::Request(Ok(request)));
-        actions.extend(core.step(Input::Journaled(1, Ok(()))));
-        let built: Vec<Shard> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Submit(job) => Some(job_from_json(&job.input).unwrap().1),
-                _ => None,
-            })
-            .collect();
+        let mut jobs = core.step(Ok(Input::Request(Ok(request))), &pool, &mut out);
+        jobs.extend(core.step(Ok(Input::Journaled(1, Ok(()))), &pool, &mut out));
+        let built: Vec<Shard> = jobs.iter().map(|job| job_from_json(&job.input).unwrap().1).collect();
         let expected: Vec<Shard> = Shard::partition(workload.total(), shards)
             .into_iter()
             .filter(|s| !s.is_empty())
@@ -1357,11 +1462,15 @@ proptest! {
                 return Err(TestCaseError::fail("the pool waits for an event that never comes"));
             };
             prop_assert!(now < 3_600_000, "runaway simulation");
-            match ev {
-                Ev::Pool(input) => pool.step(now, input)?,
-                Ev::Beat(slot, gen) => pool.beat(now, slot, gen)?,
-                Ev::Client(_) | Ev::Checked(..) => unreachable!("only the pool acts here"),
+            let input = match ev {
+                Ev::Pool(input) => input,
+                Ev::Beat(slot, gen) => match pool.beat(now, slot, gen) {
+                    Some(frame) => frame,
+                    None => continue,
+                },
+                Ev::Owner(_) => unreachable!("only the pool acts here"),
             };
+            pool.step(now, input)?;
         }
         pool.check_end()?;
     }

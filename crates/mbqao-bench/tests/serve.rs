@@ -353,8 +353,9 @@ fn a_too_deep_frame_is_rejected_and_the_service_keeps_answering() {
 }
 
 /// Specs that cannot run are refused at decode. Admitted, an unknown
-/// family kills a worker on every attempt until the pool's breaker
-/// trips for every later job, and landscape `steps` 0 (or a `steps`
+/// family or a disorder `n` below 2 kills a worker on every attempt
+/// until the pool's breaker trips for every later job, and landscape
+/// `steps` 0 (or a `steps`
 /// whose square wraps), an item count past the per-job cap or a
 /// partition that cannot be allocated panics or aborts the scheduler. Each bad submit
 /// gets exactly one `rejected` naming its field, and a valid job after
@@ -395,6 +396,8 @@ fn unrunnable_specs_are_rejected_and_a_valid_job_after_them_runs_clean() {
         (&grid, "lo", Value::f64_array(&[0.0; 3])),
         (&grid, "hi", Value::f64_array(&[1.0])),
         (&disorder, "grid_steps", Value::Int(1)),
+        (&disorder, "n", Value::Int(0)),
+        (&disorder, "n", Value::Int(1)),
         // Past the per-job item cap: an equivalence table whose item
         // count exceeds `i64` (its `accepted` frame cannot encode it),
         // and 2^31 steps (every worker would allocate 2^31-point axes).
@@ -462,6 +465,65 @@ fn unrunnable_specs_are_rejected_and_a_valid_job_after_them_runs_clean() {
     );
 }
 
+/// The service runs on the calling thread, the request reader and the
+/// pool's driver, plus three pipe pumps per live worker: at most 3
+/// threads idle and 9 with two workers. Each read of `Threads:` in
+/// `/proc/<pid>/status` follows a frame the service wrote once it was
+/// in that state.
+#[test]
+fn the_service_runs_on_three_threads_plus_three_per_worker() {
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(serve_exe())
+        .args(["--cap", "2", "--quiet"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning mbqao-serve");
+    let status = format!("/proc/{}/status", child.id());
+    let threads = || -> usize {
+        let status = std::fs::read_to_string(&status).expect("the service runs");
+        let count = status.lines().find_map(|l| l.strip_prefix("Threads:"));
+        count
+            .and_then(|n| n.trim().parse().ok())
+            .expect("a thread count")
+    };
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let mut stdout = std::io::BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut next = || {
+        read_frame(&mut stdout)
+            .expect("a frame")
+            .expect("it parses")
+    };
+    let ping = Value::obj(vec![("type", Value::Str("ping".into()))]);
+    write_frame(&mut stdin, &ping).unwrap();
+    assert_eq!(type_of(&next()), "pong");
+    let idle = threads();
+    assert!(idle <= 3, "{idle} threads idle");
+
+    let request = SubmitRequest {
+        id: 1,
+        workload: workload(),
+        shards: 2,
+        faults: vec![],
+        check: false,
+    };
+    write_frame(&mut stdin, &request.to_wire()).unwrap();
+    let done = std::iter::repeat_with(&mut next)
+        .find(|f| type_of(f) == "done")
+        .expect("the job finishes");
+    let stats = done.field("stats").unwrap();
+    let count = |key: &str| stats.field(key).unwrap().as_uint().unwrap();
+    assert_eq!((count("spawned"), count("worker_restarts")), (2, 0));
+    let busy = threads();
+    assert!(busy <= 9, "{busy} threads with two live workers");
+
+    write_frame(&mut stdin, &shutdown()).unwrap();
+    drop(stdin);
+    assert!(child.wait().expect("service exits").success());
+}
+
 /// The service CLI rejects what it does not know: the flag that used
 /// to select one-shot workers (that lane is gone), a misspelt flag and
 /// a malformed value must each exit 2 with a usage line, never be
@@ -488,8 +550,9 @@ fn serve_binary_rejects_unknown_flags_with_exit_code_2() {
 /// breaker (more than 8 deaths in 30 s) long before its generous retry
 /// and quarantine budgets run out. The job must then end in a
 /// `job_error` naming the breaker — nothing re-forks workers on the
-/// failing host — and the WAL it leaves must `--resume --check` to the
-/// bit-identical output.
+/// failing host — and so must a clean job admitted after it, both with
+/// the pool core's one text. The WAL the first job leaves must
+/// `--resume --check` to the bit-identical output.
 #[test]
 fn tripped_breaker_fails_the_job_and_its_wal_resumes_bit_identically() {
     let dir = std::env::temp_dir().join(format!("mbqao-breaker-{}", std::process::id()));
@@ -501,14 +564,21 @@ fn tripped_breaker_fails_the_job_and_its_wal_resumes_bit_identically() {
         faults: vec![(1, Fault::FailUntil(99))],
         check: true,
     };
+    let clean = SubmitRequest {
+        id: 2,
+        faults: vec![],
+        check: false,
+        ..request.clone()
+    };
     let mut input = Vec::new();
     write_frame(&mut input, &request.to_wire()).unwrap();
+    write_frame(&mut input, &clean.to_wire()).unwrap();
     write_frame(
         &mut input,
         &Value::obj(vec![("type", Value::Str("shutdown".into()))]),
     )
     .unwrap();
-    let args = "--cap 2 --retries 20 --quarantine 20 --backoff-ms 1 --quiet --journal";
+    let args = "--cap 2 --max-jobs 1 --retries 20 --quarantine 20 --backoff-ms 1 --quiet --journal";
     let args: Vec<&str> = args.split(' ').chain(dir.to_str()).collect();
     let out = run_binary(&args, &input);
     assert_eq!(out.status.code(), Some(1), "a failed job exits 1");
@@ -525,11 +595,21 @@ fn tripped_breaker_fails_the_job_and_its_wal_resumes_bit_identically() {
         .find(|f| kind(f) == "job_error")
         .expect("the job must end in a job_error");
     assert_eq!(error.field("id").unwrap().as_uint().unwrap(), 1);
-    let reason = error.field("reason").unwrap().as_str().unwrap();
-    assert!(
-        reason.contains("circuit breaker"),
-        "names the breaker: {reason}"
-    );
+    let reasons: Vec<(u64, &str)> = served
+        .iter()
+        .filter(|f| kind(f) == "job_error")
+        .map(|f| {
+            let id = f.field("id").unwrap().as_uint().unwrap() as u64;
+            (id, f.field("reason").unwrap().as_str().unwrap())
+        })
+        .collect();
+    assert_eq!(reasons.iter().map(|r| r.0).collect::<Vec<_>>(), [1, 2]);
+    for (id, reason) in reasons {
+        assert!(
+            reason.contains("worker pool circuit breaker open (> 8 worker deaths within 30s)"),
+            "job {id} names the breaker: {reason}"
+        );
+    }
     let retries = served.iter().filter(|f| kind(f) == "requeue").count();
     assert!(
         (8..19).contains(&retries),

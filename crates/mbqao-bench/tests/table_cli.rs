@@ -1,11 +1,18 @@
 //! The table binaries' command line: a bad one exits with code 2 and a
-//! usage line naming the flag, before any row is computed.
+//! usage line naming the flag, before any row is computed. The two
+//! sharded tables take `[--shards N]`; the other six take nothing.
 
 use std::process::Command;
 
-const TABLES: [&str; 2] = [
+const TABLES: [&str; 8] = [
     env!("CARGO_BIN_EXE_table_resources"),
     env!("CARGO_BIN_EXE_table_equivalence"),
+    env!("CARGO_BIN_EXE_table_depth_scan"),
+    env!("CARGO_BIN_EXE_table_fig1_rules"),
+    env!("CARGO_BIN_EXE_table_fig2"),
+    env!("CARGO_BIN_EXE_table_mis"),
+    env!("CARGO_BIN_EXE_table_reuse"),
+    env!("CARGO_BIN_EXE_table_xy"),
 ];
 
 /// Runs every table binary with `args`: each must exit 2 with `flag`

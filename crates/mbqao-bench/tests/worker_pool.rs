@@ -6,7 +6,7 @@
 //! to the monolithic run (or a deliberately visible degraded hole).
 
 use mbqao_bench::serve::{
-    load_journal, resume_job, run_job_with, spawn_pool, Event, JobJournal, JobSpec, ServeConfig,
+    load_journal, resume_job, run_job_with, spawn_service, Event, JobJournal, JobSpec, ServeConfig,
     SubmitRequest,
 };
 use mbqao_bench::sweep::{
@@ -61,7 +61,7 @@ fn sigkilled_workers_mid_shard_recover_bit_identically() {
         retry: RetryPolicy::new(4, Duration::from_millis(20)),
         ..ServeConfig::default()
     };
-    let pool = spawn_pool(&serve_exe(), &config);
+    let pool = spawn_service(&serve_exe(), &config);
     let spec = JobSpec {
         id: 1,
         workload: &w,
@@ -81,7 +81,7 @@ fn sigkilled_workers_mid_shard_recover_bit_identically() {
             }
         }
     };
-    let (output, stats) = run_job_with(&pool, &spec, &config, None, &mut emit)
+    let (output, stats) = run_job_with(&pool, &spec, None, &mut emit)
         .expect("SIGKILLed workers must be recovered by the supervisor");
     assert!(killed.get(), "the kill hook must have fired");
     assert!(
@@ -109,7 +109,7 @@ fn affinity_routed_second_job_hits_warm_pattern_caches() {
         cap: 2,
         ..ServeConfig::default()
     };
-    let pool = spawn_pool(&serve_exe(), &config);
+    let pool = spawn_service(&serve_exe(), &config);
     let run = |id: u64| {
         let spec = JobSpec {
             id,
@@ -117,7 +117,7 @@ fn affinity_routed_second_job_hits_warm_pattern_caches() {
             shards: 2,
             faults: &[],
         };
-        run_job_with(&pool, &spec, &config, None, &mut |_| {}).expect("clean job completes")
+        run_job_with(&pool, &spec, None, &mut |_| {}).expect("clean job completes")
     };
     let (out1, _stats1) = run(1);
     let (out2, stats2) = run(2);
@@ -155,7 +155,7 @@ fn quarantined_shard_fails_the_job_or_degrades_to_partial_coverage() {
     };
 
     // Named-failure flavour.
-    let pool = spawn_pool(&serve_exe(), &base);
+    let pool = spawn_service(&serve_exe(), &base);
     let spec = JobSpec {
         id: 5,
         workload: &w,
@@ -163,7 +163,7 @@ fn quarantined_shard_fails_the_job_or_degrades_to_partial_coverage() {
         faults: &[(1, Fault::FailUntil(99))],
     };
     let mut events = Vec::new();
-    let err = run_job_with(&pool, &spec, &base, None, &mut |e| events.push(e))
+    let err = run_job_with(&pool, &spec, None, &mut |e| events.push(e))
         .expect_err("a shard that kills every worker must fail the job");
     match &err {
         ShardError::Worker { shard, reason } => {
@@ -209,9 +209,9 @@ fn quarantined_shard_fails_the_job_or_degrades_to_partial_coverage() {
         allow_partial: true,
         ..base
     };
-    let pool = spawn_pool(&serve_exe(), &cfg);
+    let pool = spawn_service(&serve_exe(), &cfg);
     let mut events = Vec::new();
-    let (output, stats) = run_job_with(&pool, &spec, &cfg, None, &mut |e| events.push(e))
+    let (output, stats) = run_job_with(&pool, &spec, None, &mut |e| events.push(e))
         .expect("allow_partial must complete the job around the poisoned range");
     assert_eq!(stats.quarantined, 1);
     assert!(
@@ -273,8 +273,8 @@ fn resume_from_truncated_journal_matches_the_uninterrupted_run() {
     };
     let mut journal = JobJournal::create(&dir, 11, &w, 3).expect("journal create");
     let path = journal.path().to_path_buf();
-    let pool = spawn_pool(&serve_exe(), &config);
-    let (full, _stats) = run_job_with(&pool, &spec, &config, Some(&mut journal), &mut |_| {})
+    let pool = spawn_service(&serve_exe(), &config);
+    let (full, _stats) = run_job_with(&pool, &spec, Some(&mut journal), &mut |_| {})
         .expect("journaled job completes");
     assert!(full.bit_identical(&monolithic(&w)));
 
@@ -291,7 +291,7 @@ fn resume_from_truncated_journal_matches_the_uninterrupted_run() {
 
     let mut events = Vec::new();
     assert!(
-        resume_job(&pool, &path, &config, false, &mut |e| events.push(e)),
+        resume_job(&pool, &path, false, &mut |e| events.push(e)),
         "resume completes the job"
     );
     pool.shutdown();

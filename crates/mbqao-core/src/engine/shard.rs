@@ -29,11 +29,12 @@
 //! never delays the verdicts of shards that finished behind it. Its
 //! policy is the sans-IO [`PoolCore`], which is given the time with
 //! every event and reaches processes only through [`Workers`], so a
-//! simulator can run it on virtual time; the pool's one driver thread
-//! owns the processes and blocks exactly until the core's next timer.
-//! Job frames are written by a dedicated writer thread per worker, so
-//! an oversized job can never stall the driver. A worker that
-//! dies or emits a truncated stream surfaces as a
+//! simulator can run it on virtual time. [`step_both`] composes it with
+//! the [`Jobs`] layer that submits its jobs, and the pool's one driver
+//! thread runs that step over the processes, blocking exactly until the
+//! core's next timer. Job frames are written by a dedicated writer
+//! thread per worker, so an oversized job can never stall the driver. A
+//! worker that dies or emits a truncated stream surfaces as a
 //! [`ShardError::Worker`] naming the shard; the merger is never
 //! polluted by a failed shard, so retrying just that shard and
 //! inserting its result is always safe.
@@ -557,12 +558,11 @@ pub fn default_worker_cap() -> usize {
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
 /// Every mutex in this module protects state that stays structurally
-/// valid across a panic (a stderr buffer, the published stats, the
-/// outcome receiver) — there is no invariant a half-finished critical
-/// section could have broken. Propagating the poison would instead
-/// cascade one worker's panic across every thread that touches the
-/// lock afterwards, which is exactly the blast radius the pool design
-/// bounds to a single shard.
+/// valid across a panic (a stderr buffer, the published stats) — there
+/// is no invariant a half-finished critical section could have broken.
+/// Propagating the poison would instead cascade one worker's panic
+/// across every thread that touches the lock afterwards, which is
+/// exactly the blast radius the pool design bounds to a single shard.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -641,7 +641,7 @@ pub struct PoolJob {
 }
 
 /// Verdict for one [`PoolJob`], in completion order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PoolOutcome {
     /// The caller's tag from the job.
     pub tag: u64,
@@ -1103,6 +1103,76 @@ impl PoolCore {
     }
 }
 
+/// The sans-IO layer above a [`PoolCore`]: it decides the pool's jobs
+/// from its owner's messages and the core's verdicts.
+pub trait Jobs: Send + 'static {
+    /// What the owner sends the layer.
+    type In: Send + 'static;
+    /// What the layer hands the owner.
+    type Out: Send + 'static;
+    /// One owner message (`Ok`) or one verdict on a job it submitted
+    /// (`Err`), with the core's counters; returns the jobs for the pool.
+    fn step(
+        &mut self,
+        input: Result<Self::In, PoolOutcome>,
+        pool: &PoolStats,
+        out: &mut Vec<Self::Out>,
+    ) -> Vec<PoolJob>;
+    /// Nothing more will be submitted: the pool shuts down.
+    fn finished(&self) -> bool {
+        false
+    }
+}
+
+/// The pass-through layer of a plain [`WorkerPool`].
+pub struct Raw;
+
+impl Jobs for Raw {
+    type In = PoolJob;
+    type Out = PoolOutcome;
+
+    fn step(
+        &mut self,
+        job: Result<PoolJob, PoolOutcome>,
+        _: &PoolStats,
+        out: &mut Vec<PoolOutcome>,
+    ) -> Vec<PoolJob> {
+        job.map_err(|verdict| out.push(verdict))
+            .into_iter()
+            .collect()
+    }
+}
+
+/// The one driver of a [`PoolCore`]: a worker event (`Err`) steps the
+/// core and an owner message (`Ok`) the layer; then each job the layer
+/// returns steps the core at `now`, and each verdict the layer, in order
+/// until neither has work left. A finished layer shuts the core down.
+pub fn step_both<J: Jobs>(
+    core: &mut PoolCore,
+    jobs: &mut J,
+    now: Instant,
+    event: Result<J::In, PoolInput>,
+    workers: &mut dyn Workers,
+    out: &mut Vec<J::Out>,
+) {
+    let (mut submitted, mut verdicts) = (VecDeque::new(), VecDeque::new());
+    match event {
+        Ok(message) => submitted.extend(jobs.step(Ok(message), &core.stats(), out)),
+        Err(input) => verdicts.extend(core.step(now, input, workers)),
+    }
+    loop {
+        if let Some(job) = submitted.pop_front() {
+            verdicts.extend(core.step(now, PoolInput::Job(job), workers));
+        } else if let Some(verdict) = verdicts.pop_front() {
+            submitted.extend(jobs.step(Err(verdict), &core.stats(), out));
+        } else if jobs.finished() && core.grace.is_none() {
+            verdicts.extend(core.step(now, PoolInput::Shutdown, workers));
+        } else {
+            return;
+        }
+    }
+}
+
 /// Cap on the retained stderr of a live pool worker (only an excerpt
 /// is ever reported; an endlessly chatty worker must not grow memory).
 const POOL_STDERR_CAP: usize = 64 * 1024;
@@ -1120,13 +1190,13 @@ struct Process {
 
 /// The process driver's [`Workers`]: real children whose frames, and
 /// whose end, its pump threads send back into the driver's channel.
-struct Processes {
+struct Processes<In> {
     cmd: WorkerCommand,
-    tx: mpsc::Sender<PoolInput>,
+    tx: mpsc::Sender<Result<In, PoolInput>>,
     procs: Vec<Option<Process>>,
 }
 
-impl Workers for Processes {
+impl<In: Send + 'static> Workers for Processes<In> {
     fn spawn(&mut self, slot: usize, gen: u64) -> Result<(), String> {
         let gen_s = gen.to_string();
         let hb_ms = HEARTBEAT.as_millis().to_string();
@@ -1162,10 +1232,10 @@ impl Workers for Processes {
                 match read_frame(&mut r).map(|v| v.and_then(|v| PoolFrame::from_wire(&v))) {
                     None => break "worker stdout closed".to_string(),
                     Some(Err(e)) => break format!("worker protocol corruption: {e}"),
-                    Some(Ok(frame)) => drop(tx.send(PoolInput::Frame(slot, gen, frame))),
+                    Some(Ok(frame)) => drop(tx.send(Err(PoolInput::Frame(slot, gen, frame)))),
                 }
             };
-            let _ = tx.send(PoolInput::Gone(slot, gen, reason));
+            let _ = tx.send(Err(PoolInput::Gone(slot, gen, reason)));
         });
         let mut err_pipe = child.stderr.take().expect("stderr was piped");
         let stderr = Arc::new(Mutex::new(Vec::new()));
@@ -1231,31 +1301,36 @@ impl Workers for Processes {
 ///
 /// Its policy is a [`PoolCore`]: heartbeats and liveness, straggler
 /// deadlines, generations that fence off late output from killed
-/// workers, lazy restarts and the circuit breaker. One driver thread
-/// owns the core and the processes: it blocks on one channel (jobs,
-/// frames read by each worker's pump thread, worker ends, shutdown)
-/// until the core's next timer, reads the clock once, steps the core,
-/// publishes a [`PoolStats`] snapshot and sends the verdicts.
-///
-/// The pool tells jobs apart only by tag: retries, quarantine and
-/// merging belong to the submitter (`mbqao-bench`'s `Scheduler`).
-pub struct WorkerPool {
-    tx: mpsc::Sender<PoolInput>,
-    /// Behind a mutex so that one thread can wait for outcomes while
-    /// another submits.
-    outcomes: Mutex<mpsc::Receiver<PoolOutcome>>,
+/// workers, lazy restarts and the circuit breaker; its jobs come from a
+/// [`Jobs`] layer, [`Raw`] unless built [`WorkerPool::with_jobs`]. One
+/// driver thread blocks on one channel (the pumps' frames and ends and
+/// the owner's messages) until the core's next timer, runs
+/// [`step_both`], publishes a [`PoolStats`] snapshot and sends the
+/// layer's outputs to the owner, the thread holding the pool, which does
+/// whatever blocks: a driver stalled for [`LIVENESS`] would kill every
+/// worker whose beats queued up behind the stall.
+pub struct WorkerPool<J: Jobs = Raw> {
+    tx: mpsc::Sender<Result<J::In, PoolInput>>,
+    outputs: mpsc::Receiver<J::Out>,
     driver: Option<JoinHandle<()>>,
     /// The stats and live worker pids the driver published last.
     published: Arc<Mutex<(PoolStats, Vec<u32>)>>,
 }
 
 impl WorkerPool {
-    /// Starts the driver (workers spawn lazily on demand). `cmd` is
-    /// the worker invocation *without* the supervision flags — the
-    /// pool appends `--gen <g> --heartbeat-ms <ms>`.
+    /// Starts a plain pool (workers spawn lazily on demand). `cmd` is
+    /// the worker invocation *without* the supervision flags — the pool
+    /// appends `--gen <g> --heartbeat-ms <ms>`.
     pub fn new(cmd: WorkerCommand, config: PoolConfig) -> WorkerPool {
+        WorkerPool::with_jobs(cmd, config, Raw)
+    }
+}
+
+impl<J: Jobs> WorkerPool<J> {
+    /// Starts the driver with `jobs` as the layer above the pool.
+    pub fn with_jobs(cmd: WorkerCommand, config: PoolConfig, mut jobs: J) -> WorkerPool<J> {
         let (tx, rx) = mpsc::channel();
-        let (out_tx, out_rx) = mpsc::channel();
+        let (out_tx, outputs) = mpsc::channel();
         let published = Arc::new(Mutex::new((PoolStats::default(), Vec::new())));
         let mut core = PoolCore::new(config);
         let mut workers = Processes {
@@ -1269,47 +1344,52 @@ impl WorkerPool {
             while !core.finished() {
                 // The driver holds a sender itself, so the channel never
                 // disconnects.
-                let input = match core.next_wake() {
-                    None => rx.recv().unwrap_or(PoolInput::Shutdown),
+                let event = match core.next_wake() {
+                    None => rx.recv().unwrap_or(Err(PoolInput::Shutdown)),
                     Some(at) => rx
                         .recv_timeout(at.saturating_duration_since(now))
-                        .unwrap_or(PoolInput::Wake),
+                        .unwrap_or(Err(PoolInput::Wake)),
                 };
                 now = Instant::now();
-                let outcomes = core.step(now, input, &mut workers);
-                // Published before the verdicts go out, so a caller that
-                // has a verdict never reads older stats.
+                let mut out = Vec::new();
+                step_both(&mut core, &mut jobs, now, event, &mut workers, &mut out);
+                // Published before the outputs go out, so an owner that
+                // has an output never reads older stats.
                 let pids = workers.procs.iter().flatten().map(|p| p.pid).collect();
                 *lock_unpoisoned(&shared) = (core.stats(), pids);
-                for outcome in outcomes {
-                    let _ = out_tx.send(outcome);
+                for output in out {
+                    let _ = out_tx.send(output);
                 }
             }
         });
         WorkerPool {
             tx,
-            outcomes: Mutex::new(out_rx),
+            outputs,
             driver: Some(driver),
             published,
         }
     }
 
-    /// Enqueues a job. Returns the job back if the pool cannot take it
-    /// (circuit open or driver gone); such a job was not run.
-    pub fn submit(&self, job: PoolJob) -> Result<(), PoolJob> {
-        if self.stats().tripped {
-            return Err(job);
-        }
-        self.tx.send(PoolInput::Job(job)).map_err(|e| match e.0 {
-            PoolInput::Job(job) => job,
-            _ => unreachable!("send returns the sent message"),
-        })
+    /// Sends the layer one message (a plain pool: a job, which a tripped
+    /// pool answers at once with `circuit_open`); `Err` if the driver is
+    /// gone.
+    pub fn submit(&self, message: J::In) -> Result<(), J::In> {
+        self.sender()(message)
     }
 
-    /// The next outcome in completion order (blocking). `None` only if
-    /// the driver died.
-    pub fn recv(&self) -> Option<PoolOutcome> {
-        lock_unpoisoned(&self.outcomes).recv().ok()
+    /// [`WorkerPool::submit`] for other threads.
+    pub fn sender(&self) -> impl Fn(J::In) -> Result<(), J::In> + Clone + Send + 'static {
+        let tx = self.tx.clone();
+        move |message| match tx.send(Ok(message)) {
+            Err(mpsc::SendError(Ok(message))) => Err(message),
+            _ => Ok(()),
+        }
+    }
+
+    /// The layer's next output (a plain pool: verdicts in completion
+    /// order), blocking; `None` once the driver has ended.
+    pub fn recv(&self) -> Option<J::Out> {
+        self.outputs.recv().ok()
     }
 
     /// Snapshot of the pool-lifetime counters.
@@ -1324,23 +1404,24 @@ impl WorkerPool {
     }
 
     /// Stops the driver, shuts every worker down cleanly, and returns
-    /// the final counters.
+    /// the final counters. A panic of the driver thread resumes here.
     pub fn shutdown(mut self) -> PoolStats {
-        self.join_driver();
+        if let Err(panic) = self.join_driver() {
+            std::panic::resume_unwind(panic);
+        }
         self.stats()
     }
 
-    fn join_driver(&mut self) {
-        let _ = self.tx.send(PoolInput::Shutdown);
-        if let Some(handle) = self.driver.take() {
-            let _ = handle.join();
-        }
+    /// Shuts the core down, finished layer or not, and joins the driver.
+    fn join_driver(&mut self) -> std::thread::Result<()> {
+        let _ = self.tx.send(Err(PoolInput::Shutdown));
+        self.driver.take().map_or(Ok(()), JoinHandle::join)
     }
 }
 
-impl Drop for WorkerPool {
+impl<J: Jobs> Drop for WorkerPool<J> {
     fn drop(&mut self) {
-        self.join_driver();
+        let _ = self.join_driver();
     }
 }
 
@@ -1807,8 +1888,21 @@ mod tests {
             "the ninth crash trips the breaker"
         );
         assert!(pool.stats().tripped);
-        // An open circuit refuses new work synchronously.
-        assert!(pool.submit(pool_job(99, 99, "k")).is_err());
+        // An open circuit answers new work at once with the core's own
+        // verdict, and spawns nothing for it.
+        let spawned = pool.stats().spawned;
+        pool.submit(pool_job(99, 99, "k"))
+            .expect("only a gone driver refuses");
+        let refused = pool.recv().expect("alive");
+        assert!(refused.tag == 99 && refused.circuit_open);
+        match refused.result {
+            Err(ShardError::Worker { shard: 99, reason }) => assert_eq!(
+                reason,
+                "worker pool circuit breaker open (> 8 worker deaths within 30s)"
+            ),
+            other => panic!("expected the breaker's verdict, got {other:?}"),
+        }
+        assert_eq!(pool.stats().spawned, spawned);
         let stats = pool.shutdown();
         assert!(stats.tripped);
         assert_eq!(stats.restarts, MAX_RESTARTS + 1);
