@@ -2,16 +2,19 @@
 //! improves with increasing number of layers", Sec. II-C), measured on
 //! both backends through the unified execution engine.
 
+use mbqao_bench::sweep::TableOut;
 use mbqao_core::engine::{Executor, GateBackend, PatternBackend};
 use mbqao_problems::{exact, generators, maxcut};
 use mbqao_qaoa::optimize::NelderMead;
 use mbqao_qaoa::{approximation_ratio, QaoaAnsatz};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     mbqao_bench::sweep::table_args("table_depth_scan", false);
-    println!("# E14: approximation ratio vs. p (MaxCut)\n");
+    let mut out = TableOut;
+    writeln!(out, "# E14: approximation ratio vs. p (MaxCut)\n")?;
     let mut rng = StdRng::seed_from_u64(41);
     let instances = vec![
         ("C8".to_string(), generators::cycle(8)),
@@ -21,8 +24,11 @@ fn main() {
         ),
         ("K5".to_string(), generators::complete(5)),
     ];
-    println!("| graph | p | gate ratio | MBQC sampled ratio | optimizer evals |");
-    println!("|---|---|---|---|---|");
+    writeln!(
+        out,
+        "| graph | p | gate ratio | MBQC sampled ratio | optimizer evals |"
+    )?;
+    writeln!(out, "|---|---|---|---|---|")?;
     for (name, g) in &instances {
         let cost = maxcut::maxcut_zpoly(g);
         let opt = exact::max_cut(g).1 as f64;
@@ -49,13 +55,18 @@ fn main() {
                 samples.iter().map(|&x| g.cut_value(x) as f64).sum::<f64>() / shots as f64;
             let mbqc_ratio = mbqc_mean / opt;
 
-            println!(
+            writeln!(
+                out,
                 "| {name} | {p} | {ratio:.4} | {mbqc_ratio:.4} | {} |",
                 res.evals
-            );
+            )?;
             assert!(ratio + 1e-9 >= prev, "ratio decreased with p on {name}");
             prev = ratio;
         }
     }
-    println!("\nratios are non-decreasing in p on every instance, on both backends.");
+    writeln!(
+        out,
+        "\nratios are non-decreasing in p on every instance, on both backends."
+    )?;
+    Ok(())
 }

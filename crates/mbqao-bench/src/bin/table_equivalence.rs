@@ -11,15 +11,18 @@
 //! worker subprocesses. The three-way equivalence assert runs wherever
 //! the row is rendered.
 
-use mbqao_bench::sweep::{run_in_process, table_args, SweepOutput, Workload};
+use mbqao_bench::sweep::{run_in_process, table_args, SweepOutput, TableOut, Workload};
 use mbqao_bench::tables::EquivalenceSpec;
+use std::io::Write;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let shards = table_args("table_equivalence", true);
+    let mut out = TableOut;
     let workload = Workload::EquivalenceTable(EquivalenceSpec::full());
     let output = run_in_process(&workload, shards);
     let SweepOutput::Table { text, .. } = output else {
         unreachable!("equivalence workload assembles to a table");
     };
-    println!("{text}");
+    writeln!(out, "{text}")?;
+    Ok(())
 }

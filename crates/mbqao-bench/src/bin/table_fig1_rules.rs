@@ -1,9 +1,11 @@
 //! E1 — Fig. 1 reproduction: every ZX rewrite rule applied on canonical
 //! and randomized diagrams, with exact tensor-semantics verification.
 
+use mbqao_bench::sweep::TableOut;
 use mbqao_math::{PhaseExpr, Rational};
 use mbqao_zx::diagram::{Diagram, EdgeType};
 use mbqao_zx::{rules, tensor};
+use std::io::Write;
 
 /// Applies `f` to a copy of `d` and reports whether semantics (including
 /// the tracked scalar) were preserved exactly.
@@ -14,11 +16,12 @@ fn check(d: &Diagram, f: impl FnOnce(&mut Diagram) -> bool) -> (bool, bool) {
     (fired, ok)
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     mbqao_bench::sweep::table_args("table_fig1_rules", false);
-    println!("# E1: Fig. 1 rewrite rules, scalar-exact\n");
-    println!("| rule | instance | fired | semantics preserved |");
-    println!("|---|---|---|---|");
+    let mut out = TableOut;
+    writeln!(out, "# E1: Fig. 1 rewrite rules, scalar-exact\n")?;
+    writeln!(out, "| rule | instance | fired | semantics preserved |")?;
+    writeln!(out, "|---|---|---|---|")?;
 
     // (f) fusion
     {
@@ -31,7 +34,7 @@ fn main() {
         let e = d.add_edge(a, b, EdgeType::Plain);
         d.add_edge(b, o, EdgeType::Plain);
         let (fired, ok) = check(&d, |d| rules::try_fuse(d, e));
-        println!("| (f) | Z(π/4)–Z(π/3) | {fired} | {ok} |");
+        writeln!(out, "| (f) | Z(π/4)–Z(π/3) | {fired} | {ok} |")?;
         assert!(fired && ok);
     }
     // (h) colour change
@@ -43,7 +46,7 @@ fn main() {
         d.add_edge(i, x, EdgeType::Plain);
         d.add_edge(x, o, EdgeType::Hadamard);
         let (fired, ok) = check(&d, |d| rules::color_change(d, x));
-        println!("| (h) | X(2π/3) w/ mixed edges | {fired} | {ok} |");
+        writeln!(out, "| (h) | X(2π/3) w/ mixed edges | {fired} | {ok} |")?;
         assert!(fired && ok);
     }
     // (id)
@@ -63,7 +66,7 @@ fn main() {
         d.add_edge(i, z, t1);
         d.add_edge(z, o, t2);
         let (fired, ok) = check(&d, |d| rules::try_remove_identity(d, z));
-        println!("| (id)/(hh) | {label} | {fired} | {ok} |");
+        writeln!(out, "| (id)/(hh) | {label} | {fired} | {ok} |")?;
         assert!(fired && ok);
     }
     // (π)
@@ -79,7 +82,7 @@ fn main() {
         d.add_edge(z, o1, EdgeType::Plain);
         d.add_edge(z, o2, EdgeType::Plain);
         let (fired, ok) = check(&d, |d| rules::try_pi_commute(d, xpi));
-        println!("| (π) | Xπ through Z(π/4), 2 legs | {fired} | {ok} |");
+        writeln!(out, "| (π) | Xπ through Z(π/4), 2 legs | {fired} | {ok} |")?;
         assert!(fired && ok);
     }
     // (c)
@@ -93,7 +96,10 @@ fn main() {
             d.add_edge(z, o, EdgeType::Plain);
         }
         let (fired, ok) = check(&d, |d| rules::try_copy(d, st));
-        println!("| (c) | X(π) state through Z, 3 legs | {fired} | {ok} |");
+        writeln!(
+            out,
+            "| (c) | X(π) state through Z, 3 legs | {fired} | {ok} |"
+        )?;
         assert!(fired && ok);
     }
     // (b)
@@ -111,7 +117,7 @@ fn main() {
         d.add_edge(x, o1, EdgeType::Plain);
         d.add_edge(x, o2, EdgeType::Plain);
         let (fired, ok) = check(&d, |d| rules::try_bialgebra(d, z, x));
-        println!("| (b) | canonical 2+2 | {fired} | {ok} |");
+        writeln!(out, "| (b) | canonical 2+2 | {fired} | {ok} |")?;
         assert!(fired && ok);
     }
     // (hopf)
@@ -126,8 +132,12 @@ fn main() {
         d.add_edge(z, x, EdgeType::Plain);
         d.add_edge(x, o, EdgeType::Plain);
         let (fired, ok) = check(&d, |d| rules::try_hopf(d, z, x));
-        println!("| (hopf) | double Z–X edge | {fired} | {ok} |");
+        writeln!(out, "| (hopf) | double Z–X edge | {fired} | {ok} |")?;
         assert!(fired && ok);
     }
-    println!("\nall Fig. 1 rules verified scalar-exactly against tensor semantics.");
+    writeln!(
+        out,
+        "\nall Fig. 1 rules verified scalar-exactly against tensor semantics."
+    )?;
+    Ok(())
 }

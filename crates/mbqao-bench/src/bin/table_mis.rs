@@ -2,35 +2,41 @@
 //! constrained mixer vs. the penalty route, solution quality, and the
 //! ZH-identity check behind the partial mixer.
 
+use mbqao_bench::sweep::TableOut;
 use mbqao_problems::{exact, generators, mis};
 use mbqao_qaoa::optimize::{FnObjective, NelderMead};
 use mbqao_qaoa::{QaoaAnsatz, QaoaRunner};
 use mbqao_zx::zh::{mis_partial_mixer_dense, mis_partial_mixer_diagram};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     mbqao_bench::sweep::table_args("table_mis", false);
-    println!("# E12: MIS with hard constraints (Sec. IV)\n");
+    let mut out = TableOut;
+    writeln!(out, "# E12: MIS with hard constraints (Sec. IV)\n")?;
 
     // ZH identity (the paper's diagrammatic derivation, checked tensor-
     // exactly for degrees 0..3).
-    println!("## ZH partial-mixer identity");
-    println!("| degree d(v) | β | ‖diagram − Λ_N(e^{{iβX}})‖ ok |");
-    println!("|---|---|---|");
+    writeln!(out, "## ZH partial-mixer identity")?;
+    writeln!(out, "| degree d(v) | β | ‖diagram − Λ_N(e^{{iβX}})‖ ok |")?;
+    writeln!(out, "|---|---|---|")?;
     for (d, beta) in [(0usize, 0.7), (1, -0.4), (2, 0.9), (3, 0.37)] {
         let diag = mis_partial_mixer_diagram(d, beta);
         let m = mbqao_zx::tensor::evaluate_const(&diag);
         let want = mis_partial_mixer_dense(d, beta);
         let ok = m.approx_eq_up_to_scalar(&want, 1e-9);
-        println!("| {d} | {beta} | {ok} |");
+        writeln!(out, "| {d} | {beta} | {ok} |")?;
         assert!(ok);
     }
 
     // Feasibility + quality across graphs.
-    println!("\n## feasibility and quality (p = 2, 800 shots)");
-    println!("| graph | α(G) | route | feasible % | mean |S| | best |S| |");
-    println!("|---|---|---|---|---|---|");
+    writeln!(out, "\n## feasibility and quality (p = 2, 800 shots)")?;
+    writeln!(
+        out,
+        "| graph | α(G) | route | feasible % | mean |S| | best |S| |"
+    )?;
+    writeln!(out, "|---|---|---|---|---|---|")?;
     for (name, g) in [
         ("square", generators::square()),
         ("C5", generators::cycle(5)),
@@ -66,14 +72,19 @@ fn main() {
             let mean: f64 =
                 feas.iter().map(|&x| x.count_ones() as f64).sum::<f64>() / feas.len().max(1) as f64;
             let best = feas.iter().map(|&x| x.count_ones()).max().unwrap_or(0);
-            println!(
+            writeln!(
+                out,
                 "| {name} | {alpha} | {route} | {:.1} | {mean:.3} | {best} |",
                 frac * 100.0
-            );
+            )?;
             if route == "constrained" {
                 assert!((frac - 1.0).abs() < 1e-12, "hard constraint violated!");
             }
         }
     }
-    println!("\nconstrained mixers keep feasibility at exactly 100% (no penalties needed).");
+    writeln!(
+        out,
+        "\nconstrained mixers keep feasibility at exactly 100% (no penalties needed)."
+    )?;
+    Ok(())
 }

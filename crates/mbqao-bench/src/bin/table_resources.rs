@@ -11,11 +11,13 @@
 //! the same workload as worker subprocesses). Per-row asserts (paper
 //! bounds, gflow determinism) run wherever the row is rendered.
 
-use mbqao_bench::sweep::{run_in_process, table_args, SweepOutput, Workload};
+use mbqao_bench::sweep::{run_in_process, table_args, SweepOutput, TableOut, Workload};
 use mbqao_bench::tables::ResourcesSpec;
+use std::io::Write;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let shards = table_args("table_resources", true);
+    let mut out = TableOut;
     let spec = ResourcesSpec::full();
     let expects_savings = spec.expects_dense_savings();
     let workload = Workload::ResourceTable(spec);
@@ -31,5 +33,6 @@ fn main() {
         !expects_savings || dense_savings > 0,
         "pivot/LC must save qubits on dense instances"
     );
-    println!("{text}");
+    writeln!(out, "{text}")?;
+    Ok(())
 }

@@ -2,18 +2,21 @@
 //! matrix, Hamming-weight preservation of the ring mixer, and its
 //! compiled resource cost.
 
+use mbqao_bench::sweep::TableOut;
 use mbqao_core::{compile_qaoa, verify_equivalence, CompileOptions, MixerKind};
 use mbqao_mbqc::resources::stats;
 use mbqao_problems::{generators, maxcut};
 use mbqao_qaoa::{InitialState, Mixer, QaoaAnsatz, QaoaRunner};
+use std::io::Write;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     mbqao_bench::sweep::table_args("table_xy", false);
-    println!("# E13: XY mixers (Sec. V)\n");
+    let mut out = TableOut;
+    writeln!(out, "# E13: XY mixers (Sec. V)\n")?;
 
     // Equivalence of the compiled XY-ring ansatz with the gate model.
-    println!("| graph | p | init | min fidelity | pass |");
-    println!("|---|---|---|---|---|");
+    writeln!(out, "| graph | p | init | min fidelity | pass |")?;
+    writeln!(out, "|---|---|---|---|---|")?;
     for (name, g, init) in [
         ("C3", generators::cycle(3), 0b001u64),
         ("C4", generators::cycle(4), 0b0001),
@@ -31,16 +34,20 @@ fn main() {
         ansatz.initial = InitialState::Computational(init);
         let rep = verify_equivalence(&compiled, &ansatz, &[0.7, 0.45], 3, 1e-8);
         let s = stats(&compiled.pattern);
-        println!(
+        writeln!(
+            out,
             "| {name} | 1 | one-hot | {:.12} | {} |  (pattern: {s})",
             rep.min_fidelity,
             if rep.equivalent { "yes" } else { "NO" }
-        );
+        )?;
         assert!(rep.equivalent);
     }
 
     // Hamming-weight sector preservation under the ring mixer.
-    println!("\n## weight-sector preservation (one-hot coloring workload)");
+    writeln!(
+        out,
+        "\n## weight-sector preservation (one-hot coloring workload)"
+    )?;
     let g = generators::cycle(5);
     let cost = maxcut::maxcut_zpoly(&g);
     let mut ansatz = QaoaAnsatz::standard(cost, 2);
@@ -56,7 +63,14 @@ fn main() {
             leaked += amp.norm_sqr();
         }
     }
-    println!("weight-1 sector leakage after 2 XY layers: {leaked:.3e} (must be ~0)");
+    writeln!(
+        out,
+        "weight-1 sector leakage after 2 XY layers: {leaked:.3e} (must be ~0)"
+    )?;
     assert!(leaked < 1e-18);
-    println!("\nXY ring mixer preserves the one-hot sector exactly, as Sec. V requires.");
+    writeln!(
+        out,
+        "\nXY ring mixer preserves the one-hot sector exactly, as Sec. V requires."
+    )?;
+    Ok(())
 }

@@ -53,8 +53,9 @@ pub type JobResult = Result<(SweepOutput, JobStats), ShardError>;
 /// One event the scheduler reacts to.
 #[derive(Debug)]
 pub enum Input {
-    /// A request frame from the client, or why it did not decode.
-    Request(Result<Request, WireError>),
+    /// A request frame from the client, or why it did not decode (with
+    /// the frame's `id` when that much decoded).
+    Request(Result<Request, (Option<u64>, WireError)>),
     /// Finish the job of a loaded journal; `true` asks for a check.
     Resume(JournalReplay, bool),
     /// `(id, result)`: how job `id`'s oldest unanswered
@@ -585,7 +586,7 @@ impl Jobs for Scheduler {
             Ok(Input::Request(Ok(Request::Submit(req)))) => self.submit(*req),
             Ok(Input::Request(Ok(Request::Ping))) => self.emit(Event::Pong),
             Ok(Input::Request(Ok(Request::Shutdown))) => self.shutdown = true,
-            Ok(Input::Request(Err(e))) => self.reject(None, e.to_string()),
+            Ok(Input::Request(Err((id, e)))) => self.reject(id, e.to_string()),
             Ok(Input::Resume(replay, check)) => self.resume(replay, check),
             Ok(Input::Journaled(id, result)) => self.on_journaled(id, result),
             Ok(Input::Checked(id, bit_identical)) => {

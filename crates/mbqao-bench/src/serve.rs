@@ -607,14 +607,20 @@ pub enum Request {
     Shutdown,
 }
 
-/// Decodes a request frame.
-pub fn parse_request(v: &Value) -> Result<Request, WireError> {
-    match v.field("type")?.as_str()? {
-        "submit" => Ok(Request::Submit(Box::new(SubmitRequest::from_wire(v)?))),
-        "ping" => Ok(Request::Ping),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(WireError(format!("unknown request type {other:?}"))),
-    }
+/// Decodes a request frame. On failure the error keeps the frame's
+/// `id` when that much decoded, so its `rejected` frame names the job.
+pub fn parse_request(v: &Value) -> Result<Request, (Option<u64>, WireError)> {
+    let request = match v.field("type").and_then(Value::as_str) {
+        Ok("submit") => SubmitRequest::from_wire(v).map(|r| Request::Submit(Box::new(r))),
+        Ok("ping") => Ok(Request::Ping),
+        Ok("shutdown") => Ok(Request::Shutdown),
+        Ok(other) => Err(WireError(format!("unknown request type {other:?}"))),
+        Err(e) => Err(e),
+    };
+    request.map_err(|e| {
+        let id = v.field("id").and_then(Value::as_uint).ok();
+        (id.map(|id| id as u64), e)
+    })
 }
 
 // ------------------------------------------------------------- journal
@@ -1029,7 +1035,7 @@ where
     std::thread::scope(|s| {
         s.spawn(move || {
             while let Some(frame) = read_frame(&mut reader) {
-                let request = frame.and_then(|v| parse_request(&v));
+                let request = frame.map_err(|e| (None, e)).and_then(|v| parse_request(&v));
                 let shutdown = matches!(request, Ok(Request::Shutdown));
                 if send(Input::Request(request)).is_err() || shutdown {
                     return;

@@ -1332,6 +1332,29 @@ pub fn table_args(bin: &str, sharded: bool) -> usize {
     })
 }
 
+/// A table binary's standard output. When the reader goes away early
+/// (`table_fig2 | head -2`), the process ends quietly with status 0;
+/// any other write error is returned, so `main` fails with it.
+pub struct TableOut;
+
+impl std::io::Write for TableOut {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        quiet_on_closed_pipe(std::io::stdout().write(buf))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        quiet_on_closed_pipe(std::io::stdout().flush())
+    }
+}
+
+/// Exits with status 0 on a closed pipe; passes any other result on.
+fn quiet_on_closed_pipe<T>(result: std::io::Result<T>) -> std::io::Result<T> {
+    match result {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        other => other,
+    }
+}
+
 /// Runs a workload in-process with `shards` shards in canonical
 /// arrival order (monolithic when `shards <= 1`) — the table binaries'
 /// execution path.

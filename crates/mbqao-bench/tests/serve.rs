@@ -443,9 +443,11 @@ fn unrunnable_specs_are_rejected_and_a_valid_job_after_them_runs_clean() {
     let frames = frames(&out.stdout);
     let rejected: Vec<&Value> = frames.iter().filter(|f| type_of(f) == "rejected").collect();
     assert_eq!(rejected.len(), bad.len(), "one rejection per bad submit");
-    for (frame, (_, key, _)) in rejected.iter().zip(&bad) {
+    for (id, (frame, (_, key, _))) in (1..).zip(rejected.iter().zip(&bad)) {
         let reason = frame.field("reason").unwrap().as_str().unwrap();
         assert!(reason.contains(&format!("{key:?}")), "{key}: {reason}");
+        let named = frame.field("id").and_then(Value::as_uint);
+        assert_eq!(named.ok(), Some(id), "{key}: the rejection names its job");
     }
     let accepted: Vec<u64> = frames
         .iter()

@@ -1,6 +1,7 @@
 //! The table binaries' command line: a bad one exits with code 2 and a
 //! usage line naming the flag, before any row is computed. The two
-//! sharded tables take `[--shards N]`; the other six take nothing.
+//! sharded tables take `[--shards N]`; the other six take nothing. A
+//! reader that goes away early ends a table quietly.
 
 use std::process::Command;
 
@@ -41,4 +42,21 @@ fn an_unknown_flag_is_rejected() {
 #[test]
 fn zero_shards_are_rejected() {
     rejects(&["--shards", "0"], "--shards");
+}
+
+/// A table whose reader is gone before its first line (as in
+/// `table_fig2 | head -0`) exits with status 0 and says nothing on
+/// stderr: no "failed printing to stdout" panic.
+#[test]
+fn a_closed_stdout_ends_a_table_quietly() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let exe = env!("CARGO_BIN_EXE_table_fig2");
+    let out = Command::new(exe)
+        .stdout(writer)
+        .output()
+        .expect("table runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{exe}: {}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{exe} wrote to stderr: {stderr}");
 }

@@ -230,8 +230,9 @@ pub fn sample_compiled(
     std::thread_local! {
         /// Per-thread execution context: every shot re-runs the whole
         /// measurement sequence, so the register's amplitude buffers are
-        /// the hot allocation — shared across shots, blocks and calls on
-        /// each (pool) thread.
+        /// the hot allocation — shared across the shots and blocks one
+        /// thread runs: across calls on a calling thread, for the one
+        /// fan-out on a fan-out thread.
         static RUNNER: std::cell::RefCell<PatternRunner> =
             std::cell::RefCell::new(PatternRunner::new());
     }

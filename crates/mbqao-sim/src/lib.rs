@@ -14,8 +14,8 @@
 //!    live register — not the total ancilla count — bounds memory.
 //!
 //! Qubits are named by opaque [`QubitId`]s; positions inside the
-//! statevector are an implementation detail. Kernels parallelize with
-//! rayon above a size threshold.
+//! statevector are an implementation detail. Kernels run on the calling
+//! thread; callers parallelize across independent evaluations.
 
 pub mod circuit;
 pub mod register;
@@ -23,4 +23,4 @@ pub mod state;
 
 pub use circuit::{Circuit, Gate};
 pub use register::QubitId;
-pub use state::{MeasBasis, State, PAR_THRESHOLD};
+pub use state::{MeasBasis, State};

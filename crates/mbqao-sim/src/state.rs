@@ -1,22 +1,16 @@
 //! The statevector and its kernels.
+//!
+//! Every kernel runs on the calling thread, one pass in index order.
+//! The parallel level is one up, across independent evaluations:
+//! `Executor` batches, shot blocks, forced branches and sweep items. So
+//! a value never depends on the thread count, and one point evaluated
+//! alone or inside a batch is bit-identical. The cost: a single large
+//! register evaluated on its own runs each pass on one core.
 
 use mbqao_math::{Matrix, C64, EPS};
 use rand::Rng;
-use rayon::prelude::*;
 
 use crate::register::QubitId;
-
-/// Statevector dimension at which kernels switch to rayon. Below this the
-/// parallel dispatch overhead dominates; above it the kernels are
-/// embarrassingly parallel over amplitude blocks.
-///
-/// Tuned against the shim's persistent worker pool (PR 4): the pool's
-/// round-trip dispatch latency measured ≈ 8 µs (`pool_stress.rs`'s
-/// `dispatch_latency` probe) and the amplitude kernels run at ≈ 1.5–3
-/// ns/amp sequentially, putting break-even near 4–5 k amplitudes; the
-/// old scoped-spawn shim cost 20–40 µs per terminal call, which is why
-/// this used to sit at `1 << 14`.
-pub const PAR_THRESHOLD: usize = 1 << 13;
 
 /// An orthonormal single-qubit measurement basis `{|v₀⟩, |v₁⟩}`.
 ///
@@ -86,16 +80,9 @@ impl MeasBasis {
 /// `b` is the bit offset of the measured qubit; index `i` of the halved
 /// space expands to the pair (`i0`, `i0 | 1<<b`) by inserting a zero bit
 /// at `b`.
-fn dual_pass<F>(
-    amps: &[C64],
-    out0: &mut [C64],
-    out1: &mut [C64],
-    b: usize,
-    par: bool,
-    comb: F,
-) -> f64
+fn dual_pass<F>(amps: &[C64], out0: &mut [C64], out1: &mut [C64], b: usize, comb: F) -> f64
 where
-    F: Fn(C64, C64) -> (C64, C64) + Sync + Send + Copy,
+    F: Fn(C64, C64) -> (C64, C64) + Copy,
 {
     let gather = move |(i, (g0, g1)): (usize, (&mut C64, &mut C64))| -> f64 {
         let low = i & ((1 << b) - 1);
@@ -105,19 +92,11 @@ where
         *g1 = r1;
         r0.norm_sqr()
     };
-    if par {
-        out0.par_iter_mut()
-            .zip(out1.par_iter_mut())
-            .enumerate()
-            .map(gather)
-            .sum()
-    } else {
-        out0.iter_mut()
-            .zip(out1.iter_mut())
-            .enumerate()
-            .map(gather)
-            .sum()
-    }
+    out0.iter_mut()
+        .zip(out1.iter_mut())
+        .enumerate()
+        .map(gather)
+        .sum()
 }
 
 /// A fast, allocation-free hasher for [`QubitId`] keys: one odd-constant
@@ -290,18 +269,9 @@ impl State {
         self.scratch.clear();
         self.scratch.resize(self.amps.len() * 2, C64::ZERO);
         let (old, new) = (&self.amps, &mut self.scratch);
-        if new.len() >= PAR_THRESHOLD {
-            new.par_chunks_mut(2)
-                .zip(old.par_iter())
-                .for_each(|(pair, &a)| {
-                    pair[0] = a * init[0];
-                    pair[1] = a * init[1];
-                });
-        } else {
-            for (i, &a) in old.iter().enumerate() {
-                new[2 * i] = a * init[0];
-                new[2 * i + 1] = a * init[1];
-            }
+        for (i, &a) in old.iter().enumerate() {
+            new[2 * i] = a * init[0];
+            new[2 * i + 1] = a * init[1];
         }
         std::mem::swap(&mut self.amps, &mut self.scratch);
         self.index.insert(id, self.qubits.len());
@@ -333,11 +303,7 @@ impl State {
                 chunk[i + stride] = u[2] * a0 + u[3] * a1;
             }
         };
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_chunks_mut(block).for_each(kernel);
-        } else {
-            self.amps.chunks_mut(block).for_each(kernel);
-        }
+        self.amps.chunks_mut(block).for_each(kernel);
     }
 
     /// Applies a single-qubit unitary given as a 2×2 [`Matrix`].
@@ -360,11 +326,7 @@ impl State {
                 chunk.swap(i, i + stride);
             }
         };
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_chunks_mut(stride * 2).for_each(kernel);
-        } else {
-            self.amps.chunks_mut(stride * 2).for_each(kernel);
-        }
+        self.amps.chunks_mut(stride * 2).for_each(kernel);
     }
 
     /// Pauli Z (specialized sign kernel — touches only the `|1⟩` half).
@@ -376,11 +338,7 @@ impl State {
                 *amp = -*amp;
             }
         };
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_chunks_mut(stride * 2).for_each(kernel);
-        } else {
-            self.amps.chunks_mut(stride * 2).for_each(kernel);
-        }
+        self.amps.chunks_mut(stride * 2).for_each(kernel);
     }
 
     /// Pauli Y.
@@ -437,11 +395,7 @@ impl State {
                 j += 2 * lo;
             }
         };
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_chunks_mut(hi * 2).for_each(kernel);
-        } else {
-            self.amps.chunks_mut(hi * 2).for_each(kernel);
-        }
+        self.amps.chunks_mut(hi * 2).for_each(kernel);
     }
 
     /// Appends a fresh qubit in `|+⟩` already CZ-entangled with the live
@@ -463,14 +417,7 @@ impl State {
             pair[0] = v;
             pair[1] = if (i >> pb) & 1 == 1 { -v } else { v };
         };
-        if new.len() >= PAR_THRESHOLD {
-            new.par_chunks_mut(2)
-                .zip(old.par_iter())
-                .enumerate()
-                .for_each(fill);
-        } else {
-            new.chunks_mut(2).zip(old.iter()).enumerate().for_each(fill);
-        }
+        new.chunks_mut(2).zip(old.iter()).enumerate().for_each(fill);
         std::mem::swap(&mut self.amps, &mut self.scratch);
         self.index.insert(id, self.qubits.len());
         self.qubits.push(id);
@@ -495,11 +442,7 @@ impl State {
             let parity = ((i >> ba) ^ (i >> bb)) & 1;
             *amp *= if parity == 0 { minus } else { plus };
         };
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_iter_mut().enumerate().for_each(f);
-        } else {
-            self.amps.iter_mut().enumerate().for_each(f);
-        }
+        self.amps.iter_mut().enumerate().for_each(f);
     }
 
     /// Applies `e^{iθ Z⊗…⊗Z}` over the listed qubits (a multi-qubit
@@ -516,11 +459,7 @@ impl State {
             let parity = (i & mask).count_ones() & 1;
             *amp *= if parity == 0 { even } else { odd };
         };
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_iter_mut().enumerate().for_each(f);
-        } else {
-            self.amps.iter_mut().enumerate().for_each(f);
-        }
+        self.amps.iter_mut().enumerate().for_each(f);
     }
 
     /// Applies a 1-qubit unitary on `target` controlled on every
@@ -559,11 +498,7 @@ impl State {
                 chunk[i + stride] = u[2] * a0 + u[3] * a1;
             }
         };
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_chunks_mut(block).enumerate().for_each(f);
-        } else {
-            self.amps.chunks_mut(block).enumerate().for_each(f);
-        }
+        self.amps.chunks_mut(block).enumerate().for_each(f);
     }
 
     /// Applies a general 2-qubit unitary (row-major 4×4) on `(a, b)` with
@@ -605,11 +540,7 @@ impl State {
             }
         };
         debug_assert_eq!(dim % block, 0);
-        if dim >= PAR_THRESHOLD {
-            self.amps.par_chunks_mut(block).for_each(f);
-        } else {
-            self.amps.chunks_mut(block).for_each(f);
-        }
+        self.amps.chunks_mut(block).for_each(f);
     }
 
     /// Fused MBQC J-step: `add_plus(anc)` + `apply_cz(wire, anc)` +
@@ -663,11 +594,7 @@ impl State {
                 pair[0] = x + y;
                 pair[1] = x - y;
             };
-            if dim >= PAR_THRESHOLD {
-                self.scratch.par_chunks_mut(2).enumerate().for_each(fill);
-            } else {
-                self.scratch.chunks_mut(2).enumerate().for_each(fill);
-            }
+            self.scratch.chunks_mut(2).enumerate().for_each(fill);
         }
         std::mem::swap(&mut self.amps, &mut self.scratch);
         // Register: `wire` out (positions above shift down), `anc` in as lsb.
@@ -726,11 +653,7 @@ impl State {
                 odd
             };
         };
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_iter_mut().enumerate().for_each(phase);
-        } else {
-            self.amps.iter_mut().enumerate().for_each(phase);
-        }
+        self.amps.iter_mut().enumerate().for_each(phase);
         (outcome, 0.5)
     }
 
@@ -756,7 +679,6 @@ impl State {
         let k = self.pos(id);
         let b = self.bit_of_pos(k);
         let half = self.amps.len() / 2;
-        let par = self.amps.len() >= PAR_THRESHOLD;
 
         // One dual-projection gather: both branch projections land in
         // the scratch buffers while the Born weight of branch 0
@@ -779,7 +701,6 @@ impl State {
                 &mut self.scratch,
                 &mut self.scratch2,
                 b,
-                par,
                 move |a0, a1| {
                     let x = c00 * a0;
                     let y = c01 * a1;
@@ -794,7 +715,6 @@ impl State {
                 &mut self.scratch,
                 &mut self.scratch2,
                 b,
-                par,
                 move |a0, a1| (c00 * a0, c11 * a1),
             )
         } else {
@@ -803,7 +723,6 @@ impl State {
                 &mut self.scratch,
                 &mut self.scratch2,
                 b,
-                par,
                 move |a0, a1| (c00 * a0 + c01 * a1, c10 * a0 + c11 * a1),
             )
         };
@@ -837,11 +756,7 @@ impl State {
             &mut self.scratch2
         };
         let renorm = |amp: &mut C64| *amp = amp.scale(scale);
-        if par {
-            chosen.par_iter_mut().for_each(renorm);
-        } else {
-            chosen.iter_mut().for_each(renorm);
-        }
+        chosen.iter_mut().for_each(renorm);
         std::mem::swap(&mut self.amps, chosen);
 
         // Register maintenance: drop `id`, shift later positions down.
@@ -855,11 +770,7 @@ impl State {
 
     /// Squared norm (should stay ≈ 1).
     pub fn norm_sqr(&self) -> f64 {
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_iter().map(|z| z.norm_sqr()).sum()
-        } else {
-            self.amps.iter().map(|z| z.norm_sqr()).sum()
-        }
+        self.amps.iter().map(|z| z.norm_sqr()).sum()
     }
 
     /// Renormalizes to unit norm.
@@ -906,11 +817,7 @@ impl State {
             }
             self.amps[old_idx]
         };
-        if self.amps.len() >= PAR_THRESHOLD {
-            (0..self.amps.len()).into_par_iter().map(gather).collect()
-        } else {
-            (0..self.amps.len()).map(gather).collect()
-        }
+        (0..self.amps.len()).map(gather).collect()
     }
 
     /// `|⟨self|other⟩|` with both states aligned to `order`. 1 means the
@@ -939,21 +846,13 @@ impl State {
             "cost vector must have dimension 2^n"
         );
         let perm = self.perm_of(order);
-        let par = self.amps.len() >= PAR_THRESHOLD;
         if perm.iter().enumerate().all(|(i, &p)| p == i) {
-            return if par {
-                self.amps
-                    .par_iter()
-                    .zip(cost.par_iter())
-                    .map(|(z, &c)| z.norm_sqr() * c)
-                    .sum()
-            } else {
-                self.amps
-                    .iter()
-                    .zip(cost)
-                    .map(|(z, &c)| z.norm_sqr() * c)
-                    .sum()
-            };
+            return self
+                .amps
+                .iter()
+                .zip(cost)
+                .map(|(z, &c)| z.norm_sqr() * c)
+                .sum();
         }
         // (source shift, destination shift) per aligned bit: aligned
         // index bit (n−1−i) is register index bit (n−1−perm[i]).
@@ -970,11 +869,7 @@ impl State {
             }
             z.norm_sqr() * cost[new_idx]
         };
-        if par {
-            self.amps.par_iter().enumerate().map(term).sum()
-        } else {
-            self.amps.iter().enumerate().map(term).sum()
-        }
+        self.amps.iter().enumerate().map(term).sum()
     }
 
     /// Probability of each basis state in the register's own order.

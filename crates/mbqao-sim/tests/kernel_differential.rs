@@ -286,22 +286,12 @@ fn aligned_identity_fast_path_is_exact() {
     assert_eq!(st.aligned(&reg), st.amplitudes());
 }
 
-/// The **parallel** branches of every rewritten kernel, at a dimension
-/// at or above `PAR_THRESHOLD` (13 qubits = 2^13 amplitudes) with a
-/// forced 4-thread pool — the proptest cases above all run 16-amplitude
-/// states through the sequential branch, so without this test a
-/// regression confined to the chunked/parallel index arithmetic would
-/// ship green.
+/// Every rewritten kernel on a 13-qubit register (2^13 amplitudes) —
+/// the proptest cases above all run 16-amplitude states, so without
+/// this test a regression confined to the index arithmetic of high bit
+/// positions and long strides would ship green.
 #[test]
 fn parallel_kernel_branches_match_naive_at_2pow13() {
-    // Compile-time guard: this test must reach the parallel branch —
-    // bump its qubit count if PAR_THRESHOLD ever grows past 2^13.
-    const _: () = assert!(1usize << 13 >= mbqao_sim::PAR_THRESHOLD);
-    // Force a real pool before its lazy initialization (this test binary
-    // is its own process; the proptest cases never dispatch — their
-    // states sit far below PAR_THRESHOLD).
-    std::env::set_var("RAYON_NUM_THREADS", "4");
-
     const NN: usize = 13;
     let ids: Vec<QubitId> = (0..NN as u64).map(q).collect();
     let mut st = State::plus(&ids);

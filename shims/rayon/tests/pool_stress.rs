@@ -1,15 +1,17 @@
-//! Stress tests for the persistent worker pool behind the rayon shim.
+//! Stress tests for the rayon shim's scoped fan-out.
 //!
-//! This integration test runs in its own process, so it can force a
-//! multi-worker pool (the CI runners and dev machines may report a
-//! single core) by setting `RAYON_NUM_THREADS` before the first
-//! terminal call initializes the pool.
+//! This integration test runs in its own process, so it can force four
+//! threads per fan-out (the CI runners and dev machines may report a
+//! single core) by setting `RAYON_NUM_THREADS` before anything reads the
+//! thread count.
 
 use rayon::prelude::*;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
-/// Forces a 4-thread pool before anything reads the thread count.
+/// Forces four threads per fan-out before anything reads the thread
+/// count.
 fn setup() {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
@@ -20,32 +22,26 @@ fn setup() {
     });
 }
 
+/// A fan-out sum (the shim has no `sum`; `reduce` is the same fold).
+fn par_sum(
+    range: std::ops::Range<usize>,
+    f: impl Fn(usize) -> usize + Sync + Send + Clone,
+) -> usize {
+    range.into_par_iter().map(f).reduce(|| 0, |a, b| a + b)
+}
+
 #[test]
-fn no_threads_spawned_after_pool_initialization() {
+fn the_caller_runs_the_first_part_and_every_other_part_has_its_own_thread() {
     setup();
-    // First terminal call initializes the pool…
-    let _: u64 = (0..10_000u64).into_par_iter().map(|i| i).sum();
-    let spawned = rayon::pool_spawn_count();
-    assert_eq!(spawned, 3, "4-thread pool = 3 workers + the caller");
-    // …and hundreds of further terminal calls of every kind must reuse
-    // exactly those workers.
-    for round in 0..300u64 {
-        let v: Vec<u64> = (0..512u64).into_par_iter().map(|i| i * round).collect();
-        assert_eq!(v.len(), 512);
-        let s: u64 = v.par_iter().map(|&x| x).sum();
-        assert_eq!(s, round * 512 * 511 / 2);
-        let mut buf = vec![0u64; 1024];
-        buf.par_chunks_mut(8).enumerate().for_each(|(c, chunk)| {
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                *slot = (c * 8 + j) as u64;
-            }
-        });
-        assert!(buf.iter().enumerate().all(|(i, &x)| x == i as u64));
-        assert_eq!(
-            rayon::pool_spawn_count(),
-            spawned,
-            "terminal calls must not spawn threads (round {round})"
-        );
+    let me = std::thread::current().id();
+    for _ in 0..50 {
+        let ids: Vec<std::thread::ThreadId> = (0..4usize)
+            .into_par_iter()
+            .map(|_| std::thread::current().id())
+            .collect();
+        assert_eq!(ids[0], me, "the calling thread takes the first part");
+        let distinct: HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 4, "one thread per part: {ids:?}");
     }
 }
 
@@ -53,7 +49,7 @@ fn no_threads_spawned_after_pool_initialization() {
 fn merge_order_is_preserved_under_pool_scheduling() {
     setup();
     // `collect` and `reduce` must merge part results in part order no
-    // matter which worker finishes first; make parts finish in scrambled
+    // matter which thread finishes first; make parts finish in scrambled
     // order with uneven spins.
     for _ in 0..50 {
         let v: Vec<usize> = (0..4001usize)
@@ -86,102 +82,95 @@ fn merge_order_is_preserved_under_pool_scheduling() {
 #[test]
 fn panics_propagate_and_pool_survives() {
     setup();
+    // 1000 items in four parts of 250: item 3 panics on the calling
+    // thread's own part, item 613 on a spawned thread's.
     for round in 0..20 {
-        let caught = std::panic::catch_unwind(|| {
-            (0..1000usize).into_par_iter().for_each(|i| {
-                if i == 613 {
-                    panic!("boom {round}");
-                }
+        for bad in [3usize, 613] {
+            let caught = std::panic::catch_unwind(|| {
+                (0..1000usize)
+                    .into_par_iter()
+                    .map(|i| {
+                        if i == bad {
+                            panic!("boom {round} at {bad}");
+                        }
+                    })
+                    .collect::<Vec<()>>()
             });
-        });
-        let payload = caught.expect_err("worker panic must propagate to the caller");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("boom"), "panic payload preserved, got {msg:?}");
-        // The pool must remain fully operational after the panic.
-        let s: u64 = (0..10_000u64).into_par_iter().map(|i| i).sum();
-        assert_eq!(s, 10_000 * 9_999 / 2);
+            let payload = caught.expect_err("a part's panic must propagate to the caller");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert_eq!(
+                msg,
+                format!("boom {round} at {bad}"),
+                "the part's own payload"
+            );
+            // Later fan-outs run normally, nested ones sequentially again.
+            assert_eq!(par_sum(0..10_000, |i| i), 10_000 * 9_999 / 2);
+        }
     }
-    assert_eq!(rayon::pool_spawn_count(), 3, "panics must not kill workers");
 }
 
 #[test]
 fn nested_parallel_calls_run_sequentially_in_workers() {
     setup();
-    // Nested terminal calls inside a worker share must not dispatch to
-    // the pool again (they run sequentially), and results must match.
-    let sums: Vec<u64> = (0..48u64)
+    // Nested terminal calls inside a part must not fan out again: every
+    // inner item runs on the thread of its outer item, and results match.
+    let sums: Vec<usize> = (0..48usize)
         .into_par_iter()
         .map(|i| {
-            (0..500u64)
-                .into_par_iter()
-                .map(|j| i * 500 + j)
-                .sum::<u64>()
+            let outer = std::thread::current().id();
+            par_sum(0..500, move |j| {
+                assert_eq!(std::thread::current().id(), outer, "nested fan-out");
+                i * 500 + j
+            })
         })
         .collect();
     for (i, &s) in sums.iter().enumerate() {
-        let i = i as u64;
-        assert_eq!(s, (0..500u64).map(|j| i * 500 + j).sum::<u64>());
+        assert_eq!(s, (0..500).map(|j| i * 500 + j).sum::<usize>());
     }
-    assert_eq!(rayon::pool_spawn_count(), 3);
 }
 
-/// The `PAR_THRESHOLD` tuning probe (run on demand):
+/// The fan-out round trip (run on demand):
 ///
 /// ```text
 /// cargo test -p rayon --release --test pool_stress dispatch_latency -- --ignored --nocapture
 /// ```
 ///
-/// Prints the pool's round-trip dispatch latency (send tickets → workers
-/// claim an empty job → caller unparked) and the sequential per-element
-/// throughput of a representative amplitude kernel. The break-even
-/// statevector size is `latency / (per_element_gain)`;
-/// `mbqao-sim::PAR_THRESHOLD` is set to the next power of two above it
-/// (see ROADMAP.md for the recorded numbers).
+/// Prints the mean time of one terminal call over four one-element
+/// parts: three scoped threads spawned and joined, the fourth part on
+/// the calling thread. This is what each `Executor` batch, shot fan-out
+/// and branch sweep pays on top of its work.
 #[test]
 #[ignore = "diagnostic probe, run with --ignored --nocapture"]
 fn dispatch_latency() {
     setup();
     let reps = 20_000u32;
-    // Warm the pool.
-    let _: u64 = (0..64u64).into_par_iter().map(|i| i).sum();
     let t0 = std::time::Instant::now();
     for _ in 0..reps {
-        // 4 one-element parts: a pure dispatch round trip.
-        let s: u64 = (0..4u64).into_par_iter().map(std::hint::black_box).sum();
-        assert_eq!(s, 6);
+        assert_eq!(par_sum(0..4, std::hint::black_box), 6);
     }
-    let dispatch = t0.elapsed().as_secs_f64() / f64::from(reps);
-    let data: Vec<f64> = (0..1 << 14).map(|i| f64::from(i) * 0.5).collect();
-    let t0 = std::time::Instant::now();
-    let mut acc = 0.0;
-    for _ in 0..reps / 16 {
-        acc += data.iter().map(|&x| x * 1.000001 + 0.5).sum::<f64>();
-    }
-    let per_elem = t0.elapsed().as_secs_f64() / f64::from(reps / 16) / data.len() as f64;
+    let fan_out = t0.elapsed().as_secs_f64() / f64::from(reps);
     println!(
-        "dispatch round-trip: {:.2} µs; sequential kernel: {:.2} ns/elem; \
-         break-even ≈ {:.0} elems (acc {acc:.1})",
-        dispatch * 1e6,
-        per_elem * 1e9,
-        dispatch / per_elem
+        "fan-out round trip over {} threads: {:.2} µs",
+        rayon::current_num_threads(),
+        fan_out * 1e6
     );
 }
 
 #[test]
 fn concurrent_jobs_from_many_caller_threads() {
     setup();
-    // Terminal calls may race from several non-worker threads; every job
-    // must complete correctly with no deadlock and no extra spawns.
+    // Terminal calls may race from several caller threads; every job
+    // must complete correctly with no deadlock.
     let total = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for t in 0..6usize {
             let total = &total;
             scope.spawn(move || {
                 for round in 0..40usize {
-                    let s: usize = (0..2000usize).into_par_iter().map(|i| i + t + round).sum();
+                    let s = par_sum(0..2000, move |i| i + t + round);
                     let expect = 2000 * 1999 / 2 + 2000 * (t + round);
                     assert_eq!(s, expect);
                     total.fetch_add(1, Ordering::Relaxed);
@@ -190,5 +179,4 @@ fn concurrent_jobs_from_many_caller_threads() {
         }
     });
     assert_eq!(total.load(Ordering::Relaxed), 240);
-    assert_eq!(rayon::pool_spawn_count(), 3);
 }
