@@ -12,8 +12,7 @@ pub mod serve;
 pub mod sweep;
 pub mod tables;
 
-use mbqao_core::engine::sample_compiled;
-use mbqao_core::{compile_qaoa, CompileOptions, CompiledQaoa, MixerKind};
+use mbqao_core::{CompileOptions, MixerKind};
 use mbqao_problems::{maxcut, mis, Graph, ZPoly};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -132,30 +131,6 @@ pub fn mis_families() -> Vec<MisInstance> {
     .collect()
 }
 
-/// Samples `shots` corrected bitstrings from a sampling-form pattern
-/// (thin wrapper over [`mbqao_core::engine::sample_compiled`], kept for
-/// table-generator convenience).
-pub fn sample_pattern(
-    compiled: &CompiledQaoa,
-    params: &[f64],
-    shots: usize,
-    seed: u64,
-) -> Vec<u64> {
-    sample_compiled(compiled, params, shots, seed)
-}
-
-/// Compiles the sampling form of standard QAOA for `cost`.
-pub fn compile_sampling(cost: &ZPoly, p: usize) -> CompiledQaoa {
-    compile_qaoa(
-        cost,
-        p,
-        &CompileOptions {
-            measure_outputs: true,
-            ..Default::default()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,15 +192,5 @@ mod tests {
                 inst.name
             );
         }
-    }
-
-    #[test]
-    fn sampling_helper_round_trips() {
-        let g = mbqao_problems::generators::triangle();
-        let cost = maxcut::maxcut_zpoly(&g);
-        let compiled = compile_sampling(&cost, 1);
-        let samples = sample_pattern(&compiled, &[0.5, 0.4], 50, 1);
-        assert_eq!(samples.len(), 50);
-        assert!(samples.iter().all(|&x| x < 8));
     }
 }

@@ -39,7 +39,7 @@ use crate::cache;
 use crate::compiler::{CompileOptions, CompiledQaoa};
 pub use crate::pauli_backend::PauliBackend;
 pub use crate::zx_backend::ZxBackend;
-use mbqao_mbqc::simulate::{run_with_input, Branch, PatternRunner};
+use mbqao_mbqc::simulate::{Branch, PatternRunner};
 use mbqao_problems::ZPoly;
 use mbqao_qaoa::landscape::{scan_p1_with, Landscape};
 use mbqao_qaoa::optimize::{BatchObjective, Objective, OptResult};
@@ -215,9 +215,29 @@ impl Backend for GateBackend {
 
 // ---------------------------------------------------------------- pattern
 
+std::thread_local! {
+    /// The thread's one pattern-execution context. Every pattern walk of
+    /// this crate runs on it (⟨C⟩, state preparation, shots, the
+    /// verifier's trials), so its amplitude buffer grows to the widest
+    /// register the thread has run and is reused from then on: across
+    /// calls on a calling thread, for the one fan-out on a fan-out
+    /// thread.
+    static RUNNER: std::cell::RefCell<PatternRunner> =
+        std::cell::RefCell::new(PatternRunner::new());
+}
+
+/// Runs `f` on the thread's one [`PatternRunner`].
+///
+/// # Panics
+/// Panics when `f` itself calls `with_runner`.
+pub(crate) fn with_runner<T>(f: impl FnOnce(&mut PatternRunner) -> T) -> T {
+    RUNNER.with(|runner| f(&mut runner.borrow_mut()))
+}
+
 /// Samples `shots` corrected readouts from a sampling-form compiled
-/// pattern (the single implementation behind [`PatternBackend::sample`]
-/// and `mbqao_bench::sample_pattern`).
+/// pattern (the single implementation behind [`PatternBackend::sample`]),
+/// re-running the whole measurement sequence per shot on the thread's
+/// runner.
 ///
 /// # Panics
 /// Panics when `compiled` is not in sampling form.
@@ -227,19 +247,9 @@ pub fn sample_compiled(
     shots: usize,
     seed: u64,
 ) -> Vec<u64> {
-    std::thread_local! {
-        /// Per-thread execution context: every shot re-runs the whole
-        /// measurement sequence, so the register's amplitude buffers are
-        /// the hot allocation — shared across the shots and blocks one
-        /// thread runs: across calls on a calling thread, for the one
-        /// fan-out on a fan-out thread.
-        static RUNNER: std::cell::RefCell<PatternRunner> =
-            std::cell::RefCell::new(PatternRunner::new());
-    }
     assert!(!compiled.readout.is_empty(), "need a sampling-form pattern");
     let mut rng = StdRng::seed_from_u64(seed);
-    RUNNER.with(|runner| {
-        let mut runner = runner.borrow_mut();
+    with_runner(|runner| {
         (0..shots)
             .map(|_| {
                 runner.run(&compiled.pattern, params, Branch::Random, &mut rng);
@@ -270,14 +280,12 @@ pub fn sample_compiled(
 pub struct PatternBackend {
     cost: ZPoly,
     p: usize,
-    /// Compile options for lazily building forms; `None` for
-    /// [`PatternBackend::from_compiled`] backends (verification wraps a
-    /// fixed artifact — nothing further may be compiled).
-    options: Option<CompileOptions>,
+    /// Compile options for lazily building forms.
+    options: CompileOptions,
     state_form: std::sync::OnceLock<std::sync::Arc<CompiledQaoa>>,
     sampling_form: std::sync::OnceLock<std::sync::Arc<CompiledQaoa>>,
     /// Dense `2^n` cost vector, built on first `expectation` call —
-    /// verification-only backends never pay for it.
+    /// backends that only prepare or sample never pay for it.
     cost_vector: std::sync::OnceLock<Vec<f64>>,
 }
 
@@ -295,49 +303,20 @@ impl PatternBackend {
         PatternBackend {
             cost: cost.clone(),
             p,
-            options: Some(options.clone()),
+            options: options.clone(),
             state_form: std::sync::OnceLock::new(),
             sampling_form: std::sync::OnceLock::new(),
             cost_vector: std::sync::OnceLock::new(),
         }
     }
 
-    /// Wraps an already-compiled *state-form* pattern as-is (no
-    /// rescheduling — used by the verifier, which must exercise the
-    /// compiler's own command order). Sampling is unavailable.
-    ///
-    /// # Panics
-    /// Panics when `compiled` has no output wires.
-    pub fn from_compiled(compiled: CompiledQaoa, cost: ZPoly) -> Self {
-        assert!(
-            !compiled.output_wires.is_empty(),
-            "PatternBackend::from_compiled needs the state-form pattern"
-        );
-        let backend = PatternBackend {
-            cost,
-            p: compiled.p,
-            options: None,
-            state_form: std::sync::OnceLock::new(),
-            sampling_form: std::sync::OnceLock::new(),
-            cost_vector: std::sync::OnceLock::new(),
-        };
-        backend
-            .state_form
-            .set(std::sync::Arc::new(compiled))
-            .expect("fresh OnceLock is empty");
-        backend
-    }
-
     /// Compiles + JIT-schedules a form on demand, through the
     /// process-wide memoization of [`crate::cache`] — rebuilding a
     /// backend for the same `(cost, p, mixer)` shares the artifact.
     fn build_form(&self, measure_outputs: bool) -> std::sync::Arc<CompiledQaoa> {
-        let options = self.options.as_ref().expect(
-            "this PatternBackend wraps a fixed compiled pattern and cannot build other forms",
-        );
         let opts = CompileOptions {
             measure_outputs,
-            ..options.clone()
+            ..self.options.clone()
         };
         cache::compile_qaoa_cached(&self.cost, self.p, &opts)
     }
@@ -348,27 +327,18 @@ impl PatternBackend {
     }
 
     /// The sampling-form compiled pattern (compiled on first use).
-    ///
-    /// # Panics
-    /// Panics for [`PatternBackend::from_compiled`] backends.
     pub fn compiled_sampling(&self) -> &CompiledQaoa {
         self.sampling_form.get_or_init(|| self.build_form(true))
     }
 
-    /// Executes the state-form pattern on the outcome branch drawn by
-    /// `seed`, returning the output state and the branch probability.
-    /// Determinism of the compiled patterns means every branch yields
-    /// the same state (up to global phase).
-    pub fn prepare_seeded(&self, params: &[f64], seed: u64) -> (State, f64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let r = run_with_input(
-            &self.compiled().pattern,
-            State::new(),
-            params,
-            Branch::Random,
-            &mut rng,
-        );
-        (r.state, r.probability)
+    /// Runs the state-form pattern on `runner`, on the outcome branch
+    /// drawn by seed 0, and returns the output state. Determinism of the
+    /// compiled patterns means every branch yields the same state (up to
+    /// global phase).
+    fn run<'r>(&self, runner: &'r mut PatternRunner, params: &[f64]) -> &'r State {
+        let mut rng = StdRng::seed_from_u64(0);
+        runner.run(&self.compiled().pattern, params, Branch::Random, &mut rng);
+        runner.state()
     }
 }
 
@@ -394,13 +364,16 @@ impl Backend for PatternBackend {
     }
 
     fn prepare(&self, params: &[f64]) -> State {
-        self.prepare_seeded(params, 0).0
+        with_runner(|runner| self.run(runner, params).clone())
     }
 
     fn expectation(&self, params: &[f64]) -> f64 {
-        let (state, _) = self.prepare_seeded(params, 0);
         let cost_vector = self.cost_vector.get_or_init(|| self.cost.cost_vector_msb());
-        state.expectation_diag(&self.compiled().output_wires, cost_vector)
+        let wires = &self.compiled().output_wires;
+        with_runner(|runner| {
+            self.run(runner, params)
+                .expectation_diag(wires, cost_vector)
+        })
     }
 
     fn sample(&self, params: &[f64], shots: usize, seed: u64) -> Vec<u64> {
@@ -583,10 +556,17 @@ mod tests {
     fn pattern_prepare_is_branch_independent() {
         let cost = square_cost();
         let pattern = PatternBackend::new(&cost, 1);
-        let wires = pattern.variable_wires();
-        let (s0, _) = pattern.prepare_seeded(&[0.6, 0.3], 1);
-        let (s1, _) = pattern.prepare_seeded(&[0.6, 0.3], 0xDEAD_BEEF);
-        assert!((s0.fidelity(&s1, &wires) - 1.0).abs() < 1e-9);
+        let compiled = pattern.compiled();
+        let run = |seed| {
+            let mut runner = PatternRunner::new();
+            let mut rng = StdRng::seed_from_u64(seed);
+            runner.run(&compiled.pattern, &[0.6, 0.3], Branch::Random, &mut rng);
+            (runner.state().clone(), runner.outcomes().to_vec())
+        };
+        let (s0, m0) = run(1);
+        let (s1, m1) = run(0xDEAD_BEEF);
+        assert_ne!(m0, m1, "the two seeds must walk different branches");
+        assert!((s0.fidelity(&s1, &compiled.output_wires) - 1.0).abs() < 1e-9);
     }
 
     #[test]

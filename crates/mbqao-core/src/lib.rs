@@ -68,7 +68,6 @@ pub use engine::{Backend, Executor, GateBackend, PatternBackend, PauliBackend, Z
 pub use gadgets::PatternBuilder;
 pub use resources::{gate_model_resources, paper_bounds, PaperBounds};
 pub use verify::{
-    equivalence_report, equivalence_report_borrowed, verify_equivalence,
-    verify_equivalence_three_way, EquivalenceReport, ThreeWayReport,
+    verify_equivalence, verify_equivalence_three_way, EquivalenceReport, ThreeWayReport,
 };
 pub use zx_backend::SimplifyReport;

@@ -4,9 +4,12 @@
 
 use crate::cache;
 use crate::compiler::{CompileOptions, CompiledQaoa};
-use crate::engine::{Backend, GateBackend, PatternBackend, ZxBackend};
+use crate::engine::{with_runner, Backend, ZxBackend};
+use mbqao_mbqc::simulate::Branch;
 use mbqao_problems::ZPoly;
 use mbqao_qaoa::QaoaAnsatz;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Result of an equivalence check.
 #[derive(Debug, Clone)]
@@ -19,35 +22,18 @@ pub struct EquivalenceReport {
     pub equivalent: bool,
 }
 
-/// Compares a [`PatternBackend`]'s prepared state on `trials` random
-/// outcome branches against a [`GateBackend`]'s at the same parameters.
-/// (Determinism means *any* branch must match; testing several random
-/// branches exercises distinct correction paths.)
-///
-/// # Panics
-/// Panics when the backends disagree on the number of variables.
-pub fn equivalence_report(
-    gate: &GateBackend,
-    pattern: &PatternBackend,
-    params: &[f64],
-    trials: usize,
-    tol: f64,
-) -> EquivalenceReport {
-    assert_eq!(gate.n(), pattern.n(), "backends disagree on n");
-    let ref_dense = gate.prepare(params).aligned(&gate.variable_wires());
-    report_against_reference(&ref_dense, pattern.compiled(), params, trials, tol)
-}
-
-/// The zero-copy equivalence entry point: compares the compiled pattern
-/// (borrowed) against the gate-model ansatz (borrowed) on `trials`
-/// random outcome branches, without cloning either into an owning
-/// backend. Seeds, branch draws and fidelity arithmetic are identical to
-/// [`equivalence_report`].
+/// Verifies a compiled pattern against the gate-model ansatz: runs the
+/// pattern on `trials` seeded random outcome branches and scores each
+/// branch's `|⟨ψ_branch|ψ_gate⟩|`. Determinism means *any* branch must
+/// match; testing several random branches exercises distinct correction
+/// paths. The compiled pattern is executed with its *own* command order
+/// (no rescheduling), so this checks exactly the compiler's artifact;
+/// neither artifact is cloned.
 ///
 /// # Panics
 /// Panics when `compiled` is in sampling form (no output wires) or the
 /// interfaces disagree on the number of variables.
-pub fn equivalence_report_borrowed(
+pub fn verify_equivalence(
     compiled: &CompiledQaoa,
     ansatz: &QaoaAnsatz,
     params: &[f64],
@@ -64,74 +50,22 @@ pub fn equivalence_report_borrowed(
         "backends disagree on n"
     );
     let ref_dense = ansatz.prepare(params).aligned(&ansatz.qubit_order());
-    report_against_reference(&ref_dense, compiled, params, trials, tol)
-}
-
-/// Shared trial loop: runs the compiled pattern on `trials` seeded
-/// random branches and scores `|⟨ψ_branch|ψ_ref⟩|` against the dense
-/// reference (given in variable order).
-fn report_against_reference(
-    ref_dense: &[mbqao_math::C64],
-    compiled: &CompiledQaoa,
-    params: &[f64],
-    trials: usize,
-    tol: f64,
-) -> EquivalenceReport {
-    use mbqao_mbqc::simulate::{Branch, PatternRunner};
-    use rand::SeedableRng;
-
-    let mut runner = PatternRunner::new();
-    let mut fidelities = Vec::with_capacity(trials);
-    for trial in 0..trials {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE ^ trial as u64);
-        runner.run(&compiled.pattern, params, Branch::Random, &mut rng);
-        // Align the pattern's output wires to the variable order.
-        let got = runner.state().aligned(&compiled.output_wires);
-        let ip: mbqao_math::C64 = got
-            .iter()
-            .zip(ref_dense)
-            .map(|(&a, &b)| a.conj() * b)
-            .fold(mbqao_math::C64::ZERO, |acc, z| acc + z);
-        fidelities.push(ip.abs());
-    }
+    let fidelities: Vec<f64> = with_runner(|runner| {
+        (0..trials)
+            .map(|trial| {
+                let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ trial as u64);
+                runner.run(&compiled.pattern, params, Branch::Random, &mut rng);
+                // Align the pattern's output wires to the variable order.
+                dot_abs(&runner.state().aligned(&compiled.output_wires), &ref_dense)
+            })
+            .collect()
+    });
     let min_fidelity = fidelities.iter().copied().fold(f64::INFINITY, f64::min);
     EquivalenceReport {
         equivalent: min_fidelity > 1.0 - tol,
         min_fidelity,
         fidelities,
     }
-}
-
-/// Verifies a compiled pattern against the gate-model ansatz by
-/// comparing prepared states branch by branch — now a thin wrapper over
-/// the zero-copy [`equivalence_report_borrowed`] (neither artifact is
-/// cloned). The compiled pattern is executed with its *own* command
-/// order (no rescheduling), so this checks exactly the compiler's
-/// artifact.
-///
-/// # Panics
-/// Panics when the compiled pattern is in sampling form (no output
-/// wires) or interfaces disagree.
-pub fn verify_equivalence(
-    compiled: &CompiledQaoa,
-    ansatz: &QaoaAnsatz,
-    params: &[f64],
-    trials: usize,
-    tol: f64,
-) -> EquivalenceReport {
-    equivalence_report_borrowed(compiled, ansatz, params, trials, tol)
-}
-
-/// `|⟨a|b⟩|` of two backends' prepared states at the same parameters,
-/// aligned on their variable wires.
-///
-/// # Panics
-/// Panics when the backends disagree on the number of variables.
-pub fn backend_fidelity(a: &dyn Backend, b: &dyn Backend, params: &[f64]) -> f64 {
-    assert_eq!(a.n(), b.n(), "backends disagree on n");
-    let va = a.prepare(params).aligned(&a.variable_wires());
-    let vb = b.prepare(params).aligned(&b.variable_wires());
-    dot_abs(&va, &vb)
 }
 
 /// `|⟨a|b⟩|` of two dense vectors in the same basis order.
@@ -186,17 +120,14 @@ pub fn verify_equivalence_three_way(
 
     // All three states are prepared without cloning the compiled
     // pattern or the ansatz into owning backends.
-    let gate_vs_pattern = equivalence_report_borrowed(&compiled, ansatz, params, trials, tol);
+    let gate_vs_pattern = verify_equivalence(&compiled, ansatz, params, trials, tol);
     let gate_dense = ansatz.prepare(params).aligned(&ansatz.qubit_order());
     let zx_dense = zx.prepare(params).aligned(&zx.variable_wires());
-    let pattern_dense = {
-        use mbqao_mbqc::simulate::{Branch, PatternRunner};
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let mut runner = PatternRunner::new();
+    let pattern_dense = with_runner(|runner| {
+        let mut rng = StdRng::seed_from_u64(0);
         runner.run(&compiled.pattern, params, Branch::Random, &mut rng);
         runner.state().aligned(&compiled.output_wires)
-    };
+    });
     let gate_vs_zx = dot_abs(&gate_dense, &zx_dense);
     let pattern_vs_zx = dot_abs(&pattern_dense, &zx_dense);
     let equivalent =

@@ -31,10 +31,10 @@
 
 use crate::cache;
 use crate::compiler::CompileOptions;
-use crate::engine::Backend;
+use crate::engine::{with_runner, Backend};
 use crate::zx_bridge::{diagram_to_pattern, pattern_to_symbolic_diagram};
 use mbqao_mbqc::resources::{stats, ResourceStats};
-use mbqao_mbqc::simulate::{run, Branch};
+use mbqao_mbqc::simulate::{Branch, PatternRunner};
 use mbqao_mbqc::Pattern;
 use mbqao_problems::ZPoly;
 use mbqao_sim::{QubitId, State};
@@ -149,6 +149,24 @@ impl ZxBackend {
     pub fn report(&self) -> &SimplifyReport {
         &self.compiled().report
     }
+
+    /// Runs the extracted pattern on `runner` and returns the prepared
+    /// state. With gflow-synthesized corrections (the normal case) the
+    /// branch is drawn *randomly* (seed 0): strong determinism makes
+    /// every branch prepare the same `|γβ⟩`, a postselection-free
+    /// protocol run. A flowless extraction falls back to forcing the
+    /// all-zero reference branch and renormalizing.
+    fn run<'r>(&self, runner: &'r mut PatternRunner, params: &[f64]) -> &'r State {
+        let zx = self.compiled();
+        let mut rng = StdRng::seed_from_u64(0);
+        if zx.report.deterministic {
+            runner.run(&zx.pattern, params, Branch::Random, &mut rng);
+        } else {
+            let zeros = vec![0u8; zx.n_measurements];
+            runner.run(&zx.pattern, params, Branch::Forced(&zeros), &mut rng);
+        }
+        runner.state()
+    }
 }
 
 /// Export → simplify → graph-like → extract, with resource accounting.
@@ -211,27 +229,17 @@ impl Backend for ZxBackend {
         self.compiled().output_wires.clone()
     }
 
-    /// Runs the extracted pattern. With gflow-synthesized corrections
-    /// (the normal case) the branch is drawn *randomly* — strong
-    /// determinism guarantees every branch prepares the same `|γβ⟩`, so
-    /// this is a genuine postselection-free protocol run (seeded for
-    /// reproducibility). A flowless extraction falls back to forcing the
-    /// all-zero reference branch and renormalizing.
     fn prepare(&self, params: &[f64]) -> State {
-        let zx = self.compiled();
-        let mut rng = StdRng::seed_from_u64(0);
-        if zx.report.deterministic {
-            run(&zx.pattern, params, Branch::Random, &mut rng).state
-        } else {
-            let zeros = vec![0u8; zx.n_measurements];
-            run(&zx.pattern, params, Branch::Forced(&zeros), &mut rng).state
-        }
+        with_runner(|runner| self.run(runner, params).clone())
     }
 
     fn expectation(&self, params: &[f64]) -> f64 {
-        let state = self.prepare(params);
         let cost_vector = self.cost_vector.get_or_init(|| self.cost.cost_vector_msb());
-        state.expectation_diag(&self.compiled().output_wires, cost_vector)
+        let wires = &self.compiled().output_wires;
+        with_runner(|runner| {
+            self.run(runner, params)
+                .expectation_diag(wires, cost_vector)
+        })
     }
 
     /// Prepares once and draws all shots from the Born distribution of
@@ -239,12 +247,14 @@ impl Backend for ZxBackend {
     /// reference branch is a *state* preparation, not a per-shot
     /// protocol).
     fn sample(&self, params: &[f64], shots: usize, seed: u64) -> Vec<u64> {
-        let state = self.prepare(params);
         let order = &self.compiled().output_wires;
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..shots)
-            .map(|_| state.sample_lsb(order, &mut rng))
-            .collect()
+        with_runner(|runner| {
+            let state = self.run(runner, params);
+            (0..shots)
+                .map(|_| state.sample_lsb(order, &mut rng))
+                .collect()
+        })
     }
 
     /// One `sample` call amortizes the forced-branch preparation across

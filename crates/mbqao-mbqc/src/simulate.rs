@@ -30,16 +30,17 @@ pub struct RunResult {
 
 /// Reusable pattern-execution context.
 ///
-/// Holds the register (whose ping-pong amplitude buffers are the
-/// expensive part) and the outcome bookkeeping, so shot loops that
-/// execute the same pattern thousands of times amortize every
-/// allocation: after the first run, re-running a pattern of the same
-/// shape allocates nothing.
+/// Holds the register (whose one amplitude buffer is the expensive
+/// part) and the outcome bookkeeping, so loops that execute patterns
+/// thousands of times amortize every allocation: once the buffer has
+/// reached the widest register run so far, a run allocates nothing.
 #[derive(Debug, Default)]
 pub struct PatternRunner {
     state: State,
     outcomes: Vec<u8>,
     measured: Vec<bool>,
+    /// Partners of the phase gadget or J-step being fused.
+    partners: Vec<mbqao_sim::QubitId>,
 }
 
 impl PatternRunner {
@@ -137,85 +138,65 @@ impl PatternRunner {
 
         let commands = pattern.commands();
         let mut ci = 0usize;
-        let mut partners: Vec<mbqao_sim::QubitId> = Vec::new();
+        let partners = &mut self.partners;
         while ci < commands.len() {
-            let c = &commands[ci];
+            let mut c = &commands[ci];
             ci += 1;
+            let mut kernel = Kernel::Plain;
+            if let Command::Prep {
+                q,
+                state: PrepState::Plus,
+            } = c
+            {
+                // Fusion peepholes over the canonical MBQC node shapes
+                // (all mathematically exact — see the `State` docs of the
+                // fused kernels):
+                //
+                // * `prep a · E(a,p)… · M_YZ(a)` — the phase gadget: one
+                //   diagonal in-place pass, the ancilla never enters the
+                //   register.
+                // * `prep a · E(a,w) · M_XY(w)` — the J-step teleport:
+                //   one in-place butterfly pass at constant dimension,
+                //   the ancilla takes the wire's register position.
+                // * `prep a · E(a,p)` — fused grow+CZ pass.
+                let mut j = ci;
+                partners.clear();
+                while let Some(Command::Entangle { a, b }) = commands.get(j) {
+                    let p = if a == q {
+                        b
+                    } else if b == q {
+                        a
+                    } else {
+                        break;
+                    };
+                    if !state.contains(*p) {
+                        break;
+                    }
+                    partners.push(*p);
+                    j += 1;
+                }
+                match commands.get(j) {
+                    Some(m @ Command::Measure { q: mq, plane, .. })
+                        if *plane == Plane::YZ && mq == q =>
+                    {
+                        (c, kernel, ci) = (m, Kernel::Gadget, j + 1);
+                    }
+                    Some(m @ Command::Measure { q: mq, plane, .. })
+                        if *plane == Plane::XY && partners.len() == 1 && *mq == partners[0] =>
+                    {
+                        (c, kernel, ci) = (m, Kernel::Teleport(*q), j + 1);
+                    }
+                    _ if !partners.is_empty() => {
+                        state.add_plus_cz(*q, partners[0]);
+                        ci += 1;
+                        continue;
+                    }
+                    _ => {}
+                }
+            }
             match c {
                 Command::Prep { q, state: ps } => match ps {
-                    PrepState::Plus => {
-                        // Fusion peepholes over the canonical MBQC node
-                        // shapes (all mathematically exact — see the
-                        // `State` docs of the fused kernels):
-                        //
-                        // * `prep a · E(a,p)… · M_YZ(a)` — the phase
-                        //   gadget: one diagonal in-place pass, the
-                        //   ancilla never enters the register.
-                        // * `prep a · E(a,w) · M_XY(w)` — the J-step
-                        //   teleport: one butterfly pass at constant
-                        //   dimension.
-                        // * `prep a · E(a,p)` — fused grow+CZ pass.
-                        let mut j = ci;
-                        partners.clear();
-                        while let Some(Command::Entangle { a, b }) = commands.get(j) {
-                            let p = if a == q {
-                                b
-                            } else if b == q {
-                                a
-                            } else {
-                                break;
-                            };
-                            if !state.contains(*p) {
-                                break;
-                            }
-                            partners.push(*p);
-                            j += 1;
-                        }
-                        if let Some(Command::Measure {
-                            q: mq,
-                            plane,
-                            angle,
-                            s,
-                            t,
-                            out,
-                        }) = commands.get(j)
-                        {
-                            let gadget = *plane == Plane::YZ && mq == q;
-                            let teleport =
-                                *plane == Plane::XY && partners.len() == 1 && *mq == partners[0];
-                            if gadget || teleport {
-                                let mut theta = angle.eval(params);
-                                if lookup(outcomes, measured, s) {
-                                    theta = -theta;
-                                }
-                                if lookup(outcomes, measured, t) {
-                                    theta += std::f64::consts::PI;
-                                }
-                                let basis = plane.basis(theta);
-                                let forced = match branch {
-                                    Branch::Random => None,
-                                    Branch::Forced(bits) => Some(bits[meas_counter]),
-                                };
-                                let (m, pr) = if gadget {
-                                    state.gadget_measure(&partners, &basis, forced, rng)
-                                } else {
-                                    state.teleport_measure(partners[0], *q, &basis, forced, rng)
-                                };
-                                outcomes[out.0 as usize] = m;
-                                measured[out.0 as usize] = true;
-                                probability *= pr;
-                                meas_counter += 1;
-                                ci = j + 1;
-                                continue;
-                            }
-                        }
-                        if let Some(&p) = partners.first() {
-                            state.add_plus_cz(*q, p);
-                            ci += 1;
-                            continue;
-                        }
-                        state.add_plus(*q);
-                    }
+                    PrepState::Plus => state.add_plus(*q),
                     PrepState::Zero => {
                         state.add_qubit(*q, [mbqao_math::C64::ONE, mbqao_math::C64::ZERO])
                     }
@@ -229,6 +210,7 @@ impl PatternRunner {
                     t,
                     out,
                 } => {
+                    // The adapted angle `(−1)^s θ + tπ`.
                     let mut theta = angle.eval(params);
                     if lookup(outcomes, measured, s) {
                         theta = -theta;
@@ -241,7 +223,13 @@ impl PatternRunner {
                         Branch::Random => None,
                         Branch::Forced(bits) => Some(bits[meas_counter]),
                     };
-                    let (m, pr) = state.measure_remove(*q, &basis, forced, rng);
+                    let (m, pr) = match kernel {
+                        Kernel::Plain => state.measure_remove(*q, &basis, forced, rng),
+                        Kernel::Gadget => state.gadget_measure(partners, &basis, forced, rng),
+                        Kernel::Teleport(anc) => {
+                            state.teleport_measure(partners[0], anc, &basis, forced, rng)
+                        }
+                    };
                     outcomes[out.0 as usize] = m;
                     measured[out.0 as usize] = true;
                     probability *= pr;
@@ -259,6 +247,17 @@ impl PatternRunner {
         }
         probability
     }
+}
+
+/// The kernel that runs a measurement in [`PatternRunner::execute`]:
+/// `measure_remove`, or a fused node cycle that the peephole matched.
+enum Kernel {
+    /// `measure_remove` of the measured qubit.
+    Plain,
+    /// `gadget_measure` of the prepared ancilla against its partners.
+    Gadget,
+    /// `teleport_measure` of the one partner onto this ancilla.
+    Teleport(mbqao_sim::QubitId),
 }
 
 /// Executes `pattern` starting from `input` (a state over exactly the

@@ -6,6 +6,13 @@
 //! a value never depends on the thread count, and one point evaluated
 //! alone or inside a batch is bit-identical. The cost: a single large
 //! register evaluated on its own runs each pass on one core.
+//!
+//! Every kernel also works in place: `amps` is the register's only
+//! amplitude buffer. Growing the register writes the wider vector
+//! backwards over itself, a measurement writes the chosen projection
+//! forwards over itself and truncates, and the J-step's butterfly
+//! rewrites each pair where it stands, so its ancilla takes the measured
+//! wire's register position.
 
 use mbqao_math::{Matrix, C64, EPS};
 use rand::Rng;
@@ -72,31 +79,10 @@ impl MeasBasis {
     }
 }
 
-/// The measurement gather: projects every (`a0`, `a1`) amplitude pair of
-/// the measured qubit through `comb` into both branch buffers in a
-/// single pass, returning the accumulated squared norm of branch 0 (the
-/// Born probability of outcome 0 for a normalized state).
-///
-/// `b` is the bit offset of the measured qubit; index `i` of the halved
-/// space expands to the pair (`i0`, `i0 | 1<<b`) by inserting a zero bit
-/// at `b`.
-fn dual_pass<F>(amps: &[C64], out0: &mut [C64], out1: &mut [C64], b: usize, comb: F) -> f64
-where
-    F: Fn(C64, C64) -> (C64, C64) + Copy,
-{
-    let gather = move |(i, (g0, g1)): (usize, (&mut C64, &mut C64))| -> f64 {
-        let low = i & ((1 << b) - 1);
-        let i0 = (i >> b) << (b + 1) | low;
-        let (r0, r1) = comb(amps[i0], amps[i0 | (1 << b)]);
-        *g0 = r0;
-        *g1 = r1;
-        r0.norm_sqr()
-    };
-    out0.iter_mut()
-        .zip(out1.iter_mut())
-        .enumerate()
-        .map(gather)
-        .sum()
+/// Index of the `i`-th amplitude whose bit `b` is 0: `i` with a zero
+/// bit inserted at `b`. Its partner with bit `b` set is `| 1 << b`.
+fn pair_base(i: usize, b: usize) -> usize {
+    (i >> b) << (b + 1) | (i & ((1 << b) - 1))
 }
 
 /// A fast, allocation-free hasher for [`QubitId`] keys: one odd-constant
@@ -131,25 +117,17 @@ type IdIndex = std::collections::HashMap<QubitId, usize, std::hash::BuildHasherD
 /// index, matching the `mbqao-math` matrix/embedding conventions.
 ///
 /// The MBQC hot loop (`add_qubit` / `apply_cz` / `measure_remove` per
-/// pattern node) is allocation-free in steady state: grow/project
-/// kernels write into a reusable ping-pong `scratch` buffer that swaps
-/// with `amps`, and qubit lookup goes through a maintained id→position
-/// index instead of scanning the register.
+/// pattern node) is allocation-free in steady state: every kernel
+/// rewrites `amps` in place, which grows only up to the register's peak
+/// size, and qubit lookup goes through a maintained id→position index
+/// instead of scanning the register.
 #[derive(Debug)]
 pub struct State {
     qubits: Vec<QubitId>,
     amps: Vec<C64>,
     /// Maintained id → register-position index (kept in sync by
-    /// `add_qubit` / `measure_remove`).
+    /// `add_qubit` / `measure_remove` / `teleport_measure`).
     index: IdIndex,
-    /// Ping-pong partner of `amps`: `add_qubit` and `measure_remove`
-    /// write their output here, then swap. Its contents are garbage
-    /// between calls; only the capacity is meaningful.
-    scratch: Vec<C64>,
-    /// Second projection target of `measure_remove`'s dual-branch pass
-    /// (outcome-1 amplitudes land here while outcome 0 lands in
-    /// `scratch`; the chosen one swaps with `amps`).
-    scratch2: Vec<C64>,
 }
 
 impl Default for State {
@@ -164,8 +142,6 @@ impl Clone for State {
             qubits: self.qubits.clone(),
             amps: self.amps.clone(),
             index: self.index.clone(),
-            scratch: Vec::new(),
-            scratch2: Vec::new(),
         }
     }
 
@@ -175,7 +151,6 @@ impl Clone for State {
         self.qubits.clone_from(&source.qubits);
         self.amps.clone_from(&source.amps);
         self.index.clone_from(&source.index);
-        // `scratch` is scratch — keep ours.
     }
 }
 
@@ -186,8 +161,6 @@ impl State {
             qubits: Vec::new(),
             amps: vec![C64::ONE],
             index: IdIndex::default(),
-            scratch: Vec::new(),
-            scratch2: Vec::new(),
         }
     }
 
@@ -258,22 +231,30 @@ impl State {
     }
 
     /// Appends a fresh qubit in state `amp0|0⟩ + amp1|1⟩` as the least
-    /// significant position. Grows into the reusable scratch buffer —
-    /// no allocation once the buffers have reached the register's peak
+    /// significant position. Grows `amps` in place with one descending
+    /// pass (amplitude `i` moves to `2i` and `2i + 1`, both at or above
+    /// `i`) — no allocation once `amps` has reached the register's peak
     /// size.
     ///
     /// # Panics
     /// Panics when `id` is already allocated.
     pub fn add_qubit(&mut self, id: QubitId, init: [C64; 2]) {
+        self.grow(id, |_, a| (a * init[0], a * init[1]));
+    }
+
+    /// Registers `id` as the new least significant qubit and writes each
+    /// old amplitude `a` at index `i` as the pair `split(i, a)` at
+    /// `(2i, 2i + 1)`, descending, so no amplitude is overwritten before
+    /// it is read.
+    fn grow(&mut self, id: QubitId, split: impl Fn(usize, C64) -> (C64, C64)) {
         assert!(!self.contains(id), "qubit {id} already allocated");
-        self.scratch.clear();
-        self.scratch.resize(self.amps.len() * 2, C64::ZERO);
-        let (old, new) = (&self.amps, &mut self.scratch);
-        for (i, &a) in old.iter().enumerate() {
-            new[2 * i] = a * init[0];
-            new[2 * i + 1] = a * init[1];
+        let n = self.amps.len();
+        self.amps.resize(2 * n, C64::ZERO);
+        for i in (0..n).rev() {
+            let (a0, a1) = split(i, self.amps[i]);
+            self.amps[2 * i] = a0;
+            self.amps[2 * i + 1] = a1;
         }
-        std::mem::swap(&mut self.amps, &mut self.scratch);
         self.index.insert(id, self.qubits.len());
         self.qubits.push(id);
     }
@@ -400,27 +381,18 @@ impl State {
 
     /// Appends a fresh qubit in `|+⟩` already CZ-entangled with the live
     /// `partner` — the fused MBQC ancilla preparation (`prep_plus` +
-    /// `entangle` in one pass over the grown statevector). Bit-exact
-    /// with the unfused pair of calls.
+    /// `entangle` in one in-place pass over the grown statevector).
+    /// Bit-exact with the unfused pair of calls.
     ///
     /// # Panics
     /// Panics when `id` is live or `partner` is not.
     pub fn add_plus_cz(&mut self, id: QubitId, partner: QubitId) {
-        assert!(!self.contains(id), "qubit {id} already allocated");
         let pb = self.bit_of_pos(self.pos(partner));
         let s = C64::real(std::f64::consts::FRAC_1_SQRT_2);
-        self.scratch.clear();
-        self.scratch.resize(self.amps.len() * 2, C64::ZERO);
-        let (old, new) = (&self.amps, &mut self.scratch);
-        let fill = |(i, (pair, &a)): (usize, (&mut [C64], &C64))| {
+        self.grow(id, |i, a| {
             let v = a * s;
-            pair[0] = v;
-            pair[1] = if (i >> pb) & 1 == 1 { -v } else { v };
-        };
-        new.chunks_mut(2).zip(old.iter()).enumerate().for_each(fill);
-        std::mem::swap(&mut self.amps, &mut self.scratch);
-        self.index.insert(id, self.qubits.len());
-        self.qubits.push(id);
+            (v, if (i >> pb) & 1 == 1 { -v } else { v })
+        });
     }
 
     /// CNOT with `control` and `target`.
@@ -544,8 +516,8 @@ impl State {
     }
 
     /// Fused MBQC J-step: `add_plus(anc)` + `apply_cz(wire, anc)` +
-    /// `measure_remove(wire, basis, …)` in **one pass at constant
-    /// dimension** — the grown `2^{n+1}` intermediate is never
+    /// `measure_remove(wire, basis, …)` in **one in-place pass at
+    /// constant dimension** — the grown `2^{n+1}` intermediate is never
     /// materialized. Requires a *balanced* basis (`|v₀| = |v₁|`
     /// componentwise up to phase, as every `XY(θ)` basis is), for which
     /// both outcomes have Born probability exactly ½ on a normalized
@@ -553,6 +525,10 @@ impl State {
     ///
     /// `out(r, anc) = c₀·ψ(r, w=0) + (−1)^anc · c₁·ψ(r, w=1)`,
     /// `c_α = conj(v_o[α])`, already normalized.
+    ///
+    /// The butterfly rewrites each `(w=0, w=1)` amplitude pair where it
+    /// stands, so `anc` takes `wire`'s register position and no other
+    /// qubit moves.
     ///
     /// Returns `(outcome, ½)`.
     ///
@@ -581,30 +557,19 @@ impl State {
         let v = if outcome == 0 { &basis.v0 } else { &basis.v1 };
         let c0 = v[0].conj();
         let c1 = v[1].conj();
-        let dim = self.amps.len();
-        self.scratch.clear();
-        self.scratch.resize(dim, C64::ZERO);
-        {
-            let amps = &self.amps;
-            let fill = move |(r, pair): (usize, &mut [C64])| {
-                let low = r & ((1 << bw) - 1);
-                let i0 = (r >> bw) << (bw + 1) | low;
-                let x = c0 * amps[i0];
-                let y = c1 * amps[i0 | (1 << bw)];
-                pair[0] = x + y;
-                pair[1] = x - y;
-            };
-            self.scratch.chunks_mut(2).enumerate().for_each(fill);
-        }
-        std::mem::swap(&mut self.amps, &mut self.scratch);
-        // Register: `wire` out (positions above shift down), `anc` in as lsb.
-        self.qubits.remove(kw);
+        let stride = 1usize << bw;
+        let kernel = |chunk: &mut [C64]| {
+            for i in 0..stride {
+                let x = c0 * chunk[i];
+                let y = c1 * chunk[i + stride];
+                chunk[i] = x + y;
+                chunk[i + stride] = x - y;
+            }
+        };
+        self.amps.chunks_mut(stride * 2).for_each(kernel);
+        self.qubits[kw] = anc;
         self.index.remove(&wire);
-        for q in &self.qubits[kw..] {
-            *self.index.get_mut(q).expect("indexed qubit") -= 1;
-        }
-        self.index.insert(anc, self.qubits.len());
-        self.qubits.push(anc);
+        self.index.insert(anc, kw);
         (outcome, 0.5)
     }
 
@@ -678,53 +643,29 @@ impl State {
     ) -> (u8, f64) {
         let k = self.pos(id);
         let b = self.bit_of_pos(k);
-        let half = self.amps.len() / 2;
-
-        // One dual-projection gather: both branch projections land in
-        // the scratch buffers while the Born weight of branch 0
-        // accumulates — each amplitude is read exactly once, nothing is
-        // allocated in steady state, and a forced branch never pays for
-        // the projection it discards beyond the shared gather.
-        self.scratch.clear();
-        self.scratch.resize(half, C64::ZERO);
-        self.scratch2.clear();
-        self.scratch2.resize(half, C64::ZERO);
         let c00 = basis.v0[0].conj();
         let c01 = basis.v0[1].conj();
         let c10 = basis.v1[0].conj();
         let c11 = basis.v1[1].conj();
-        let p0: f64 = if c10 == c00 && c11 == -c01 {
-            // Butterfly basis (every XY(θ) measurement): one multiply
-            // pair yields both branches.
-            dual_pass(
-                &self.amps,
-                &mut self.scratch,
-                &mut self.scratch2,
-                b,
-                move |a0, a1| {
-                    let x = c00 * a0;
-                    let y = c01 * a1;
-                    (x + y, x - y)
-                },
-            )
-        } else if c01 == C64::ZERO && c10 == C64::ZERO {
-            // Diagonal basis (computational readout): plain strided
-            // selection.
-            dual_pass(
-                &self.amps,
-                &mut self.scratch,
-                &mut self.scratch2,
-                b,
-                move |a0, a1| (c00 * a0, c11 * a1),
-            )
+        // Diagonal basis (computational readout): plain strided selection.
+        let diagonal = c01 == C64::ZERO && c10 == C64::ZERO;
+
+        // The Born weight of branch 0: one read-only pass over the
+        // `(a0, a1)` pairs in index order.
+        let amps = &self.amps;
+        let pair = |i: usize| {
+            let i0 = pair_base(i, b);
+            (amps[i0], amps[i0 | (1 << b)])
+        };
+        let half = 0..amps.len() / 2;
+        let p0: f64 = if diagonal {
+            half.map(|i| (c00 * pair(i).0).norm_sqr()).sum()
         } else {
-            dual_pass(
-                &self.amps,
-                &mut self.scratch,
-                &mut self.scratch2,
-                b,
-                move |a0, a1| (c00 * a0 + c01 * a1, c10 * a0 + c11 * a1),
-            )
+            half.map(|i| {
+                let (a0, a1) = pair(i);
+                (c00 * a0 + c01 * a1).norm_sqr()
+            })
+            .sum()
         };
 
         let outcome = match forced {
@@ -747,17 +688,17 @@ impl State {
             "measurement branch m={outcome} on {id} has probability ~0 ({prob:.3e})"
         );
 
-        // Renormalize the chosen projection in place (a cheap
-        // real-scale pass) and ping-pong it into `amps`.
+        // Write the chosen projection, renormalized, over `amps`.
         let scale = 1.0 / prob.sqrt();
-        let chosen = if outcome == 0 {
-            &mut self.scratch
-        } else {
-            &mut self.scratch2
-        };
-        let renorm = |amp: &mut C64| *amp = amp.scale(scale);
-        chosen.iter_mut().for_each(renorm);
-        std::mem::swap(&mut self.amps, chosen);
+        match (outcome, diagonal) {
+            (0, true) => self.project(b, scale, |a0, _| c00 * a0),
+            (_, true) => self.project(b, scale, |_, a1| c11 * a1),
+            (0, false) => self.project(b, scale, |a0, a1| c00 * a0 + c01 * a1),
+            // Butterfly basis (every XY(θ) measurement): branch 1
+            // subtracts the two products branch 0 adds.
+            _ if c10 == c00 && c11 == -c01 => self.project(b, scale, |a0, a1| c00 * a0 - c01 * a1),
+            _ => self.project(b, scale, |a0, a1| c10 * a0 + c11 * a1),
+        }
 
         // Register maintenance: drop `id`, shift later positions down.
         self.qubits.remove(k);
@@ -766,6 +707,19 @@ impl State {
             *self.index.get_mut(q).expect("indexed qubit") -= 1;
         }
         (outcome, prob)
+    }
+
+    /// Overwrites `amps[i]`, ascending, with `f(a0, a1)·scale` of the
+    /// `i`-th `(a0, a1)` pair of the qubit at bit `b`, then truncates
+    /// `amps` to half: pair `i` sits at or above index `i`, so it is
+    /// read before anything overwrites it.
+    fn project(&mut self, b: usize, scale: f64, f: impl Fn(C64, C64) -> C64) {
+        let half = self.amps.len() / 2;
+        for i in 0..half {
+            let i0 = pair_base(i, b);
+            self.amps[i] = f(self.amps[i0], self.amps[i0 | (1 << b)]).scale(scale);
+        }
+        self.amps.truncate(half);
     }
 
     /// Squared norm (should stay ≈ 1).
@@ -854,19 +808,23 @@ impl State {
                 .map(|(z, &c)| z.norm_sqr() * c)
                 .sum();
         }
-        // (source shift, destination shift) per aligned bit: aligned
-        // index bit (n−1−i) is register index bit (n−1−perm[i]).
+        // Aligned index bit (n−1−i) is register index bit (n−1−perm[i]).
+        // One table per byte of the register index holds the aligned bits
+        // each value of that byte sets, so an index costs one lookup per
+        // byte instead of one shift per bit.
         let n = self.qubits.len();
-        let shifts: Vec<(u32, u32)> = perm
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| ((n - 1 - p) as u32, (n - 1 - i) as u32))
-            .collect();
-        let term = |(old_idx, z): (usize, &C64)| -> f64 {
-            let mut new_idx = 0usize;
-            for &(src, dst) in &shifts {
-                new_idx |= ((old_idx >> src) & 1) << dst;
+        let mut tables = vec![[0usize; 256]; n.div_ceil(8)];
+        for (i, &p) in perm.iter().enumerate() {
+            let src = n - 1 - p;
+            for (byte, bits) in tables[src / 8].iter_mut().enumerate() {
+                *bits |= ((byte >> (src % 8)) & 1) << (n - 1 - i);
             }
+        }
+        let term = |(old_idx, z): (usize, &C64)| -> f64 {
+            let new_idx = tables
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (k, t)| acc | t[(old_idx >> (8 * k)) & 0xFF]);
             z.norm_sqr() * cost[new_idx]
         };
         self.amps.iter().enumerate().map(term).sum()

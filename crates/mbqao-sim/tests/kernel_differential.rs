@@ -1,14 +1,15 @@
-//! Differential tests pinning every rewritten statevector kernel (PR 4:
-//! ping-pong scratch buffers, dual-projection measurement, specialized
-//! CZ/X/Z kernels, fused teleport/gadget node cycles, permutation-folded
-//! expectation) against naive reference implementations computed on raw
-//! amplitude vectors.
+//! Differential tests pinning every rewritten statevector kernel
+//! (in-place grow, projection and J-step, specialized CZ/X/Z kernels,
+//! fused teleport/gadget node cycles, permutation-folded expectation)
+//! against naive reference implementations computed on raw amplitude
+//! vectors, and the in-place kernels bit for bit against the
+//! copy-through-a-second-buffer code they replaced.
 
 use mbqao_math::C64;
 use mbqao_sim::{Circuit, Gate, MeasBasis, QubitId, State};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const N: usize = 4;
 
@@ -107,6 +108,121 @@ fn naive_cz(v: &mut [C64], ba: usize, bb: usize) {
     }
 }
 
+/// A random normalized state on `q(0)…q(width−1)` (a seeded random
+/// circuit on `|+⟩^width`), for registers of any width.
+fn seeded_state(width: usize, seed: u64) -> State {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ids: Vec<QubitId> = (0..width as u64).map(q).collect();
+    let mut st = State::plus(&ids);
+    for _ in 0..3 * width {
+        let a = ids[rng.gen_range(0..width)];
+        let b = ids[rng.gen_range(0..width)];
+        st.apply_rx(a, rng.gen_range(-3.0..3.0));
+        st.apply_rz(b, rng.gen_range(-3.0..3.0));
+        if a != b {
+            st.apply_cz(a, b);
+        }
+    }
+    st
+}
+
+/// The IEEE bit patterns of a vector, for exact comparisons.
+fn bits(v: &[C64]) -> Vec<(u64, u64)> {
+    v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+}
+
+/// Index `i` with a zero bit inserted at bit offset `b`.
+fn insert_zero(i: usize, b: usize) -> usize {
+    (i >> b) << (b + 1) | (i & ((1 << b) - 1))
+}
+
+/// The out-of-place `add_plus_cz` the in-place grow replaced: writes the
+/// grown vector (new qubit as lsb, CZ-coupled to the qubit at bit `pb`)
+/// into a second buffer. (`naive_grow` is the replaced `add_qubit`.)
+fn copy_grow_cz(v: &[C64], pb: usize) -> Vec<C64> {
+    let s = C64::real(std::f64::consts::FRAC_1_SQRT_2);
+    let mut out = vec![C64::ZERO; v.len() * 2];
+    for (i, (pair, &a)) in out.chunks_mut(2).zip(v).enumerate() {
+        let x = a * s;
+        pair[0] = x;
+        pair[1] = if (i >> pb) & 1 == 1 { -x } else { x };
+    }
+    out
+}
+
+/// The out-of-place `measure_remove` the in-place projection replaced:
+/// one pass writes both branch projections into two buffers while
+/// summing branch 0's Born weight, then the chosen branch is
+/// renormalized. Returns it with its probability.
+fn copy_measure(v: &[C64], b: usize, basis: &MeasBasis, m: u8) -> (Vec<C64>, f64) {
+    let (c00, c01) = (basis.v0[0].conj(), basis.v0[1].conj());
+    let (c10, c11) = (basis.v1[0].conj(), basis.v1[1].conj());
+    let comb = |a0: C64, a1: C64| {
+        if c10 == c00 && c11 == -c01 {
+            let x = c00 * a0;
+            let y = c01 * a1;
+            (x + y, x - y)
+        } else if c01 == C64::ZERO && c10 == C64::ZERO {
+            (c00 * a0, c11 * a1)
+        } else {
+            (c00 * a0 + c01 * a1, c10 * a0 + c11 * a1)
+        }
+    };
+    let half = v.len() / 2;
+    let (mut out0, mut out1) = (vec![C64::ZERO; half], vec![C64::ZERO; half]);
+    let p0: f64 = out0
+        .iter_mut()
+        .zip(out1.iter_mut())
+        .enumerate()
+        .map(|(i, (g0, g1))| {
+            let i0 = insert_zero(i, b);
+            (*g0, *g1) = comb(v[i0], v[i0 | (1 << b)]);
+            g0.norm_sqr()
+        })
+        .sum();
+    let prob = if m == 0 { p0 } else { (1.0 - p0).max(0.0) };
+    let scale = 1.0 / prob.sqrt();
+    let mut chosen = if m == 0 { out0 } else { out1 };
+    for z in &mut chosen {
+        *z = z.scale(scale);
+    }
+    (chosen, prob)
+}
+
+/// The out-of-place J-step the in-place butterfly replaced: the
+/// butterfly of the wire at bit `bw` written into a second buffer, with
+/// the wire dropped and the ancilla appended as the lsb.
+fn copy_teleport(v: &[C64], bw: usize, basis: &MeasBasis, m: u8) -> Vec<C64> {
+    let c = if m == 0 { basis.v0 } else { basis.v1 };
+    let (c0, c1) = (c[0].conj(), c[1].conj());
+    let mut out = vec![C64::ZERO; v.len()];
+    for (r, pair) in out.chunks_mut(2).enumerate() {
+        let i0 = insert_zero(r, bw);
+        let x = c0 * v[i0];
+        let y = c1 * v[i0 | (1 << bw)];
+        pair[0] = x + y;
+        pair[1] = x - y;
+    }
+    out
+}
+
+/// The per-bit readout the table-driven `expectation_diag` replaced:
+/// `|ψ(i)|² · cost[j]` summed in register index order `i`, with `j` the
+/// index `i` read off the qubits of `order` one bit at a time.
+fn per_bit_readout(st: &State, order: &[QubitId], cost: &[f64]) -> f64 {
+    let reg = st.qubit_ids();
+    let n = reg.len();
+    let src: Vec<usize> = order
+        .iter()
+        .map(|id| n - 1 - reg.iter().position(|r| r == id).expect("live qubit"))
+        .collect();
+    let term = |(i, z): (usize, &C64)| {
+        let j = (0..n).fold(0, |j, k| j | ((i >> src[k]) & 1) << (n - 1 - k));
+        z.norm_sqr() * cost[j]
+    };
+    st.amplitudes().iter().enumerate().map(term).sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -137,7 +253,7 @@ proptest! {
         assert_close(&by_z.aligned(&order()), &gen_z.aligned(&order()), 0.0)?;
     }
 
-    /// The dual-projection `measure_remove` (all three specializations:
+    /// The in-place `measure_remove` (all three specializations:
     /// butterfly XY, diagonal computational, generic) matches the naive
     /// project-normalize reference on both forced branches.
     #[test]
@@ -160,7 +276,7 @@ proptest! {
         assert_close(&st.aligned(&rest), &expect, 1e-9)?;
     }
 
-    /// `add_qubit` (ping-pong grow) and the fused `add_plus_cz` match
+    /// `add_qubit` (in-place grow) and the fused `add_plus_cz` match
     /// the naive tensor-product reference.
     #[test]
     fn prop_grow_matches_naive(st in arb_state(), p in 0u64..4, which in 0u8..2) {
@@ -243,8 +359,100 @@ proptest! {
         assert_close(&st.aligned(&order()), &expect, 1e-9)?;
     }
 
+    /// The in-place `add_qubit` and `add_plus_cz` write exactly the bits
+    /// of the copy-through grow they replaced, at every width and
+    /// partner position.
+    #[test]
+    fn prop_in_place_grow_is_bit_identical_to_copy_through(
+        width in 1usize..8,
+        seed in 0u64..1_000_000,
+        pos in 0usize..7,
+        re in -2.0f64..2.0,
+        im in -2.0f64..2.0,
+    ) {
+        let st = seeded_state(width, seed);
+        let v = st.amplitudes().to_vec();
+        let init = [C64::new(re, im), C64::new(im, -re)];
+        let mut grown = st.clone();
+        grown.add_qubit(q(99), init);
+        prop_assert_eq!(bits(grown.amplitudes()), bits(&naive_grow(&v, init)));
+
+        let k = pos % width;
+        let mut grown = st;
+        grown.add_plus_cz(q(99), q(k as u64));
+        prop_assert_eq!(bits(grown.amplitudes()), bits(&copy_grow_cz(&v, width - 1 - k)));
+        let mut ids: Vec<QubitId> = (0..width as u64).map(q).collect();
+        ids.push(q(99));
+        prop_assert_eq!(grown.qubit_ids(), &ids[..]);
+    }
+
+    /// The in-place `measure_remove` returns exactly the amplitudes and
+    /// Born weight of the dual-buffer projection it replaced, for the
+    /// butterfly (XY), diagonal (Z) and general (XZ, YZ) bases, both
+    /// forced outcomes and every position.
+    #[test]
+    fn prop_in_place_measure_is_bit_identical_to_copy_through(
+        width in 1usize..8,
+        seed in 0u64..1_000_000,
+        pos in 0usize..7,
+        kind in 0u8..4,
+        theta in -3.1f64..3.1,
+    ) {
+        let basis = match kind {
+            0 => MeasBasis::xy(theta),
+            1 => MeasBasis::computational(),
+            2 => MeasBasis::xz(theta),
+            _ => MeasBasis::yz(theta),
+        };
+        let st = seeded_state(width, seed);
+        let k = pos % width;
+        for m in [0u8, 1] {
+            let (expect, p_copy) = copy_measure(st.amplitudes(), width - 1 - k, &basis, m);
+            prop_assume!(p_copy > 1e-9);
+            let mut st = st.clone();
+            let mut rng = StdRng::seed_from_u64(4);
+            let (out, p) = st.measure_remove(q(k as u64), &basis, Some(m), &mut rng);
+            prop_assert_eq!(out, m);
+            prop_assert_eq!(p.to_bits(), p_copy.to_bits());
+            prop_assert_eq!(bits(st.amplitudes()), bits(&expect));
+            let rest: Vec<QubitId> = (0..width as u64).filter(|&i| i != k as u64).map(q).collect();
+            prop_assert_eq!(st.qubit_ids(), &rest[..]);
+        }
+    }
+
+    /// The in-place J-step keeps the register's dimension, puts the
+    /// ancilla in the wire's register position and moves no other
+    /// qubit; its amplitudes are exactly the copy-through butterfly's,
+    /// which appended the ancilla as the lsb.
+    #[test]
+    fn prop_teleport_ancilla_takes_the_wire_position(
+        width in 1usize..8,
+        seed in 0u64..1_000_000,
+        pos in 0usize..7,
+        m in 0u8..2,
+        theta in -3.1f64..3.1,
+    ) {
+        let basis = MeasBasis::xy(theta);
+        let st = seeded_state(width, seed);
+        let kw = pos % width;
+        let wire = q(kw as u64);
+        let mut after = st.clone();
+        let mut rng = StdRng::seed_from_u64(5);
+        let (out, p) = after.teleport_measure(wire, q(99), &basis, Some(m), &mut rng);
+        prop_assert_eq!((out, p), (m, 0.5));
+        prop_assert_eq!(after.dim(), st.dim());
+        let mut want = st.qubit_ids().to_vec();
+        want[kw] = q(99);
+        prop_assert_eq!(after.qubit_ids(), &want[..]);
+        let mut copy_order: Vec<QubitId> = st.qubit_ids().iter().copied().filter(|&x| x != wire).collect();
+        copy_order.push(q(99));
+        let expect = copy_teleport(st.amplitudes(), width - 1 - kw, &basis, m);
+        prop_assert_eq!(bits(&after.aligned(&copy_order)), bits(&expect));
+    }
+
     /// The permutation-folded `expectation_diag` (identity fast path and
-    /// general permutation) matches the aligned-then-zip reference.
+    /// general permutation) matches the aligned-then-zip reference, and
+    /// the per-bit readout it replaced bit for bit.
     #[test]
     fn prop_expectation_diag_matches_naive(
         st in arb_state(),
@@ -267,6 +475,7 @@ proptest! {
             .sum();
         let got = st.expectation_diag(&ord, &cost);
         prop_assert!((got - reference).abs() < 1e-9, "{} vs {}", got, reference);
+        prop_assert_eq!(got.to_bits(), per_bit_readout(&st, &ord, &cost).to_bits());
     }
 }
 
@@ -380,7 +589,7 @@ fn parallel_kernel_branches_match_naive_at_2pow13() {
         }
     }
 
-    // Generic dual-projection measure_remove and permutation-folded
+    // Generic in-place measure_remove and permutation-folded
     // expectation_diag at 2^13.
     let basis = MeasBasis::xz(0.61);
     let v = st.aligned(&ids);
@@ -410,6 +619,8 @@ fn parallel_kernel_branches_match_naive_at_2pow13() {
         (got - reference).abs() < 1e-9,
         "parallel expectation_diag: {got} vs {reference}"
     );
+    let per_bit = per_bit_readout(&st, &perm_order, &cost);
+    assert_eq!(got.to_bits(), per_bit.to_bits(), "two-byte readout tables");
 }
 
 /// `State::reset` + reuse behaves exactly like a fresh register.

@@ -1,8 +1,10 @@
 //! The unified execution engine, end to end: `GateBackend` and
 //! `PatternBackend` are interchangeable — they agree on `⟨C⟩` to 1e-8 on
 //! the paper's square graph (Eq. 5 / Appendix A) for p = 1 and p = 2 at
-//! random parameters — and the batched `Executor` entry points match
-//! their point-wise counterparts exactly.
+//! random parameters — the batched `Executor` entry points match their
+//! point-wise counterparts exactly, and a backend's `⟨C⟩` on the
+//! thread's reused pattern runner equals a fresh-register replay bit for
+//! bit.
 
 use mbqao::prelude::*;
 use mbqao::problems::{generators, maxcut};
@@ -125,5 +127,41 @@ fn backend_samples_follow_the_born_distribution_on_both_backends() {
             "{}: sampled {est} vs exact {exact}",
             exec.backend().name()
         );
+    }
+}
+
+/// `⟨C⟩` of a fresh-register replay: `run_with_input` on `State::new()`
+/// with seed 0, then the cost readout — the identity perfbench's traced
+/// replays check against the backends.
+fn replay_expectation(pattern: &Pattern, wires: &[QubitId], params: &[f64], cost: &ZPoly) -> f64 {
+    let mut rng = StdRng::seed_from_u64(0);
+    let run = run_with_input(pattern, State::new(), params, Branch::Random, &mut rng);
+    run.state.expectation_diag(wires, &cost.cost_vector_msb())
+}
+
+#[test]
+fn backends_on_the_threads_runner_match_a_fresh_register_bit_for_bit() {
+    // Every pattern walk on a thread reuses that thread's one runner.
+    // Interleaving widths (C8, then Petersen at p = 2, then C8 again on
+    // buffers the wider pattern grew) must not move a single bit.
+    let c8 = maxcut::maxcut_zpoly(&generators::cycle(8));
+    let petersen = maxcut::maxcut_zpoly(&generators::petersen());
+    let mut rng = StdRng::seed_from_u64(25);
+    for (cost, p) in [(&c8, 1usize), (&petersen, 2), (&c8, 1)] {
+        let pattern = PatternBackend::new(cost, p);
+        let zx = ZxBackend::new(cost, p);
+        assert!(
+            zx.report().deterministic,
+            "the ZX run draws random branches"
+        );
+        let (direct, extracted) = (pattern.compiled(), zx.compiled());
+        for _ in 0..3 {
+            let params: Vec<f64> = (0..2 * p).map(|_| rng.gen_range(-1.5..1.5)).collect();
+            let want = replay_expectation(&direct.pattern, &direct.output_wires, &params, cost);
+            assert_eq!(pattern.expectation(&params).to_bits(), want.to_bits());
+            let want =
+                replay_expectation(&extracted.pattern, &extracted.output_wires, &params, cost);
+            assert_eq!(zx.expectation(&params).to_bits(), want.to_bits());
+        }
     }
 }
