@@ -694,9 +694,6 @@ impl State {
             (0, true) => self.project(b, scale, |a0, _| c00 * a0),
             (_, true) => self.project(b, scale, |_, a1| c11 * a1),
             (0, false) => self.project(b, scale, |a0, a1| c00 * a0 + c01 * a1),
-            // Butterfly basis (every XY(θ) measurement): branch 1
-            // subtracts the two products branch 0 adds.
-            _ if c10 == c00 && c11 == -c01 => self.project(b, scale, |a0, a1| c00 * a0 - c01 * a1),
             _ => self.project(b, scale, |a0, a1| c10 * a0 + c11 * a1),
         }
 
@@ -808,23 +805,19 @@ impl State {
                 .map(|(z, &c)| z.norm_sqr() * c)
                 .sum();
         }
-        // Aligned index bit (n−1−i) is register index bit (n−1−perm[i]).
-        // One table per byte of the register index holds the aligned bits
-        // each value of that byte sets, so an index costs one lookup per
-        // byte instead of one shift per bit.
+        // (source shift, destination shift) per aligned bit: aligned
+        // index bit (n−1−i) is register index bit (n−1−perm[i]).
         let n = self.qubits.len();
-        let mut tables = vec![[0usize; 256]; n.div_ceil(8)];
-        for (i, &p) in perm.iter().enumerate() {
-            let src = n - 1 - p;
-            for (byte, bits) in tables[src / 8].iter_mut().enumerate() {
-                *bits |= ((byte >> (src % 8)) & 1) << (n - 1 - i);
-            }
-        }
+        let shifts: Vec<(u32, u32)> = perm
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| ((n - 1 - p) as u32, (n - 1 - i) as u32))
+            .collect();
         let term = |(old_idx, z): (usize, &C64)| -> f64 {
-            let new_idx = tables
-                .iter()
-                .enumerate()
-                .fold(0, |acc, (k, t)| acc | t[(old_idx >> (8 * k)) & 0xFF]);
+            let mut new_idx = 0usize;
+            for &(src, dst) in &shifts {
+                new_idx |= ((old_idx >> src) & 1) << dst;
+            }
             z.norm_sqr() * cost[new_idx]
         };
         self.amps.iter().enumerate().map(term).sum()
